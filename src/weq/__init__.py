@@ -66,6 +66,7 @@ from .textio import (
 from .words import (
     EqSystem,
     Equation,
+    InternalError,
     LambdaVector,
     Morphism,
     Word,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .encode import is_balanced, t_det
+from .encode import DetGrid, _det_grid, is_balanced, s_vector, t_det
 from .poly import (
     Binomial,
     BinomialFactorization,
@@ -24,10 +24,14 @@ from .poly import (
     format_poly,
     minimal_monomials,
 )
-from .words import EqSystem, Equation, LambdaVector, unknown_names
+from .words import EqSystem, Equation, InternalError, LambdaVector, unknown_names
 
 STATUS_OK = "ok"
 STATUS_ALL_ZERO = "all-determinants-zero"
+
+# The private ``_hyperplanes``, ``_bounds`` and ``_cofactor`` take the
+# determinant grid of the pair, so a caller that needs several analyses of
+# one pair builds the grid once.
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,6 @@ class HyperplaneReport:
 
     status: str
     primary: PairDeterminant | None
-    pairs: tuple[PairDeterminant, ...]
     hyperplanes: tuple[LambdaVector, ...]
     constraints: tuple[str, ...]
     erasing_notes: tuple[str, ...]
@@ -72,19 +75,15 @@ def solution_hyperplanes(
 ) -> HyperplaneReport:
     """Classify the possible rank-(n-1) common solutions of two equations
     by factoring the first nonzero coefficient determinant."""
-    if E.n != Ep.n:
-        raise ValueError("equations must share the unknown count")
-    n = E.n
-    names = list(names) if names is not None else unknown_names(n)
-    pairs = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            det = t_det(E, Ep, j, k)
-            if det:
-                pairs.append(PairDeterminant((j, k), det, binomial_factors(det)))
-    if not pairs:
-        return HyperplaneReport(STATUS_ALL_ZERO, None, (), (), (), ())
-    primary = pairs[0]
+    names = list(names) if names is not None else unknown_names(E.n)
+    return _hyperplanes(_det_grid(s_vector(E), s_vector(Ep)), names)
+
+
+def _hyperplanes(grid: DetGrid, names: Sequence[str]) -> HyperplaneReport:
+    pair = next((pair for pair, det in grid.items() if det), None)
+    if pair is None:
+        return HyperplaneReport(STATUS_ALL_ZERO, None, (), (), ())
+    primary = PairDeterminant(pair, grid[pair], binomial_factors(grid[pair]))
     hyperplanes = []
     notes = []
     for b, _mult in primary.factorization.factors:
@@ -93,9 +92,7 @@ def solution_hyperplanes(
         else:
             hyperplanes.append(b.lam)
     constraints = tuple(lam.constraint_text(names) for lam in hyperplanes)
-    return HyperplaneReport(
-        STATUS_OK, primary, tuple(pairs), tuple(hyperplanes), constraints, tuple(notes)
-    )
+    return HyperplaneReport(STATUS_OK, primary, tuple(hyperplanes), constraints, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -105,9 +102,10 @@ class BoundReport:
     ``sum_bound`` is the total length of the two equations;
     ``pair_bounds`` maps each index pair with a nonzero determinant to
     twice the occurrence count of the pair in the first equation;
-    ``best`` is the minimum applicable bound. The ``system_*`` fields are
-    set by :func:`system_bounds` only and bound the size of a strongly
-    independent system instead.
+    ``best`` is the minimum applicable bound. ``system_size_bound`` is set
+    by :func:`system_bounds` only: it bounds the size of a system that is
+    assumed, not checked, to be strongly independent, and it is computed
+    from the system's first two equations alone.
     """
 
     sum_bound: int
@@ -120,24 +118,24 @@ class BoundReport:
 def bounds(E: Equation, Ep: Equation) -> BoundReport:
     """Bounds for a pair of equations; identical or linearly dependent
     coefficient vectors are reported via ``status`` rather than an error."""
-    if E.n != Ep.n:
-        raise ValueError("equations must share the unknown count")
-    n = E.n
+    return _bounds(E, Ep, _det_grid(s_vector(E), s_vector(Ep)))
+
+
+def _bounds(E: Equation, Ep: Equation, grid: DetGrid) -> BoundReport:
     sum_bound = E.size + Ep.size
-    pair_bounds = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            if t_det(E, Ep, j, k):
-                pair_bounds.append(((j, k), 2 * (E.occurrences(j) + E.occurrences(k))))
+    pair_bounds = tuple(
+        ((j, k), 2 * (E.occurrences(j) + E.occurrences(k))) for (j, k), det in grid.items() if det
+    )
     status = STATUS_OK if pair_bounds else STATUS_ALL_ZERO
     best = min([sum_bound] + [b for _, b in pair_bounds])
-    return BoundReport(sum_bound, tuple(pair_bounds), best, status)
+    return BoundReport(sum_bound, pair_bounds, best, status)
 
 
 def system_bounds(T: EqSystem, *, has_rank_n1_solution: bool = False) -> BoundReport:
-    """Size bound for a strongly independent system, from its first two
-    equations: the pair bound plus 2, or plus 1 when the full system is
-    declared to have a rank-(n-1) solution."""
+    """Size bound for a system assumed, not checked, to be strongly
+    independent: the bound of its first two equations plus 2, or plus 1
+    when the system is declared to have a rank-(n-1) solution. Only the
+    first two equations are read."""
     if len(T) < 2:
         raise ValueError("system bounds need at least two equations")
     E1, E2 = T.equations[0], T.equations[1]
@@ -163,11 +161,11 @@ def cofactor_3vars(E1: Equation, E2: Equation) -> MultiPoly:
     for E in (E1, E2):
         if not is_balanced(E):
             raise ValueError(f"equation {E} is not balanced")
-    dets = [
-        (t_det(E1, E2, 1, 2), 0),
-        (t_det(E1, E2, 2, 0), 1),
-        (t_det(E1, E2, 0, 1), 2),
-    ]
+    return _cofactor(_det_grid(s_vector(E1), s_vector(E2)))
+
+
+def _cofactor(grid: DetGrid) -> MultiPoly:
+    dets = [(grid[(1, 2)], 0), (-grid[(0, 2)], 1), (grid[(0, 1)], 2)]
     quotients = []
     for det, i in dets:
         if not det:
@@ -175,12 +173,12 @@ def cofactor_3vars(E1: Equation, E2: Equation) -> MultiPoly:
         unit = LambdaVector(tuple(1 if j == i else 0 for j in range(3)))
         q = divide_by_binomial(det, Binomial(unit))
         if q is None:
-            raise RuntimeError("determinant of balanced pair not divisible by X_i - 1; this is a bug")
+            raise InternalError("determinant of balanced pair not divisible by X_i - 1")
         quotients.append(q)
     if not quotients:
         return MultiPoly.zero(3)
     if len(quotients) != 3 or any(q != quotients[0] for q in quotients):
-        raise RuntimeError("inconsistent cofactors across the determinant triple; this is a bug")
+        raise InternalError("inconsistent cofactors across the determinant triple")
     return quotients[0]
 
 
@@ -201,7 +199,7 @@ def minimal_count_bounds(
     upper = 2 * (E.occurrences(j) + E.occurrences(k))
     lower = len(binomial_factors(det).hyperplane_factors()) + 1
     if not lower <= count <= upper:
-        raise AssertionError(
+        raise InternalError(
             f"minimal-monomial count {count} outside [{lower}, {upper}] "
             f"for pair ({j}, {k})"
         )
@@ -214,8 +212,9 @@ def pair_report_json(
     """JSON-ready report for an equation pair: primary determinant,
     factorization, hyperplane constraints and bounds."""
     names = list(names) if names is not None else unknown_names(E.n)
-    hr = solution_hyperplanes(E, Ep, names)
-    br = bounds(E, Ep)
+    grid = _det_grid(s_vector(E), s_vector(Ep))
+    hr = _hyperplanes(grid, names)
+    br = _bounds(E, Ep, grid)
     out: dict = {
         "status": hr.status,
         "bounds": {
@@ -239,18 +238,11 @@ def pair_report_json(
             }
         )
         return out
-    fac = hr.primary.factorization
     out.update(
         {
             "pair": [hr.primary.pair[0] + 1, hr.primary.pair[1] + 1],
             "determinant": format_poly(hr.primary.determinant),
-            "content": list(fac.content),
-            "sign": fac.sign,
-            "factors": [
-                {"lambda": list(b.lam.entries), "multiplicity": m}
-                for b, m in fac.factors
-            ],
-            "residual": format_poly(fac.residual),
+            **hr.primary.factorization.to_json(),
             "hyperplane_constraints": list(hr.constraints),
             "erasing_notes": list(hr.erasing_notes),
         }

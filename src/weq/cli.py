@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when an analysis finds a violation or a
-mismatch, 2 on parse or usage errors. Inputs that look like existing
-paths are read as files, anything else is treated as literal text.
+mismatch, 2 on parse or usage errors, 3 on an internal error (a
+computation broke one of its own invariants; one line on stderr).
+Inputs that look like existing paths are read as files, anything else
+is treated as literal text.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import os
 import sys
 
 from . import analysis, search
-from .encode import balanced_residual, check_solution_poly, is_balanced, s_vector, t_det
-from .poly import MultiPoly, binomial_factors, format_poly
+from .encode import _det_grid, balanced_residual, check_solution_poly, is_balanced, s_vector
+from .poly import Binomial, MultiPoly, binomial_factors, format_poly
 from .principal import principal_decompose
 from .textio import (
     ParseError,
@@ -22,9 +24,8 @@ from .textio import (
     parse_poly,
     parse_system,
     render_equation,
-    render_morphism,
 )
-from .words import is_solution
+from .words import InternalError, LambdaVector, is_solution
 
 
 def _read_text(arg: str) -> str:
@@ -34,113 +35,85 @@ def _read_text(arg: str) -> str:
     return arg
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _factorization_json(fac) -> dict:
-    return {
-        "sign": fac.sign,
-        "content": list(fac.content),
-        "factors": [
-            {"lambda": list(b.lam.entries), "multiplicity": m} for b, m in fac.factors
-        ],
-        "residual": format_poly(fac.residual),
-    }
-
-
-def _factorization_text(fac) -> str:
+def _factorization_text(fac: dict) -> str:
+    """Render the JSON form of a binomial factorization as a product."""
     parts = []
-    if fac.sign < 0:
+    if fac["sign"] < 0:
         parts.append("-1")
-    if any(fac.content):
-        parts.append(format_poly(MultiPoly.monomial(fac.n, fac.content)))
-    for b, m in fac.factors:
-        parts.append(f"({b})" + (f"^{m}" if m > 1 else ""))
-    residual = format_poly(fac.residual)
+    if any(fac["content"]):
+        parts.append(format_poly(MultiPoly.monomial(len(fac["content"]), fac["content"])))
+    for f in fac["factors"]:
+        m = f["multiplicity"]
+        parts.append(f"({Binomial(LambdaVector(tuple(f['lambda'])))})" + (f"^{m}" if m > 1 else ""))
+    residual = fac["residual"]
     if residual != "1":
-        parts.append(residual if len(fac.residual.terms) == 1 else f"({residual})")
+        # format_poly separates terms by spaces and puts none inside a term
+        parts.append(f"({residual})" if " " in residual else residual)
     if not parts:
         parts.append("1")
     return " * ".join(parts)
 
 
-def cmd_encode(args) -> int:
+# Every ``cmd_*`` returns ``(exit code, payload, render)``: ``main`` prints
+# the payload as JSON under ``--json`` and the lines of ``render(payload)``
+# otherwise, so the text form is always derived from the JSON one.
+
+
+def cmd_encode(args):
     system, names = parse_system(_read_text(args.input))
-    payload = []
-    for i, E in enumerate(system, 1):
-        comps = [format_poly(p) for p in s_vector(E)]
-        payload.append({"equation": render_equation(E, names), "s_vector": comps})
-        if not args.json:
-            print(f"E{i}: {render_equation(E, names)}")
-            print(f"S(E{i}) = ({', '.join(comps)})")
-    if args.json:
-        _emit_json(payload)
-    return 0
+    rows = [
+        {"equation": render_equation(E, names), "s_vector": [format_poly(p) for p in s_vector(E)]}
+        for E in system
+    ]
+
+    def render(rows):
+        for i, row in enumerate(rows, 1):
+            yield f"E{i}: {row['equation']}"
+            yield f"S(E{i}) = ({', '.join(row['s_vector'])})"
+
+    return 0, rows, render
 
 
-def cmd_det(args) -> int:
+def cmd_det(args):
     system, names = parse_system(_read_text(args.input))
     if len(system) < 2:
         raise ParseError("determinants need two equations")
-    E, Ep = system.equations[0], system.equations[1]
-    n = E.n
-    payload = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            det = t_det(E, Ep, j, k)
-            payload.append(
-                {"pair": [j + 1, k + 1], "determinant": format_poly(det)}
-            )
-            if not args.json:
-                print(f"t{j + 1}{k + 1} = {format_poly(det)}")
-    if args.json:
-        _emit_json(payload)
-    return 0
+    grid = _det_grid(s_vector(system.equations[0]), s_vector(system.equations[1]))
+    rows = [{"pair": [j + 1, k + 1], "determinant": format_poly(det)} for (j, k), det in grid.items()]
+    return 0, rows, lambda rows: (f"t{r['pair'][0]}{r['pair'][1]} = {r['determinant']}" for r in rows)
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args):
     p = parse_poly(_read_text(args.poly).strip(), args.nvars)
     if not p:
         raise ParseError("cannot factor the zero polynomial")
-    fac = binomial_factors(p)
-    if args.json:
-        _emit_json({"input": format_poly(p), **_factorization_json(fac)})
-    else:
-        print(f"{format_poly(p)} = {_factorization_text(fac)}")
-    return 0
+    payload = {"input": format_poly(p), **binomial_factors(p).to_json()}
+    return 0, payload, lambda f: [f"{f['input']} = {_factorization_text(f)}"]
 
 
-def cmd_balanced(args) -> int:
+def cmd_balanced(args):
     system, names = parse_system(_read_text(args.input))
-    payload = []
-    for E in system:
-        balanced = is_balanced(E)
-        residual = balanced_residual(E)
-        payload.append(
-            {
-                "equation": render_equation(E, names),
-                "balanced": balanced,
-                "residual": format_poly(residual),
-            }
-        )
-        if not args.json:
-            verdict = "balanced" if balanced else "not balanced"
-            print(f"{render_equation(E, names)}: {verdict} (residual {format_poly(residual)})")
-    if args.json:
-        _emit_json(payload)
-    return 0
+    rows = [
+        {
+            "equation": render_equation(E, names),
+            "balanced": is_balanced(E),
+            "residual": format_poly(balanced_residual(E)),
+        }
+        for E in system
+    ]
+    return 0, rows, lambda rows: (
+        f"{r['equation']}: {'balanced' if r['balanced'] else 'not balanced'} (residual {r['residual']})"
+        for r in rows
+    )
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     system, names = parse_system(_read_text(args.equations))
     h = parse_morphism(_read_text(args.morphism), names)
     rows = []
-    agree = True
     for E in system:
         word_level = is_solution(h, E)
         poly_level = check_solution_poly(E, h)
-        agree &= word_level == poly_level
         rows.append(
             {
                 "equation": render_equation(E, names),
@@ -149,65 +122,56 @@ def cmd_check(args) -> int:
                 "agree": word_level == poly_level,
             }
         )
-    if args.json:
-        _emit_json(rows)
-    else:
-        for row in rows:
-            print(
-                f"{row['equation']}: word={row['word_check']} "
-                f"poly={row['poly_check']} agree={row['agree']}"
-            )
-    return 0 if agree else 1
+    code = 0 if all(r["agree"] for r in rows) else 1
+    return code, rows, lambda rows: (
+        f"{r['equation']}: word={r['word_check']} poly={r['poly_check']} agree={r['agree']}"
+        for r in rows
+    )
 
 
-def cmd_principal(args) -> int:
+def cmd_principal(args):
     system, names = parse_system(_read_text(args.equations))
     h = parse_morphism(_read_text(args.morphism), names)
     dec = principal_decompose(h, system)
-    if args.json:
-        _emit_json(
-            {
-                "g": [str(im) for im in dec.g.images],
-                "theta": [str(im) for im in dec.theta.images],
-                "trace": [list(step) for step in dec.trace],
-            }
-        )
-    else:
-        letter_names = [chr(ord("a") + i) for i in range(dec.theta.domain_size)]
-        print("principal solution g:")
-        print(render_morphism(dec.g, names))
-        print("letter substitution theta:")
-        print(render_morphism(dec.theta, letter_names))
-        print(f"trace: {', '.join('/'.join(str(x) for x in step) for step in dec.trace) or '(none)'}")
-    return 0
+    payload = {
+        "g": [str(im) for im in dec.g.images],
+        "theta": [str(im) for im in dec.theta.images],
+        "trace": [list(step) for step in dec.trace],
+    }
+
+    def render(p):
+        letter_names = [chr(ord("a") + i) for i in range(len(p["theta"]))]
+        yield "principal solution g:"
+        yield from (f"{nm} = {im or 'eps'}" for nm, im in zip(names, p["g"]))
+        yield "letter substitution theta:"
+        yield from (f"{nm} = {im or 'eps'}" for nm, im in zip(letter_names, p["theta"]))
+        yield f"trace: {', '.join('/'.join(str(x) for x in step) for step in p['trace']) or '(none)'}"
+
+    return 0, payload, render
 
 
-def cmd_hyperplanes(args) -> int:
+def cmd_hyperplanes(args):
     system, names = parse_system(_read_text(args.input))
     if len(system) < 2:
         raise ParseError("hyperplane analysis needs two equations")
     E, Ep = system.equations[0], system.equations[1]
-    payload = analysis.pair_report_json(E, Ep, names)
-    if args.json:
-        _emit_json(payload)
-        return 0
-    print(f"status: {payload['status']}")
-    if payload["pair"] is not None:
-        print(f"primary pair: t{payload['pair'][0]}{payload['pair'][1]} = {payload['determinant']}")
-        for c in payload["hyperplane_constraints"]:
-            print(f"hyperplane: {c}")
-        for note in payload["erasing_notes"]:
-            print(note)
-    b = payload["bounds"]
-    print(f"bounds: sum={b['sum']} best={b['best']}")
-    return 0
+
+    def render(p):
+        yield f"status: {p['status']}"
+        if p["pair"] is not None:
+            yield f"primary pair: t{p['pair'][0]}{p['pair'][1]} = {p['determinant']}"
+            yield from (f"hyperplane: {c}" for c in p["hyperplane_constraints"])
+            yield from p["erasing_notes"]
+        yield f"bounds: sum={p['bounds']['sum']} best={p['bounds']['best']}"
+
+    return 0, analysis.pair_report_json(E, Ep, names), render
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     system, names = parse_system(_read_text(args.input))
     if len(system) < 2:
         raise ParseError("bounds need at least two equations")
-    if len(system) == 2:
+    if len(system) == 2 and not args.assume_rank_solution:
         report = analysis.bounds(system.equations[0], system.equations[1])
     else:
         report = analysis.system_bounds(
@@ -223,20 +187,21 @@ def cmd_bounds(args) -> int:
     }
     if report.system_size_bound is not None:
         payload["system_size_bound"] = report.system_size_bound
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"status: {report.status}")
-        print(f"sum bound: {report.sum_bound}")
-        for (j, k), b in report.pair_bounds:
-            print(f"pair ({j + 1}, {k + 1}): {b}")
-        print(f"best: {report.best}")
-        if report.system_size_bound is not None:
-            print(f"system size bound: {report.system_size_bound}")
-    return 0
+
+    def render(p):
+        yield f"status: {p['status']}"
+        yield f"sum bound: {p['sum']}"
+        yield from (f"pair ({q['pair'][0]}, {q['pair'][1]}): {q['bound']}" for q in p["pairs"])
+        yield f"best: {p['best']}"
+        if "system_size_bound" in p:
+            yield f"system size bound: {p['system_size_bound']}"
+
+    return 0, payload, render
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
+    if args.parallel < 1:
+        raise ValueError(f"--parallel needs at least one worker, got {args.parallel}")
     if args.verify_encoding:
         report = search.verify_encoding(args.verify_encoding, args.seed)
         payload = {
@@ -244,16 +209,15 @@ def cmd_search(args) -> int:
             "positives": report.positives,
             "discrepancies": list(report.discrepancies),
         }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(
-                f"checked {report.cases} cases ({report.positives} solutions), "
-                f"{len(report.discrepancies)} discrepancies"
+
+        def render(p):
+            yield (
+                f"checked {p['cases']} cases ({p['positives']} solutions), "
+                f"{len(p['discrepancies'])} discrepancies"
             )
-            for d in report.discrepancies:
-                print(f"  counterexample: {d}")
-        return 0 if report.ok else 1
+            yield from (f"  counterexample: {d}" for d in p["discrepancies"])
+
+        return 0 if report.ok else 1, payload, render
 
     if args.input is None:
         raise ParseError("search needs equations (or --verify-encoding N)")
@@ -276,13 +240,13 @@ def cmd_search(args) -> int:
             "erasing_classes": report.erasing_class_count,
             "counterexample": report.counterexample,
         }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(f"status: {report.status} ok: {report.ok} classes: {report.class_count}")
-            if report.counterexample:
-                print(f"counterexample: {report.counterexample}")
-        return 0 if report.ok else 1
+
+        def render(p):
+            yield f"status: {p['status']} ok: {p['ok']} classes: {p['classes']}"
+            if p["counterexample"]:
+                yield f"counterexample: {p['counterexample']}"
+
+        return 0 if report.ok else 1, payload, render
 
     catalog = search.enumerate_solutions(system, cfg, workers=args.parallel)
     if args.csv:
@@ -290,18 +254,15 @@ def cmd_search(args) -> int:
             fh.write("length_type,rank,class\n")
             for lt, r, cid in catalog.csv_rows():
                 fh.write(f"{lt},{r},{cid}\n")
-    if args.json:
-        _emit_json(catalog.to_json())
-    else:
-        print(f"solutions within budget: {len(catalog.solutions)}")
-        for r, c in catalog.rank_counts().items():
-            print(f"rank {r}: {c}")
-        for i, cls in enumerate(catalog.classes):
-            print(
-                f"class {i}: normal {cls.normal} ({cls.normal.constraint_text(names)}), "
-                f"{len(cls.members)} members"
-            )
-    return 0
+
+    def render(p):
+        yield f"solutions within budget: {p['solution_count']}"
+        yield from (f"rank {r}: {c}" for r, c in p["rank_counts"].items())
+        for i, cls in enumerate(p["classes"]):
+            normal = LambdaVector(tuple(cls["normal"]))
+            yield f"class {i}: normal {normal} ({normal.constraint_text(names)}), {cls['size']} members"
+
+    return 0, catalog.to_json(), render
 
 
 _EXAMPLE_INPUT = "xyxz = zxyx\nxyxxz = zxxyx\n"
@@ -321,40 +282,39 @@ _EXAMPLE_EXPECTED = {
 }
 
 
-def cmd_paper_example(args) -> int:
+def cmd_paper_example(args):
     system, names = parse_system(_EXAMPLE_INPUT)
     E1, E2 = system.equations
-    got = {}
-    for label, E in (("S(E1)", E1), ("S(E2)", E2)):
-        got[label] = "(" + ", ".join(format_poly(p) for p in s_vector(E)) + ")"
-    got["t23"] = format_poly(t_det(E1, E2, 1, 2))
-    got["t31"] = format_poly(t_det(E1, E2, 2, 0))
-    got["t12"] = format_poly(t_det(E1, E2, 0, 1))
-    got["t23 factored"] = _factorization_text(binomial_factors(t_det(E1, E2, 1, 2)))
-    t = analysis.cofactor_3vars(E1, E2)
-    got["cofactor t"] = format_poly(t)
-    got["cofactor t factored"] = _factorization_text(binomial_factors(t))
-    hyper = analysis.solution_hyperplanes(E1, E2, names)
-    got["constraint"] = "; ".join(hyper.constraints)
-    breport = analysis.bounds(E1, E2)
-    got["sum bound"] = str(breport.sum_bound)
-    got["best bound"] = str(breport.best)
+    S1, S2 = s_vector(E1), s_vector(E2)
+    grid = _det_grid(S1, S2)
+    t = analysis._cofactor(grid)
+    hyper = analysis._hyperplanes(grid, names)
+    breport = analysis._bounds(E1, E2, grid)
+    got = {
+        "S(E1)": "(" + ", ".join(format_poly(p) for p in S1) + ")",
+        "S(E2)": "(" + ", ".join(format_poly(p) for p in S2) + ")",
+        "t23": format_poly(grid[(1, 2)]),
+        "t31": format_poly(-grid[(0, 2)]),
+        "t12": format_poly(grid[(0, 1)]),
+        "t23 factored": _factorization_text(binomial_factors(grid[(1, 2)]).to_json()),
+        "cofactor t": format_poly(t),
+        "cofactor t factored": _factorization_text(binomial_factors(t).to_json()),
+        "constraint": "; ".join(hyper.constraints),
+        "sum bound": str(breport.sum_bound),
+        "best bound": str(breport.best),
+    }
+    rows = [
+        {"item": key, "value": got[key], "expected": expected, "ok": got[key] == expected}
+        for key, expected in _EXAMPLE_EXPECTED.items()
+    ]
 
-    failures = 0
-    rows = []
-    for key, expected in _EXAMPLE_EXPECTED.items():
-        ok = got[key] == expected
-        failures += not ok
-        rows.append({"item": key, "value": got[key], "expected": expected, "ok": ok})
-    if args.json:
-        _emit_json(rows)
-    else:
-        print(f"E1: {render_equation(E1, names)}")
-        print(f"E2: {render_equation(E2, names)}")
+    def render(rows):
+        yield from (f"E{i}: {line}" for i, line in enumerate(_EXAMPLE_INPUT.splitlines(), 1))
         for row in rows:
             mark = "ok" if row["ok"] else f"MISMATCH (expected {row['expected']})"
-            print(f"{row['item']} = {row['value']}  [{mark}]")
-    return 1 if failures else 0
+            yield f"{row['item']} = {row['value']}  [{mark}]"
+
+    return 0 if all(row["ok"] for row in rows) else 1, rows, render
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--assume-rank-solution",
         action="store_true",
-        help="assume the full system has a rank-(n-1) solution",
+        help="assume, without checking, a strongly independent system with a rank-(n-1) "
+        "solution; the system size bound reads only the first two equations",
     )
     add_json(p)
     p.set_defaults(func=cmd_bounds)
@@ -420,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=6, help="total image length budget")
     p.add_argument("--alphabet", type=int, default=2, help="target alphabet size")
     p.add_argument("--no-erasing", action="store_true", help="skip erasing morphisms")
-    p.add_argument("--parallel", type=int, default=1, metavar="THREADS")
+    p.add_argument(
+        "--parallel", type=int, default=1, metavar="WORKERS", help="worker processes for the search"
+    )
     p.add_argument("--csv", default=None, help="also write (length type, rank, class) rows")
     p.add_argument(
         "--verify-bounds",
@@ -446,16 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
+        code, payload, render = args.func(args)
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in render(payload):
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .words import Equation, Morphism, Word
 
 SVector = tuple[MultiPoly, ...]
 PVector = tuple[UniPoly, ...]
+DetGrid = dict[tuple[int, int], MultiPoly]
 
 
 def s_poly(E: Equation, j: int) -> MultiPoly:
@@ -86,7 +87,17 @@ def t_det(E: Equation, Ep: Equation, j: int, k: int) -> MultiPoly:
     for idx in (j, k):
         if not 0 <= idx < E.n:
             raise IndexError(f"unknown index {idx} out of range for n={E.n}")
-    return s_poly(E, j) * s_poly(Ep, k) - s_poly(Ep, j) * s_poly(E, k)
+    S, Sp = s_vector(E), s_vector(Ep)
+    return S[j] * Sp[k] - Sp[j] * S[k]
+
+
+def _det_grid(S: SVector, Sp: SVector) -> DetGrid:
+    """Every determinant ``t_jk`` with ``j < k``, in lexicographic order of
+    the pairs, from the coefficient vectors of the two equations."""
+    if len(S) != len(Sp):
+        raise ValueError("equations must share the unknown count")
+    n = len(S)
+    return {(j, k): S[j] * Sp[k] - Sp[j] * S[k] for j in range(n) for k in range(j + 1, n)}
 
 
 def balanced_residual(E: Equation) -> MultiPoly:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .words import LambdaVector, Word
+from .words import InternalError, LambdaVector, Word
 
 
 def poly_var_names(n: int) -> list[str]:
@@ -410,6 +410,16 @@ class BinomialFactorization:
             out = out * b.as_poly() ** mult
         return out * self.residual
 
+    def to_json(self) -> dict:
+        return {
+            "sign": self.sign,
+            "content": list(self.content),
+            "factors": [
+                {"lambda": list(b.lam.entries), "multiplicity": m} for b, m in self.factors
+            ],
+            "residual": format_poly(self.residual),
+        }
+
     def hyperplane_factors(self) -> tuple[LambdaVector, ...]:
         """Directions of the factors whose positive and negative parts are
         both nonzero (the ones meeting the positive orthant)."""
@@ -485,7 +495,7 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
         cur,
     )
     if result.expand() != p:
-        raise RuntimeError("factorization failed to multiply back; this is a bug")
+        raise InternalError("factorization failed to multiply back")
     return result
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Morphism, SystemLike, Word, as_system, is_solution
+from .words import InternalError, Morphism, SystemLike, Word, as_system, is_solution
 
 
 def is_trivial(T: SystemLike) -> bool:
@@ -43,6 +43,11 @@ class PrincipalDecomposition:
     g: Morphism
     theta: Morphism
     trace: tuple[tuple, ...]
+
+
+def _require(ok: bool, invariant: str) -> None:
+    if not ok:
+        raise InternalError(f"principal decomposition: {invariant}")
 
 
 def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
@@ -101,26 +106,26 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
         j = next(i for i in range(min(len(u), len(v)) + 1) if i >= len(u) or i >= len(v) or u[i] != v[i])
         # A non-erasing solution cannot make one side a proper prefix of
         # the other.
-        assert j < len(u) and j < len(v), "side exhausted under a non-erasing solution"
+        _require(j < len(u) and j < len(v), "side exhausted under a non-erasing solution")
         x, y = u[j], v[j]
         hx, hy = h_img[x], h_img[y]
         if len(hx) < len(hy):
-            assert hy.symbols[: len(hx)] == hx.symbols
+            _require(hy.symbols[: len(hx)] == hx.symbols, "shorter image is not a prefix")
             h_img[y] = Word(hy.symbols[len(hx):])
             substitute(y, [x, y])
             trace.append(("expand", x, y))
         elif len(hx) > len(hy):
-            assert hx.symbols[: len(hy)] == hy.symbols
+            _require(hx.symbols[: len(hy)] == hy.symbols, "shorter image is not a prefix")
             h_img[x] = Word(hx.symbols[len(hy):])
             substitute(x, [y, x])
             trace.append(("expand", y, x))
         else:
-            assert hx == hy
+            _require(hx == hy, "equal-length images differ")
             del h_img[y]
             alive.discard(y)
             substitute(y, [x])
             trace.append(("merge", y, x))
-        assert measure() < before, "termination measure failed to decrease"
+        _require(measure() < before, "termination measure failed to decrease")
 
     order: list[int] = []
     seen: set[int] = set()
@@ -129,7 +134,7 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
             if c not in seen:
                 seen.add(c)
                 order.append(c)
-    assert set(order) == alive
+    _require(set(order) == alive, "letters of g differ from the surviving unknowns")
     remap = {old: new for new, old in enumerate(order)}
     g = Morphism(tuple(Word(tuple(remap[c] for c in gi)) for gi in g_imgs), len(order))
     theta = Morphism(tuple(h_img[c] for c in order), h.target_alphabet_size)

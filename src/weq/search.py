@@ -46,6 +46,12 @@ class SearchConfig:
     allow_erasing: bool = True
     max_candidates: int = 100_000_000
 
+    def __post_init__(self) -> None:
+        if self.max_total_image_length < 0:
+            raise ValueError(f"the length budget must be non-negative, got {self.max_total_image_length}")
+        if self.alphabet_size < 1:
+            raise ValueError(f"the alphabet needs at least one letter, got {self.alphabet_size}")
+
 
 @dataclass(frozen=True)
 class SolutionClass:
@@ -72,12 +78,12 @@ class SolutionCatalog:
     def rank_counts(self) -> dict[int, int]:
         return {r: len(ms) for r, ms in sorted(self.by_rank.items())}
 
-    def class_id(self, h: Morphism) -> int:
-        """Index of the class containing ``h``, or -1 when its rank is not n-1."""
-        for i, cls in enumerate(self.classes):
-            if h in cls.members:
-                return i
-        return -1
+    def _ranks_and_classes(self) -> list[tuple[int, int]]:
+        """Rank and class index (-1 below rank n-1) of every solution, read
+        off ``by_rank`` and ``classes``."""
+        rank_of = {h: r for r, ms in self.by_rank.items() for h in ms}
+        class_of = {h: i for i, cls in enumerate(self.classes) for h in cls.members}
+        return [(rank_of[h], class_of.get(h, -1)) for h in self.solutions]
 
     def to_json(self) -> dict:
         return {
@@ -96,20 +102,16 @@ class SolutionCatalog:
                 for cls in self.classes
             ],
             "solutions": [
-                {
-                    "images": [str(im) for im in h.images],
-                    "rank": rank(h),
-                    "class": self.class_id(h),
-                }
-                for h in self.solutions
+                {"images": [str(im) for im in h.images], "rank": r, "class": c}
+                for h, (r, c) in zip(self.solutions, self._ranks_and_classes())
             ],
         }
 
     def csv_rows(self) -> list[tuple[str, int, int]]:
         """Rows (length type, rank, class id) for every solution."""
         return [
-            (" ".join(str(v) for v in h.length_type()), rank(h), self.class_id(h))
-            for h in self.solutions
+            (" ".join(str(v) for v in h.length_type()), r, c)
+            for h, (r, c) in zip(self.solutions, self._ranks_and_classes())
         ]
 
 
@@ -262,7 +264,7 @@ def verify_bounds(
             "commutation-like", True, len(catalog.classes), erasing, breport
         )
     m = len(catalog.classes)
-    limit = min(breport.sum_bound, breport.best)
+    limit = breport.best
     ok = m <= limit
     counterexample = None
     if not ok:

@@ -18,6 +18,10 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 
+class InternalError(RuntimeError):
+    """A computation broke one of its own invariants: a bug, never bad input."""
+
+
 def unknown_names(n: int) -> list[str]:
     """Default display names x, y, z, x4, x5, ... for ``n`` unknowns."""
     return ["x", "y", "z"][:n] + [f"x{i}" for i in range(4, n + 1)]

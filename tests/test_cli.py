@@ -246,3 +246,79 @@ class TestJsonStability:
         assert main(["hyperplanes", PAIR_TEXT, "--json"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named weq functions, wherever a weq module binds them."""
+    import sys
+    from collections import Counter
+
+    import weq
+
+    counts = Counter()
+    modules = [m for key, m in sys.modules.items() if key.startswith("weq.")]
+    for name in names:
+        original = getattr(weq, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["hyperplanes", PAIR_TEXT], {"s_vector": 2, "s_poly": 0, "binomial_factors": 1}),
+            (["paper-example"], {"s_vector": 2, "s_poly": 0, "binomial_factors": 3}),
+        ],
+    )
+    def test_call_counts(self, monkeypatch, capsys, argv, expected):
+        counts = count_calls(monkeypatch, *expected)
+        assert main(argv) == 0
+        assert {name: counts[name] for name in expected} == expected
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "extra",
+        [["--max-len", "-3"], ["--alphabet", "0"], ["--parallel", "0"], ["--parallel", "-2"]],
+    )
+    def test_search_exits_2(self, capsys, extra):
+        assert main(["search", "xy = yx", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_parallel_metavar_names_processes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        assert "--parallel WORKERS" in capsys.readouterr().out
+
+
+class TestBoundsAssumption:
+    def test_flag_applies_to_two_equations(self, capsys):
+        assert main(["bounds", PAIR_TEXT, "--assume-rank-solution"]) == 0
+        out = capsys.readouterr().out
+        assert "best: 8" in out and "system size bound: 9" in out
+        assert main(["bounds", PAIR_TEXT, "--assume-rank-solution", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["system_size_bound"] == 9
+
+
+class TestInternalError:
+    def test_exit_3_without_traceback(self, monkeypatch, capsys):
+        import weq.analysis
+
+        monkeypatch.setattr(weq.analysis, "divide_by_binomial", lambda p, b: None)
+        assert main(["paper-example"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

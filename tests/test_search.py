@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from weq import (
@@ -124,6 +126,38 @@ class TestCatalogInvariants:
         rows = catalog.csv_rows()
         assert len(rows) == len(catalog.solutions)
         assert all(len(r) == 3 for r in rows)
+
+    def test_json_and_csv_match_rank_and_class_scan(self):
+        # reference: Bareiss rank and a scan of every class's members,
+        # also after a solution is dropped from a rebuilt catalog
+        catalog = enumerate_solutions(PAIR, SearchConfig(8, 2))
+        dropped = catalog.solutions[-1]
+        keep = lambda ms: tuple(h for h in ms if h != dropped)  # noqa: E731
+        rebuilt = dataclasses.replace(
+            catalog,
+            solutions=keep(catalog.solutions),
+            by_rank={r: keep(ms) for r, ms in catalog.by_rank.items()},
+            classes=tuple(dataclasses.replace(c, members=keep(c.members)) for c in catalog.classes),
+        )
+        for cat in (catalog, rebuilt):
+            expected = [
+                (rank(h), next((i for i, c in enumerate(cat.classes) if h in c.members), -1))
+                for h in cat.solutions
+            ]
+            assert any(c >= 0 for _, c in expected)
+            payload = cat.to_json()["solutions"]
+            assert [(e["rank"], e["class"]) for e in payload] == expected
+            assert [row[1:] for row in cat.csv_rows()] == expected
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("max_len,alphabet", [(-1, 2), (-3, 2), (4, 0), (4, -1)])
+    def test_rejects_empty_search_spaces(self, max_len, alphabet):
+        with pytest.raises(ValueError):
+            SearchConfig(max_len, alphabet)
+
+    def test_accepts_smallest_space(self):
+        assert search_space_size(2, SearchConfig(0, 1)) == 1
 
 
 class TestVerifyBounds:
