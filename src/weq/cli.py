@@ -78,6 +78,8 @@ def cmd_det(args):
     system, names = parse_system(_read_text(args.input))
     if len(system) < 2:
         raise ParseError("determinants need two equations")
+    if system.n < 2:
+        raise ParseError("determinants need two unknowns")
     grid = _det_grid(s_vector(system.equations[0]), s_vector(system.equations[1]))
     rows = [{"pair": [j + 1, k + 1], "determinant": format_poly(det)} for (j, k), det in grid.items()]
     return 0, rows, lambda rows: (f"t{r['pair'][0]}{r['pair'][1]} = {r['determinant']}" for r in rows)
@@ -154,6 +156,8 @@ def cmd_hyperplanes(args):
     system, names = parse_system(_read_text(args.input))
     if len(system) < 2:
         raise ParseError("hyperplane analysis needs two equations")
+    if system.n < 2:
+        raise ParseError("determinants need two unknowns")
     E, Ep = system.equations[0], system.equations[1]
 
     def render(p):

@@ -15,17 +15,36 @@ operations this module provides:
 
 Division uses the single rewriting rule ``X^(lam+) -> X^(lam-)``. Each
 monomial ``X^e`` admits the rule exactly ``min over {i : lam_i > 0} of
-floor(e_i / lam_i)`` times, so its normal form is strategy-independent
-and the remainder vanishes precisely on multiples of the divisor.
+floor(e_i / lam_i)`` times, so its normal form is strategy-independent.
+The normal form is the one point of the lam-line ``e + Z*lam`` inside
+the orthant that admits no rewrite, so it names the line. The remainder
+is the sum of the normal forms, and therefore vanishes exactly when the
+coefficients on every lam-line of the support sum to zero.
+
+Factor extraction rests on three consequences of that line-sum rule:
+
+* **Anchor candidates.** A line with zero coefficient sum that holds one
+  support monomial holds a second. So if ``X^(lam+) - X^(lam-)`` divides
+  a polynomial, the first support monomial ``e0`` shares a lam-line with
+  another support monomial ``e``, and ``lam`` is the normalization of
+  ``e - e0``; likewise for the last support monomial. The divisors are
+  among the directions common to both anchors whose lines through them
+  sum to zero: ``2(m-1)`` normalized differences for ``m`` terms, not
+  the ``m(m-1)/2`` of all support pairs.
+* **One pass.** A pure-difference divisor of a quotient divides the
+  input, and Z[X] has unique factorization, so one sweep over the input's
+  candidates that divides out each direction while it divides finds
+  every factor with its multiplicity.
+* **Test before dividing.** The line sums decide divisibility in one
+  pass over the terms, so a quotient is built only for a divisor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
-from .words import InternalError, LambdaVector, Word
+from .words import InternalError, LambdaVector, Word, _canonical_entries
 
 
 def poly_var_names(n: int) -> list[str]:
@@ -358,31 +377,39 @@ class Binomial:
 
 def divide_by_binomial(p: MultiPoly, b: Binomial) -> MultiPoly | None:
     """Exact quotient ``p / (X^(lam+) - X^(lam-))``, or None when the
-    division leaves a remainder."""
+    division leaves a remainder.
+
+    The remainder vanishes exactly when the coefficients on every
+    lam-line of the support sum to zero (see the module docstring), so
+    that test runs first and a quotient is built only for a divisor.
+    On the line with normal form ``f`` and points ``f + k*lam`` for
+    ``k = 0..K``, the quotient holds ``X^(f + i*lam - lam-)`` for
+    ``i = 0..K-1``, with the sum of the coefficients at ``k > i``.
+    """
     if p.n != b.n:
         raise ValueError(f"variable count mismatch: {p.n} vs {b.n}")
     lam = b.lam.entries
-    plus = b.lam.plus
     pos = [(i, l) for i, l in enumerate(lam) if l > 0]
-    quotient: dict[tuple[int, ...], int] = {}
-    remainder: dict[tuple[int, ...], int] = {}
+    lines: dict[tuple[int, ...], dict[int, int]] = {}
     for e, c in p._terms.items():
         k = min(e[i] // l for i, l in pos)
-        for j in range(k):
-            qe = tuple(ei - j * li - pi for ei, li, pi in zip(e, lam, plus))
-            nc = quotient.get(qe, 0) + c
-            if nc:
-                quotient[qe] = nc
-            else:
-                quotient.pop(qe, None)
-        nf = tuple(ei - k * li for ei, li in zip(e, lam))
-        nc = remainder.get(nf, 0) + c
-        if nc:
-            remainder[nf] = nc
+        nf = tuple(ei - k * li for ei, li in zip(e, lam)) if k else e
+        line = lines.get(nf)
+        if line is None:
+            lines[nf] = {k: c}
         else:
-            remainder.pop(nf, None)
-    if remainder:
+            line[k] = c
+    if any(sum(line.values()) for line in lines.values()):
         return None
+    minus = b.lam.minus
+    quotient: dict[tuple[int, ...], int] = {}
+    for nf, line in lines.items():
+        base = tuple(fi - mi for fi, mi in zip(nf, minus))
+        acc = 0
+        for k in range(max(line) - 1, min(line) - 1, -1):
+            acc += line.get(k + 1, 0)
+            if acc:
+                quotient[tuple(bi + k * li for bi, li in zip(base, lam))] = acc
     res = MultiPoly(p.n)
     res._terms = quotient
     return res
@@ -447,53 +474,49 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     """Extract the monomial content and every irreducible pure-difference
     divisor of ``p`` with multiplicities.
 
-    Candidate directions are the coprime normalizations of all pairwise
-    support differences; when a pure difference divides the current
-    polynomial, its exponent rewriting collapses some support pair along
-    an integer multiple of the direction, so the set is exhaustive.
+    With the content removed, the candidates are the directions through
+    both the first and the last support monomial whose lines through
+    these two anchors have zero coefficient sum: a divisor's line through
+    an anchor holds a second support monomial, so the divisor is the
+    normalized difference of the two, and its line sums vanish. One sweep
+    over the candidates in order of ``entries`` divides out each while it
+    divides, since every pure-difference divisor of a quotient divides
+    ``p``. A quotient keeps zero content, as a monomial dividing it would
+    divide ``p``.
     """
     if not p:
         raise ValueError("the zero polynomial has no factorization")
     n = p.n
     content = _content(p._terms, n)
     cur = _shift_down(p, content)
-    factors: dict[LambdaVector, int] = {}
-    while True:
-        support = cur.support()
-        cands = sorted(
-            {
-                LambdaVector.from_vector(tuple(a - b for a, b in zip(e1, e2)))
-                for e1, e2 in combinations(support, 2)
-            },
-            key=lambda lv: lv.entries,
-        )
-        progressed = False
-        for lam in cands:
-            b = Binomial(lam)
-            while (q := divide_by_binomial(cur, b)) is not None:
-                factors[lam] = factors.get(lam, 0) + 1
-                cur = q
-                progressed = True
-            if progressed:
-                break
-        if not progressed:
-            break
-    extra = _content(cur._terms, n)
-    if any(extra):
-        content = tuple(a + b for a, b in zip(content, extra))
-        cur = _shift_down(cur, extra)
+    terms = cur._terms
+
+    def line_sums(anchor: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """Coefficient sum of each line through ``anchor`` that holds a
+        second support monomial, keyed by its canonical direction."""
+        sums: dict[tuple[int, ...], int] = {}
+        for e, c in terms.items():
+            if e != anchor:
+                d = _canonical_entries(tuple(a - b for a, b in zip(e, anchor)))
+                sums[d] = sums.get(d, terms[anchor]) + c
+        return sums
+
+    first, last = line_sums(min(terms)), line_sums(max(terms))
+    factors: list[tuple[Binomial, int]] = []
+    for d in sorted(d for d, total in first.items() if not total and last.get(d) == 0):
+        b = Binomial(LambdaVector(d))
+        mult = 0
+        while (q := divide_by_binomial(cur, b)) is not None:
+            mult += 1
+            cur = q
+        if mult:
+            factors.append((b, mult))
     sign = 1
     lead = max(cur._terms, key=_grlex_key)
     if cur._terms[lead] < 0:
         sign = -1
         cur = -cur
-    result = BinomialFactorization(
-        n,
-        sign,
-        content,
-        tuple((Binomial(lam), m) for lam, m in sorted(factors.items(), key=lambda kv: kv[0].entries)),
-        cur,
-    )
+    result = BinomialFactorization(n, sign, content, tuple(factors), cur)
     if result.expand() != p:
         raise InternalError("factorization failed to multiply back")
     return result

@@ -400,8 +400,11 @@ def verify_encoding(
 
     Half of the cases are random (equation, morphism) pairs; the other
     half are constructed so the morphism solves the equation, keeping
-    both truth values well represented.
+    both truth values well represented. A negative ``cases`` raises
+    ``ValueError``.
     """
+    if cases < 0:
+        raise ValueError(f"the case count must be non-negative, got {cases}")
     rng = random.Random(seed)
     positives = 0
     discrepancies = []

@@ -321,6 +321,16 @@ def _kernel_vector(rows: Sequence[Sequence[int]], n: int) -> list[Fraction] | No
     return v
 
 
+def _canonical_entries(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """Entries of the canonical ``LambdaVector`` parallel to ``vec``."""
+    g = gcd(*vec)
+    if g == 0:
+        raise ValueError("the zero vector is not a direction")
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
+
+
 @dataclass(frozen=True)
 class LambdaVector:
     """Integer hyperplane normal with coprime entries.
@@ -349,16 +359,7 @@ class LambdaVector:
     @classmethod
     def from_vector(cls, entries: Iterable[int]) -> "LambdaVector":
         """Normalize an arbitrary nonzero integer vector to canonical form."""
-        vec = tuple(int(v) for v in entries)
-        g = 0
-        for v in vec:
-            g = gcd(g, abs(v))
-        if g == 0:
-            raise ValueError("the zero vector is not a direction")
-        vec = tuple(v // g for v in vec)
-        if next(v for v in vec if v != 0) < 0:
-            vec = tuple(-v for v in vec)
-        return cls(vec)
+        return cls(_canonical_entries(tuple(int(v) for v in entries)))
 
     @property
     def n(self) -> int:

@@ -295,6 +295,21 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("flag", ["", "--json"])
+    def test_negative_verify_encoding_exits_2(self, capsys, flag):
+        assert main(["search", "--verify-encoding", "-5", *filter(None, [flag])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the case count must be non-negative, got -5\n"
+
+    @pytest.mark.parametrize("command", ["det", "hyperplanes"])
+    @pytest.mark.parametrize("flag", ["", "--json"])
+    def test_determinants_need_two_unknowns(self, capsys, command, flag):
+        assert main([command, "x = x\nxx = xx", *filter(None, [flag])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: determinants need two unknowns\n"
+
     def test_parallel_metavar_names_processes(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--help"])

@@ -14,11 +14,79 @@ from weq import (
     minimal_monomials,
     word_poly,
 )
+from weq.encode import _det_grid, s_vector
+from weq.poly import BinomialFactorization
+from weq.search import random_equation_solved_by, random_morphism
+from weq.textio import parse_system
 from weq.words import _integer_rank
 
 
 def P(n, terms):
     return MultiPoly(n, terms)
+
+
+# ---------------------------------------------------------------------------
+# Test-only references: full quotient-and-remainder division, and
+# factorization by trial division over every pairwise support direction,
+# restarting the scan after each factor found.
+
+
+def reference_divide(p: MultiPoly, b: Binomial) -> MultiPoly | None:
+    """Quotient by rewriting every monomial to its normal form, or None
+    when the remainder (the sum of the normal forms) is nonzero."""
+    lam, plus = b.lam.entries, b.lam.plus
+    pos = [(i, l) for i, l in enumerate(lam) if l > 0]
+    quotient: dict[tuple[int, ...], int] = {}
+    remainder: dict[tuple[int, ...], int] = {}
+    for e, c in p.terms.items():
+        k = min(e[i] // l for i, l in pos)
+        for j in range(k):
+            qe = tuple(ei - j * li - pi for ei, li, pi in zip(e, lam, plus))
+            quotient[qe] = quotient.get(qe, 0) + c
+        nf = tuple(ei - k * li for ei, li in zip(e, lam))
+        remainder[nf] = remainder.get(nf, 0) + c
+    if any(remainder.values()):
+        return None
+    return MultiPoly(p.n, quotient)
+
+
+def reference_shift_down(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
+    """The monomial content of ``p`` and ``p`` divided by it."""
+    mins = tuple(min(e[i] for e in p.terms) for i in range(p.n))
+    return mins, MultiPoly(p.n, {tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()})
+
+
+def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
+    n = p.n
+    content, cur = reference_shift_down(p)
+    factors: dict[LambdaVector, int] = {}
+    progressed = True
+    while progressed:
+        progressed = False
+        support = cur.support()
+        cands = {
+            LambdaVector.from_vector(tuple(a - b for a, b in zip(e1, e2)))
+            for i, e1 in enumerate(support)
+            for e2 in support[i + 1 :]
+        }
+        for lam in sorted(cands, key=lambda lv: lv.entries):
+            while (q := reference_divide(cur, Binomial(lam))) is not None:
+                factors[lam] = factors.get(lam, 0) + 1
+                cur = q
+                progressed = True
+            if progressed:
+                break
+    extra, cur = reference_shift_down(cur)
+    content = tuple(a + b for a, b in zip(content, extra))
+    lead = max(cur.terms, key=lambda e: (sum(e), e))
+    sign = -1 if cur.coefficient(lead) < 0 else 1
+    return BinomialFactorization(
+        n,
+        sign,
+        content,
+        tuple((Binomial(lam), m) for lam, m in sorted(factors.items(), key=lambda kv: kv[0].entries)),
+        cur * sign,
+    )
 
 
 def random_poly(rng, n, max_terms=5, max_exp=4, max_coeff=3):
@@ -36,6 +104,39 @@ def random_mixed_lambda(rng, n, bound=3):
         vec = [rng.randint(-bound, bound) for _ in range(n)]
         if any(v > 0 for v in vec) and any(v < 0 for v in vec):
             return LambdaVector.from_vector(vec)
+
+
+def directions(n: int):
+    """Nonzero integer vectors with entries in -3..3."""
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+
+
+def sparse_polys(n: int, max_terms: int = 3, max_exp: int = 3):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * n),
+        st.sampled_from((-2, -1, 1, 2)),
+        min_size=1,
+        max_size=max_terms,
+    ).map(lambda terms: MultiPoly(n, terms))
+
+
+@st.composite
+def binomial_products(draw):
+    """``c * X^mu * product(pure difference^mult) * sparse residual`` over
+    1-4 unknowns, at most five pure differences counted with multiplicity
+    so the reference factorization stays fast."""
+    n = draw(st.integers(1, 4))
+    p = MultiPoly.monomial(
+        n, draw(st.tuples(*[st.integers(0, 2)] * n)), draw(st.sampled_from((-2, -1, 1, 3)))
+    )
+    factors = draw(
+        st.lists(st.tuples(directions(n), st.integers(1, 3)), max_size=3).filter(
+            lambda fs: sum(m for _, m in fs) <= 5
+        )
+    )
+    for vec, mult in factors:
+        p = p * Binomial(LambdaVector.from_vector(vec)).as_poly() ** mult
+    return p * draw(sparse_polys(n))
 
 
 def positive_kernel_point(lam: LambdaVector) -> tuple[int, ...]:
@@ -171,6 +272,17 @@ class TestDivision:
             got2 = divide_by_binomial(p2, b)
             if got2 is not None:
                 assert got2 * b.as_poly() == p2
+
+    @given(st.data())
+    def test_line_sum_verdict_matches_remainder(self, data):
+        n = data.draw(st.integers(1, 4))
+        b = Binomial(LambdaVector.from_vector(data.draw(directions(n))))
+        p = data.draw(sparse_polys(n, max_terms=6, max_exp=5))
+        if data.draw(st.booleans()):
+            p = p * b.as_poly()
+        if data.draw(st.booleans()):
+            p = p + data.draw(sparse_polys(n, max_terms=1, max_exp=5))
+        assert divide_by_binomial(p, b) == reference_divide(p, b)
 
     def test_divide_zero(self):
         b = Binomial(LambdaVector((1, -1)))
@@ -310,6 +422,83 @@ class TestBinomialFactors:
         with pytest.raises(ValueError):
             binomial_factors(MultiPoly.zero(2))
 
+    @pytest.mark.parametrize(
+        "n, build, sign, factors",
+        [
+            (3, lambda x, y, z: 5 + 0 * x, 1, []),
+            (3, lambda x, y, z: -3 + 0 * x, -1, []),
+            (3, lambda x, y, z: -4 * x * x * z, -1, []),
+            (1, lambda x: x**6 - 1, 1, [((1,), 1)]),
+            (1, lambda x: (x - 1) ** 3 * x * x * (x + 2), 1, [((1,), 3)]),
+            (3, lambda x, y, z: (x * x - y) ** 3 * (x + y), 1, [((2, -1, 0), 3)]),
+            (3, lambda x, y, z: (y - x**3) * (x + z), -1, [((3, -1, 0), 1)]),
+            (
+                3,
+                lambda x, y, z: (x**3 * y - z * z) * (x * x - y**3) * (x + z),
+                1,
+                [((2, -3, 0), 1), ((3, 1, -2), 1)],
+            ),
+        ],
+        ids=[
+            "constant",
+            "negative-constant",
+            "single-term",
+            "n1",
+            "n1-multiplicity",
+            "multiplicity",
+            "negative-lead",
+            "large-entries",
+        ],
+    )
+    def test_edge_cases_match_reference(self, n, build, sign, factors):
+        p = build(*(MultiPoly.variable(n, i) for i in range(n)))
+        fac = binomial_factors(p)
+        assert fac == reference_binomial_factors(p)
+        assert fac.sign == sign
+        assert [(b.lam.entries, m) for b, m in fac.factors] == factors
+
+    @given(binomial_products())
+    def test_matches_reference_on_binomial_products(self, p):
+        assert binomial_factors(p) == reference_binomial_factors(p)
+
+    def test_normalizes_only_anchor_differences(self, monkeypatch):
+        import weq.poly
+
+        calls = []
+
+        def counted(vec):
+            calls.append(vec)
+            return canonical(vec)
+
+        canonical = weq.poly._canonical_entries
+        monkeypatch.setattr(weq.poly, "_canonical_entries", counted)
+        x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+        p = (x * x - y) ** 2 * (x * y - z) * (x + y + z + 1)
+        fac = binomial_factors(p)
+        assert [(b.lam.entries, m) for b, m in fac.factors] == [((1, 1, -1), 1), ((2, -1, 0), 2)]
+        m = len(p.terms)
+        assert 0 < len(calls) <= 2 * (m - 1) < m * (m - 1) // 2
+
+    def test_matches_reference_on_solved_pair_determinants(self, rng):
+        # 300 independent pairs (some nonzero determinant), alternating 3
+        # and 4 unknowns, that share a non-erasing solution
+        dets = []
+        pairs = 0
+        while pairs < 300:
+            h = random_morphism(rng, 3 + pairs % 2, 2, 3, allow_empty=False)
+            A, B = random_equation_solved_by(rng, h, 6), random_equation_solved_by(rng, h, 6)
+            if A is None or B is None:
+                continue
+            nonzero = [d for d in _det_grid(s_vector(A), s_vector(B)).values() if d]
+            pairs += bool(nonzero)
+            dets += nonzero
+        with_factors = 0
+        for det in dets:
+            fac = binomial_factors(det)
+            assert fac == reference_binomial_factors(det), det
+            with_factors += bool(fac.factors)
+        assert with_factors >= 300
+
     def test_roundtrip_fuzz(self, rng):
         for _ in range(200):
             n = rng.randint(2, 4)
@@ -339,24 +528,71 @@ class TestBinomialFactors:
                 assert sum(x * y for x, y in zip(b.lam.plus, b.lam.minus)) == 0
 
 
+def assert_matches_sympy(sympy, p: MultiPoly, fac: BinomialFactorization) -> None:
+    """A general-purpose factorizer finds exactly the same pure-difference
+    factors and monomial content, and a residual with no such factor left."""
+    import math
+
+    n = p.n
+    syms = sympy.symbols(f"v0:{n}")
+
+    def to_sympy(q):
+        expr = sympy.Integer(0)
+        for e, c in q.terms.items():
+            t = sympy.Integer(c)
+            for s, ei in zip(syms, e):
+                t *= s**ei
+            expr += t
+        return sympy.expand(expr)
+
+    coeff, sfactors = sympy.factor_list(to_sympy(p))
+    mine = {b.lam.entries: m for b, m in fac.factors}
+    theirs = {}
+    content = [0] * n
+    flips = 0
+    others = sympy.Integer(1)
+    for f, mult in sfactors:
+        terms = sympy.Poly(f, *syms).terms()
+        if len(terms) == 1 and abs(terms[0][1]) == 1:
+            for i, ei in enumerate(terms[0][0]):
+                content[i] += ei * mult
+            if terms[0][1] == -1:
+                flips += mult
+            continue
+        if len(terms) == 2 and sorted(int(c) for _, c in terms) == [-1, 1]:
+            pos = next(e for e, c in terms if c == 1)
+            neg = next(e for e, c in terms if c == -1)
+            delta = tuple(a - b for a, b in zip(pos, neg))
+            g = 0
+            for v in delta:
+                g = math.gcd(g, abs(v))
+            if g == 1:
+                lam = LambdaVector.from_vector(delta)
+                if next(v for v in delta if v) < 0:
+                    flips += mult
+                theirs[lam.entries] = theirs.get(lam.entries, 0) + mult
+                continue
+        others *= f**mult
+    assert mine == theirs
+    assert list(fac.content) == content
+    lhs = to_sympy(fac.residual * fac.sign)
+    rhs = sympy.expand(sympy.Integer(coeff) * sympy.Integer(-1) ** flips * others)
+    assert sympy.expand(lhs - rhs) == 0
+
+
+# Three-unknown pairs with 12-15-letter sides that share a solution; the
+# first nonzero determinant of each has 190-203 terms.
+LARGE_PAIRS = [
+    "zzxxxyzyxxxxz = xxxxxxxxxxxxxzy\nzyzyxyzyzxzyxxz = xxxxxxxxyzxyyyy",
+    "yzyzxzyyyyyxyxx = xzxzxzxxxyyyyyy\nyzxxyxzxxxzxyy = xzxxxxzxxxzxyx",
+    "yyxyyzxyxxzxxxx = xxxxxzxxxxzxxxy\nyxyzzxyyzxyxzyx = xxxzzxxxzyyxzyy",
+]
+
+
 class TestAgainstGeneralFactorizer:
     def test_matches_sympy_irreducible_factorization(self, rng):
-        # independent completeness oracle: a general-purpose factorizer
-        # must find exactly the same pure-difference factors, the same
-        # monomial content, and a residual with no such factor left
         sympy = pytest.importorskip("sympy")
-        import math
-
-        def to_sympy(p, syms):
-            expr = sympy.Integer(0)
-            for e, c in p.terms.items():
-                t = sympy.Integer(c)
-                for s, ei in zip(syms, e):
-                    t *= s**ei
-                expr += t
-            return sympy.expand(expr)
-
-        for case in range(40):
+        for _ in range(40):
             n = rng.randint(2, 3)
             p = MultiPoly.monomial(
                 n, tuple(rng.randint(0, 2) for _ in range(n)), rng.choice((-2, -1, 1, 3))
@@ -375,41 +611,16 @@ class TestAgainstGeneralFactorizer:
             if not sparse:
                 continue
             p = p * sparse
-            fac = binomial_factors(p)
-            syms = sympy.symbols(f"v0:{n}")
-            coeff, sfactors = sympy.factor_list(to_sympy(p, syms))
-            mine = {b.lam.entries: m for b, m in fac.factors}
-            theirs = {}
-            content = [0] * n
-            flips = 0
-            others = sympy.Integer(1)
-            for f, mult in sfactors:
-                terms = sympy.Poly(f, *syms).terms()
-                if len(terms) == 1 and abs(terms[0][1]) == 1:
-                    for i, ei in enumerate(terms[0][0]):
-                        content[i] += ei * mult
-                    if terms[0][1] == -1:
-                        flips += mult
-                    continue
-                if len(terms) == 2 and sorted(int(c) for _, c in terms) == [-1, 1]:
-                    pos = next(e for e, c in terms if c == 1)
-                    neg = next(e for e, c in terms if c == -1)
-                    delta = tuple(a - b for a, b in zip(pos, neg))
-                    g = 0
-                    for v in delta:
-                        g = math.gcd(g, abs(v))
-                    if g == 1:
-                        lam = LambdaVector.from_vector(delta)
-                        if next(v for v in delta if v) < 0:
-                            flips += mult
-                        theirs[lam.entries] = theirs.get(lam.entries, 0) + mult
-                        continue
-                others *= f**mult
-            assert mine == theirs, (case, mine, theirs)
-            assert list(fac.content) == content, (case, fac.content, content)
-            lhs = to_sympy(fac.residual * fac.sign, syms)
-            rhs = sympy.expand(sympy.Integer(coeff) * sympy.Integer(-1) ** flips * others)
-            assert sympy.expand(lhs - rhs) == 0, case
+            assert_matches_sympy(sympy, p, binomial_factors(p))
+
+    @pytest.mark.parametrize("text", LARGE_PAIRS)
+    def test_large_determinant_matches_sympy(self, text):
+        sympy = pytest.importorskip("sympy")
+        system, _ = parse_system(text)
+        E, Ep = system.equations
+        det = next(d for d in _det_grid(s_vector(E), s_vector(Ep)).values() if d)
+        assert len(det.terms) >= 190
+        assert_matches_sympy(sympy, det, binomial_factors(det))
 
 
 class TestMinimalMonomials:
