@@ -117,7 +117,9 @@ class BoundReport:
 
 def bounds(E: Equation, Ep: Equation) -> BoundReport:
     """Bounds for a pair of equations; identical or linearly dependent
-    coefficient vectors are reported via ``status`` rather than an error."""
+    coefficient vectors are reported via ``status`` rather than an error.
+    With fewer than two unknowns there is no determinant, so the status is
+    all-zero."""
     return _bounds(E, Ep, _det_grid(s_vector(E), s_vector(Ep)))
 
 

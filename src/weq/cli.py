@@ -175,6 +175,8 @@ def cmd_bounds(args):
     system, names = parse_system(_read_text(args.input))
     if len(system) < 2:
         raise ParseError("bounds need at least two equations")
+    if system.n < 2:
+        raise ParseError("determinants need two unknowns")
     if len(system) == 2 and not args.assume_rank_solution:
         report = analysis.bounds(system.equations[0], system.equations[1])
     else:

@@ -1,10 +1,14 @@
-"""Brute-force enumeration of solutions at desk scale.
+"""Exhaustive enumeration of solutions at desk scale.
 
-Exhaustively tests every morphism within a total-image-length budget by
-direct word comparison, catalogs the solutions by rank and groups the
-rank-(n-1) ones into linear-equivalence classes via their hyperplane
-normals. Also hosts the seeded fuzz generators used to cross-check the
-polynomial encoding against the word-level definitions.
+Lists every solution within a total-image-length budget, one length type
+at a time. For a fixed length type the equations identify positions of
+the images; the solutions of that type are exactly the letter
+assignments to the resulting position classes, so the search costs the
+size of its output rather than one word comparison per candidate. The
+catalog groups the solutions by rank and the rank-(n-1) ones into
+linear-equivalence classes via their hyperplane normals. Also hosts the
+seeded fuzz generators used to cross-check the polynomial encoding
+against the word-level definitions.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import comb
 from typing import Iterator
@@ -26,6 +31,7 @@ from .words import (
     SystemLike,
     Word,
     as_system,
+    gamma_matrix,
     gamma_normal,
     is_solution,
     rank,
@@ -78,9 +84,10 @@ class SolutionCatalog:
     def rank_counts(self) -> dict[int, int]:
         return {r: len(ms) for r, ms in sorted(self.by_rank.items())}
 
+    @cached_property
     def _ranks_and_classes(self) -> list[tuple[int, int]]:
         """Rank and class index (-1 below rank n-1) of every solution, read
-        off ``by_rank`` and ``classes``."""
+        off ``by_rank`` and ``classes`` once per catalog."""
         rank_of = {h: r for r, ms in self.by_rank.items() for h in ms}
         class_of = {h: i for i, cls in enumerate(self.classes) for h in cls.members}
         return [(rank_of[h], class_of.get(h, -1)) for h in self.solutions]
@@ -103,7 +110,7 @@ class SolutionCatalog:
             ],
             "solutions": [
                 {"images": [str(im) for im in h.images], "rank": r, "class": c}
-                for h, (r, c) in zip(self.solutions, self._ranks_and_classes())
+                for h, (r, c) in zip(self.solutions, self._ranks_and_classes)
             ],
         }
 
@@ -111,7 +118,7 @@ class SolutionCatalog:
         """Rows (length type, rank, class id) for every solution."""
         return [
             (" ".join(str(v) for v in h.length_type()), r, c)
-            for h, (r, c) in zip(self.solutions, self._ranks_and_classes())
+            for h, (r, c) in zip(self.solutions, self._ranks_and_classes)
         ]
 
 
@@ -157,25 +164,42 @@ def _feasible_length_types(T: EqSystem, cfg: SearchConfig) -> list[tuple[int, ..
     return out
 
 
-def _words_of_length(k: int, length: int) -> list[bytes]:
-    return [bytes(p) for p in product(range(k), repeat=length)]
-
-
 def _solutions_for_length_type(
     args: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int, tuple[int, ...]],
-) -> list[tuple[bytes, ...]]:
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Images of every solution of one length type, in lexicographic order.
+
+    Image j holds the cells ``starts[j] .. starts[j + 1] - 1`` of one cell
+    vector, and each equation identifies cell i of ``h(u)`` with cell i of
+    ``h(v)``. The solutions are the letter assignments to the resulting
+    position classes, which are numbered by their first cell.
+    """
     sides, k, lt = args
-    pools = [_words_of_length(k, l) for l in lt]
-    found = []
-    for images in product(*pools):
-        ok = True
-        for u, v in sides:
-            if b"".join(images[s] for s in u) != b"".join(images[s] for s in v):
-                ok = False
-                break
-        if ok:
-            found.append(images)
-    return found
+    starts = [0]
+    for l in lt:
+        starts.append(starts[-1] + l)
+    parent = list(range(starts[-1]))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def cells(word: tuple[int, ...]) -> Iterator[int]:
+        for s in word:
+            yield from range(starts[s], starts[s + 1])
+
+    for u, v in sides:
+        for a, b in zip(cells(u), cells(v)):
+            parent[find(a)] = find(b)
+    number: dict[int, int] = {}
+    of_cell = [number.setdefault(find(c), len(number)) for c in range(starts[-1])]
+    templates = [of_cell[starts[j] : starts[j + 1]] for j in range(len(lt))]
+    return [
+        tuple(tuple(letters[c] for c in t) for t in templates)
+        for letters in product(range(k), repeat=len(number))
+    ]
 
 
 def enumerate_solutions(
@@ -183,7 +207,14 @@ def enumerate_solutions(
 ) -> SolutionCatalog:
     """Catalog every solution of ``T`` within the configured space.
 
-    With ``workers > 1`` length types are scanned in parallel processes
+    The solutions of a length type are the letter assignments to its
+    position classes, taken in lexicographic order: two assignments first
+    differ on some class, and the first cell of that class is the first
+    cell where their images differ, so the images come out in
+    lexicographic order too. Rank and hyperplane normal depend only on the
+    occurrence-count matrix, so each distinct matrix is classified once.
+
+    With ``workers > 1`` length types are enumerated in parallel processes
     and merged back in the serial order, so the catalog is identical.
     """
     system = as_system(T)
@@ -203,20 +234,22 @@ def enumerate_solutions(
         results = [_solutions_for_length_type(t) for t in tasks]
 
     solutions: list[Morphism] = []
-    for images_list in results:
-        for images in images_list:
-            solutions.append(
-                Morphism(tuple(Word(tuple(b)) for b in images), cfg.alphabet_size)
-            )
-
     by_rank: dict[int, list[Morphism]] = {}
     classes: dict[tuple[int, ...], list[Morphism]] = {}
-    for h in solutions:
-        r = rank(h)
-        by_rank.setdefault(r, []).append(h)
-        if r == n - 1:
-            lam = gamma_normal(h)
-            classes.setdefault(lam.entries, []).append(h)
+    kinds: dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...] | None]] = {}
+    for images_list in results:
+        for images in images_list:
+            h = Morphism(tuple(Word(im) for im in images), cfg.alphabet_size)
+            solutions.append(h)
+            counts = gamma_matrix(h)
+            kind = kinds.get(counts)
+            if kind is None:
+                r = rank(h)
+                kind = kinds[counts] = (r, gamma_normal(h).entries if r == n - 1 else None)
+            r, normal = kind
+            by_rank.setdefault(r, []).append(h)
+            if normal is not None:
+                classes.setdefault(normal, []).append(h)
     return SolutionCatalog(
         n=n,
         config=cfg,

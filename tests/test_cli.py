@@ -302,10 +302,18 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == "error: the case count must be non-negative, got -5\n"
 
-    @pytest.mark.parametrize("command", ["det", "hyperplanes"])
+    @pytest.mark.parametrize("command", ["det", "hyperplanes", "bounds"])
     @pytest.mark.parametrize("flag", ["", "--json"])
     def test_determinants_need_two_unknowns(self, capsys, command, flag):
         assert main([command, "x = x\nxx = xx", *filter(None, [flag])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: determinants need two unknowns\n"
+
+    @pytest.mark.parametrize("flag", ["", "--json"])
+    def test_bounds_assumption_needs_two_unknowns(self, capsys, flag):
+        argv = ["bounds", "x = x\nxx = xx\nxxx = xxx", "--assume-rank-solution"]
+        assert main([*argv, *filter(None, [flag])]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: determinants need two unknowns\n"

@@ -7,6 +7,7 @@ from weq import (
     EqSystem,
     Morphism,
     Word,
+    canonical_letters,
     compose,
     is_solution,
     is_trivial,
@@ -19,11 +20,42 @@ from weq.search import random_equation_solved_by, random_morphism
 from conftest import eq, eq_n, morph
 
 
+def divisor_through(gp: Morphism, g: Morphism) -> Morphism | None:
+    """A non-erasing theta' with compose(theta', gp) == g, found by splitting
+    each image of g into nonempty chunks consistent with the letters already
+    fixed; None when the splits fail."""
+    theta_imgs: list[tuple[int, ...] | None] = [None] * gp.target_alphabet_size
+    for gim, im in zip(gp.images, g.images):
+        # split im into len(gim) nonempty chunks consistent with known letters
+        def fit(pos: int, idx: int) -> bool:
+            if idx == len(gim):
+                return pos == len(im)
+            letter = gim[idx]
+            if theta_imgs[letter] is not None:
+                chunk = theta_imgs[letter]
+                if im.symbols[pos : pos + len(chunk)] != chunk:
+                    return False
+                return fit(pos + len(chunk), idx + 1)
+            for clen in range(1, len(im) - pos + 1):
+                theta_imgs[letter] = im.symbols[pos : pos + clen]
+                if fit(pos + clen, idx + 1):
+                    return True
+                theta_imgs[letter] = None
+            return False
+
+        if not fit(0, 0):
+            return None
+    if any(t is None for t in theta_imgs):
+        return None
+    theta = Morphism(tuple(Word(t) for t in theta_imgs), g.target_alphabet_size)
+    return theta if compose(theta, gp) == g else None
+
+
 def all_divisor_candidates(g: Morphism):
     """Every (g', theta') with theta' non-erasing and compose(theta', g') == g.
 
     Enumerates candidate image splits directly; feasible only for tiny g.
-    Used as an independence oracle for minimality.
+    Reference for ``canonical_divisor_candidates``.
     """
     total = sum(len(im) for im in g.images)
     # candidate letter counts for g'
@@ -39,42 +71,51 @@ def all_divisor_candidates(g: Morphism):
             gp = Morphism(tuple(Word(w) for w in images), m)
             if set(range(m)) != gp.letters():
                 continue
-            # try to solve for theta': images of the m letters
-            theta_imgs: list[tuple[int, ...] | None] = [None] * m
-            ok = True
-            for gim, im in zip(gp.images, g.images):
-                # split im into len(gim) nonempty chunks consistent with known letters
-                def fit(pos: int, idx: int) -> bool:
-                    if idx == len(gim):
-                        return pos == len(im)
-                    letter = gim[idx]
-                    if theta_imgs[letter] is not None:
-                        chunk = theta_imgs[letter]
-                        if im.symbols[pos : pos + len(chunk)] != chunk:
-                            return False
-                        return fit(pos + len(chunk), idx + 1)
-                    for clen in range(1, len(im) - pos + 1):
-                        theta_imgs[letter] = im.symbols[pos : pos + clen]
-                        if fit(pos + clen, idx + 1):
-                            return True
-                        theta_imgs[letter] = None
-                    return False
+            theta = divisor_through(gp, g)
+            if theta is not None:
+                yield gp, theta
 
-                if not fit(0, 0):
-                    ok = False
-                    break
-            if ok and all(t is not None for t in theta_imgs):
-                theta = Morphism(
-                    tuple(Word(t) for t in theta_imgs), g.target_alphabet_size
-                )
-                if compose(theta, gp) == g:
-                    yield gp, theta
+
+def restricted_growth_strings(length: int):
+    """Words of the given length over 0, 1, ... in which each letter first
+    occurs after every smaller one: one word per partition of the cells."""
+
+    def extend(prefix: list[int], used: int):
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for a in range(used + 1):
+            prefix.append(a)
+            yield from extend(prefix, max(used, a + 1))
+            prefix.pop()
+
+    yield from extend([], 0)
+
+
+def canonical_divisor_candidates(g: Morphism):
+    """The candidates of ``all_divisor_candidates`` whose g' names its
+    letters in first-occurrence order.
+
+    Renaming the letters of g', and those of theta' to match, preserves
+    compose(theta', g') == g, "g' is a solution" and "theta' is a letter
+    renaming", so these candidates decide minimality. Used as an
+    independence oracle for minimality.
+    """
+    for lt in product(*(range(0 if not im else 1, len(im) + 1) for im in g.images)):
+        for cells in restricted_growth_strings(sum(lt)):
+            if not cells:
+                continue
+            cuts = [sum(lt[:j]) for j in range(len(lt) + 1)]
+            gp = Morphism(tuple(Word(cells[a:b]) for a, b in zip(cuts, cuts[1:])), max(cells) + 1)
+            theta = divisor_through(gp, g)
+            if theta is not None:
+                yield gp, theta
 
 
 def assert_principal_by_bruteforce(g: Morphism, T: EqSystem) -> None:
     """No solution divides g except through a renaming."""
     assert is_solution(g, T)
-    for gp, theta in all_divisor_candidates(g):
+    for gp, theta in canonical_divisor_candidates(g):
         if is_solution(gp, T) and not theta.is_letter_renaming():
             raise AssertionError(f"{g} is divisible by the solution {gp} via {theta}")
 
@@ -117,6 +158,23 @@ class TestExamples:
         assert dec.theta.is_letter_renaming()
         assert rank(h) == 2 == len(h.letters())
         assert_principal_by_bruteforce(dec.g, T)
+
+    def test_canonical_candidates_are_the_canonical_reference_ones(self):
+        # every g with total image length <= 4 over <= 2 letters
+        checked = 0
+        for n in (1, 2, 3):
+            for k in (1, 2):
+                for lt in product(range(5), repeat=n):
+                    if sum(lt) > 4:
+                        continue
+                    for images in product(*(product(range(k), repeat=l) for l in lt)):
+                        g = Morphism(tuple(Word(im) for im in images), k)
+                        new = list(canonical_divisor_candidates(g))
+                        old = [(gp, th) for gp, th in all_divisor_candidates(g) if canonical_letters(gp) == gp]
+                        assert len(new) == len(set(new))
+                        assert set(new) == set(old), g
+                        checked += 1
+        assert checked == 566
 
     def test_rejects_non_solution(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,23 @@
 import dataclasses
+from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from weq import (
     EqSystem,
+    Equation,
+    LambdaVector,
+    Morphism,
     SearchConfig,
     SearchSpaceError,
+    SolutionClass,
+    Word,
     check_solution_poly,
     compose,
     enumerate_solutions,
+    gamma_normal,
     is_solution,
     is_trivial,
     principal_decompose,
@@ -18,12 +27,70 @@ from weq import (
     verify_bounds,
     verify_encoding,
 )
-from weq.search import random_equation
+from weq.search import _feasible_length_types, _solutions_for_length_type, random_equation
 
 from conftest import eq, morph
 
 CONJ = EqSystem((eq("xz", "zy"),))
 PAIR = EqSystem((eq("xyxz", "zxyx"), eq("xyxxz", "zxxyx")))
+
+
+def _words_of_length(k: int, length: int) -> list[bytes]:
+    return [bytes(p) for p in product(range(k), repeat=length)]
+
+
+def reference_length_type(sides, k: int, lt) -> list[tuple[tuple[int, ...], ...]]:
+    """Every image tuple of length type ``lt`` whose sides agree, found by
+    comparing the concatenated images of each equation as byte strings."""
+    found = []
+    for images in product(*(_words_of_length(k, l) for l in lt)):
+        if all(b"".join(images[s] for s in u) == b"".join(images[s] for s in v) for u, v in sides):
+            found.append(tuple(tuple(b) for b in images))
+    return found
+
+
+def reference_catalog(system: EqSystem, cfg: SearchConfig):
+    """Solutions, ``by_rank`` and classes by the product scan, with rank
+    and normal recomputed for every solution."""
+    sides = tuple((e.left.symbols, e.right.symbols) for e in system)
+    k = cfg.alphabet_size
+    solutions = [
+        Morphism(tuple(Word(im) for im in images), k)
+        for lt in _feasible_length_types(system, cfg)
+        for images in reference_length_type(sides, k, lt)
+    ]
+    by_rank: dict[int, list[Morphism]] = {}
+    classes: dict[tuple[int, ...], list[Morphism]] = {}
+    for h in solutions:
+        r = rank(h)
+        by_rank.setdefault(r, []).append(h)
+        if r == system.n - 1:
+            classes.setdefault(gamma_normal(h).entries, []).append(h)
+    return (
+        tuple(solutions),
+        {r: tuple(ms) for r, ms in by_rank.items()},
+        tuple(SolutionClass(LambdaVector(e), tuple(ms)) for e, ms in sorted(classes.items())),
+    )
+
+
+def assert_matches_reference(system: EqSystem, cfg: SearchConfig) -> None:
+    catalog = enumerate_solutions(system, cfg)
+    solutions, by_rank, classes = reference_catalog(system, cfg)
+    assert catalog.solutions == solutions
+    assert catalog.by_rank == by_rank
+    assert catalog.classes == classes
+
+
+@st.composite
+def small_searches(draw):
+    """Systems of 1-3 equations over 1-4 unknowns, searched over 1-3
+    letters up to total image length 6."""
+    n = draw(st.integers(1, 4))
+    word = st.lists(st.integers(0, n - 1), max_size=5).map(lambda s: Word(tuple(s)))
+    equations = draw(st.lists(st.builds(Equation, word, word, st.just(n)), min_size=1, max_size=3))
+    k = draw(st.integers(1, 3))
+    cfg = SearchConfig(draw(st.integers(0, 6)), k, allow_erasing=draw(st.booleans()))
+    return EqSystem(tuple(equations)), cfg
 
 
 class TestEnumeration:
@@ -62,9 +129,12 @@ class TestEnumeration:
         assert lens == sorted(lens)
 
     def test_parallel_matches_serial(self):
-        serial = enumerate_solutions(CONJ, SearchConfig(6, 2), workers=1)
-        parallel = enumerate_solutions(CONJ, SearchConfig(6, 2), workers=2)
-        assert serial.solutions == parallel.solutions
+        for system, max_len in ((CONJ, 6), (PAIR, 8)):
+            serial = enumerate_solutions(system, SearchConfig(max_len, 2), workers=1)
+            parallel = enumerate_solutions(system, SearchConfig(max_len, 2), workers=2)
+            assert serial.solutions == parallel.solutions
+            assert serial.to_json() == parallel.to_json()
+            assert serial.csv_rows() == parallel.csv_rows()
 
     def test_space_guard(self):
         with pytest.raises(SearchSpaceError):
@@ -73,7 +143,7 @@ class TestEnumeration:
     def test_space_size_matches_enumeration(self):
         cfg = SearchConfig(5, 2)
         count = 0
-        from weq.search import _compositions, _words_of_length
+        from weq.search import _compositions
 
         for s in range(cfg.max_total_image_length + 1):
             for lt in _compositions(s, 3, 0):
@@ -82,6 +152,24 @@ class TestEnumeration:
                     prod *= len(_words_of_length(2, l))
                 count += prod
         assert count == search_space_size(3, cfg)
+
+
+class TestAgainstProductScan:
+    @given(small_searches())
+    @example((EqSystem((Equation(Word((0, 1)), Word(), 3),)), SearchConfig(4, 2)))
+    @example((EqSystem((eq("xz", "zy"), Equation(Word((0,)), Word((0,)), 3))), SearchConfig(5, 3)))
+    @example((EqSystem((Equation(Word((0, 0)), Word((1,)), 4),)), SearchConfig(6, 2, allow_erasing=False)))
+    def test_catalog_matches_reference(self, search):
+        assert_matches_reference(*search)
+
+    def test_paper_pair_every_length_type(self):
+        cfg = SearchConfig(10, 2)
+        sides = tuple((e.left.symbols, e.right.symbols) for e in PAIR)
+        lts = _feasible_length_types(PAIR, cfg)
+        assert len(lts) == 286
+        for lt in lts:
+            assert _solutions_for_length_type((sides, 2, lt)) == reference_length_type(sides, 2, lt), lt
+        assert_matches_reference(PAIR, cfg)
 
 
 class TestCatalogInvariants:
