@@ -206,8 +206,6 @@ def cmd_bounds(args):
 
 
 def cmd_search(args):
-    if args.parallel < 1:
-        raise ValueError(f"--parallel needs at least one worker, got {args.parallel}")
     if args.verify_encoding:
         report = search.verify_encoding(args.verify_encoding, args.seed)
         payload = {
@@ -236,9 +234,7 @@ def cmd_search(args):
     if args.verify_bounds:
         if len(system) < 2:
             raise ParseError("--verify-bounds needs two equations")
-        report = search.verify_bounds(
-            system.equations[0], system.equations[1], cfg, workers=args.parallel
-        )
+        report = search.verify_bounds(system.equations[0], system.equations[1], cfg)
         payload = {
             "status": report.status,
             "ok": report.ok,
@@ -254,7 +250,7 @@ def cmd_search(args):
 
         return 0 if report.ok else 1, payload, render
 
-    catalog = search.enumerate_solutions(system, cfg, workers=args.parallel)
+    catalog = search.enumerate_solutions(system, cfg)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("length_type,rank,class\n")
@@ -387,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=6, help="total image length budget")
     p.add_argument("--alphabet", type=int, default=2, help="target alphabet size")
     p.add_argument("--no-erasing", action="store_true", help="skip erasing morphisms")
-    p.add_argument(
-        "--parallel", type=int, default=1, metavar="WORKERS", help="worker processes for the search"
-    )
     p.add_argument("--csv", default=None, help="also write (length type, rank, class) rows")
     p.add_argument(
         "--verify-bounds",

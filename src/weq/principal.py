@@ -22,7 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import InternalError, Morphism, SystemLike, Word, as_system, is_solution
+from .words import (
+    InternalError,
+    Morphism,
+    SystemLike,
+    Word,
+    _first_occurrence_order,
+    as_system,
+    is_solution,
+)
 
 
 def is_trivial(T: SystemLike) -> bool:
@@ -127,13 +135,7 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
             trace.append(("merge", y, x))
         _require(measure() < before, "termination measure failed to decrease")
 
-    order: list[int] = []
-    seen: set[int] = set()
-    for gi in g_imgs:
-        for c in gi:
-            if c not in seen:
-                seen.add(c)
-                order.append(c)
+    order = _first_occurrence_order(g_imgs)
     _require(set(order) == alive, "letters of g differ from the surviving unknowns")
     remap = {old: new for new, old in enumerate(order)}
     g = Morphism(tuple(Word(tuple(remap[c] for c in gi)) for gi in g_imgs), len(order))

@@ -30,11 +30,10 @@ from .words import (
     Morphism,
     SystemLike,
     Word,
+    _rank_and_normal,
     as_system,
     gamma_matrix,
-    gamma_normal,
     is_solution,
-    rank,
 )
 
 
@@ -138,6 +137,8 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
 
 def search_space_size(n: int, cfg: SearchConfig) -> int:
     """Exact number of candidate morphisms the configuration spans."""
+    if n == 0:
+        return 1
     minimum = 0 if cfg.allow_erasing else 1
     total = 0
     for s in range(cfg.max_total_image_length + 1):
@@ -244,8 +245,7 @@ def enumerate_solutions(
             counts = gamma_matrix(h)
             kind = kinds.get(counts)
             if kind is None:
-                r = rank(h)
-                kind = kinds[counts] = (r, gamma_normal(h).entries if r == n - 1 else None)
+                kind = kinds[counts] = _rank_and_normal(counts, n)
             r, normal = kind
             by_rank.setdefault(r, []).append(h)
             if normal is not None:
@@ -274,9 +274,7 @@ class BoundCheckReport:
     counterexample: dict | None = None
 
 
-def verify_bounds(
-    E: Equation, Ep: Equation, cfg: SearchConfig, workers: int = 1
-) -> BoundCheckReport:
+def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckReport:
     """Exhaustively count linear-equivalence classes of rank-(n-1) common
     solutions and compare against the proved bounds.
 
@@ -290,7 +288,7 @@ def verify_bounds(
     breport = bounds(E, Ep)
     if breport.status != STATUS_OK:
         return BoundCheckReport("no-nonzero-determinant", True, bound_report=breport)
-    catalog = enumerate_solutions(EqSystem((E, Ep)), cfg, workers=workers)
+    catalog = enumerate_solutions(EqSystem((E, Ep)), cfg)
     erasing = sum(1 for cls in catalog.classes if cls.is_erasing_class())
     if erasing >= 2:
         return BoundCheckReport(

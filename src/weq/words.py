@@ -6,15 +6,15 @@ is an immutable value and every operation is a pure function, so
 instances can be shared freely across threads.
 
 Letter-count linear algebra (the occurrence-count rows of a morphism,
-their rank over the rationals, hyperplane normals) is exact: ranks use
-fraction-free integer elimination, kernels use rational elimination.
+their rank over the rationals, hyperplane normals) is exact: one
+fraction-free integer Gauss-Jordan elimination gives both the rank and
+the nullspace direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 
@@ -254,26 +254,58 @@ def gamma_matrix(h: Morphism) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+def _eliminate(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows of width ``n``.
+
+    Returns the pivot columns and one reduced row per pivot: row i is
+    nonzero in pivot column ``pivots[i]`` and zero in every other pivot
+    column. Each combined row is divided by the gcd of its entries, so the
+    entries stay small and no division is ever inexact.
+    """
     m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, len(m)):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-    return rank
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                combined = [p[c] * a - f * b for a, b in zip(row, p)]
+                g = gcd(*combined)
+                m[i] = [v // g for v in combined] if g else combined
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals: the number of pivots of ``_eliminate``."""
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
+
+
+def _rank_and_normal(
+    counts: Sequence[Sequence[int]], n: int
+) -> tuple[int, tuple[int, ...] | None]:
+    """Rank of an integer matrix with ``n`` columns and, when its nullspace
+    is one-dimensional (rank n-1), the canonical entries of the nullspace
+    direction; None otherwise.
+
+    The free column gets the lcm of the pivot entries, so that every
+    pivot column's value is an integer.
+    """
+    pivots, reduced = _eliminate(counts, n)
+    if len(pivots) != n - 1:
+        return len(pivots), None
+    free = next(c for c in range(n) if c not in pivots)
+    scale = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
+    v = [0] * n
+    v[free] = scale
+    for row, pc in zip(reduced, pivots):
+        v[pc] = -row[free] * scale // row[pc]
+    return len(pivots), _canonical_entries(tuple(v))
 
 
 def rank(h: Morphism) -> int:
@@ -289,36 +321,6 @@ def linear_equivalent(h: Morphism, g: Morphism) -> bool:
     b = gamma_matrix(g)
     ra, rb = _integer_rank(a), _integer_rank(b)
     return ra == rb == _integer_rank(a + b)
-
-
-def _kernel_vector(rows: Sequence[Sequence[int]], n: int) -> list[Fraction] | None:
-    """Basis vector of the nullspace when it is one-dimensional, else None."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    if len(pivots) != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    v = [Fraction(0)] * n
-    v[free] = Fraction(1)
-    for row, pc in zip(m, pivots):
-        v[pc] = -row[free]
-    return v
 
 
 def _canonical_entries(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -407,13 +409,10 @@ def gamma_normal(h: Morphism) -> LambdaVector:
     domain_size - 1; raises ValueError otherwise.
     """
     n = h.domain_size
-    v = _kernel_vector(gamma_matrix(h), n)
-    if v is None:
+    normal = _rank_and_normal(gamma_matrix(h), n)[1]
+    if normal is None:
         raise ValueError(f"morphism has rank != {n - 1}; its row space is not a hyperplane")
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return LambdaVector.from_vector(int(x * denom) for x in v)
+    return LambdaVector(normal)
 
 
 def theta_alpha(alpha: Sequence[int], k: int) -> Morphism:
@@ -427,16 +426,15 @@ def theta_alpha(alpha: Sequence[int], k: int) -> Morphism:
     return Morphism(tuple(Word((i,) * a) for i, a in enumerate(alpha)), k)
 
 
+def _first_occurrence_order(images: Iterable[Iterable[int]]) -> list[int]:
+    """The letters of ``images``, each once, in order of first occurrence."""
+    return list(dict.fromkeys(s for im in images for s in im))
+
+
 def canonical_letters(h: Morphism) -> Morphism:
     """Rename target letters to 0, 1, 2, ... by first occurrence across the
     images (in image order), dropping unused letters."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for im in h.images:
-        for s in im:
-            if s not in seen:
-                seen.add(s)
-                order.append(s)
+    order = _first_occurrence_order(h.images)
     remap = {old: new for new, old in enumerate(order)}
     images = tuple(Word(tuple(remap[s] for s in im)) for im in h.images)
     return Morphism(images, len(order))

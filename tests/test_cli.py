@@ -155,6 +155,13 @@ class TestCommands:
         assert header == "length_type,rank,class"
         assert rows
 
+    def test_search_without_unknowns(self, capsys):
+        # The empty morphism is the only candidate, and it solves eps = eps.
+        assert main(["search", "="]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "solutions within budget: 1\nrank 0: 1\n"
+        assert captured.err == ""
+
     def test_search_verify_bounds(self, capsys):
         assert main(["search", PAIR_TEXT, "--verify-bounds", "--max-len", "8"]) == 0
         out = capsys.readouterr().out
@@ -287,7 +294,7 @@ class TestComputeOnce:
 class TestRejectedInput:
     @pytest.mark.parametrize(
         "extra",
-        [["--max-len", "-3"], ["--alphabet", "0"], ["--parallel", "0"], ["--parallel", "-2"]],
+        [["--max-len", "-3"], ["--alphabet", "0"]],
     )
     def test_search_exits_2(self, capsys, extra):
         assert main(["search", "xy = yx", *extra]) == 2
@@ -317,12 +324,6 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: determinants need two unknowns\n"
-
-    def test_parallel_metavar_names_processes(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--help"])
-        assert exc.value.code == 0
-        assert "--parallel WORKERS" in capsys.readouterr().out
 
 
 class TestBoundsAssumption:

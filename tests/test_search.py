@@ -17,7 +17,7 @@ from weq import (
     check_solution_poly,
     compose,
     enumerate_solutions,
-    gamma_normal,
+    gamma_matrix,
     is_solution,
     is_trivial,
     principal_decompose,
@@ -30,6 +30,7 @@ from weq import (
 from weq.search import _feasible_length_types, _solutions_for_length_type, random_equation
 
 from conftest import eq, morph
+from test_words import reference_normal, reference_rank
 
 CONJ = EqSystem((eq("xz", "zy"),))
 PAIR = EqSystem((eq("xyxz", "zxyx"), eq("xyxxz", "zxxyx")))
@@ -51,7 +52,8 @@ def reference_length_type(sides, k: int, lt) -> list[tuple[tuple[int, ...], ...]
 
 def reference_catalog(system: EqSystem, cfg: SearchConfig):
     """Solutions, ``by_rank`` and classes by the product scan, with rank
-    and normal recomputed for every solution."""
+    and normal recomputed for every solution by the reference eliminations
+    of ``test_words``."""
     sides = tuple((e.left.symbols, e.right.symbols) for e in system)
     k = cfg.alphabet_size
     solutions = [
@@ -62,10 +64,10 @@ def reference_catalog(system: EqSystem, cfg: SearchConfig):
     by_rank: dict[int, list[Morphism]] = {}
     classes: dict[tuple[int, ...], list[Morphism]] = {}
     for h in solutions:
-        r = rank(h)
+        r = reference_rank(gamma_matrix(h))
         by_rank.setdefault(r, []).append(h)
         if r == system.n - 1:
-            classes.setdefault(gamma_normal(h).entries, []).append(h)
+            classes.setdefault(reference_normal(gamma_matrix(h), system.n), []).append(h)
     return (
         tuple(solutions),
         {r: tuple(ms) for r, ms in by_rank.items()},
@@ -142,16 +144,17 @@ class TestEnumeration:
 
     def test_space_size_matches_enumeration(self):
         cfg = SearchConfig(5, 2)
-        count = 0
         from weq.search import _compositions
 
-        for s in range(cfg.max_total_image_length + 1):
-            for lt in _compositions(s, 3, 0):
-                prod = 1
-                for l in lt:
-                    prod *= len(_words_of_length(2, l))
-                count += prod
-        assert count == search_space_size(3, cfg)
+        for n in (0, 3):
+            count = 0
+            for s in range(cfg.max_total_image_length + 1):
+                for lt in _compositions(s, n, 0):
+                    prod = 1
+                    for l in lt:
+                        prod *= len(_words_of_length(2, l))
+                    count += prod
+            assert count == search_space_size(n, cfg), n
 
 
 class TestAgainstProductScan:

@@ -1,0 +1,62 @@
+"""Rules every module of the library keeps, checked on its syntax tree.
+
+The library is exact and stdlib-only: no true division and no floating
+point anywhere, and no import from outside the standard library.
+Invariants raise, because ``python -O`` strips ``assert``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "weq").glob("*.py"))
+
+
+def violations(tree: ast.AST) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Assert):
+            found.append((line, "assert"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((line, "true division"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((line, f"float constant {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((line, "use of float"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] not in sys.stdlib_module_names:
+                    found.append((line, f"import of {alias.name}"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.partition(".")[0] not in sys.stdlib_module_names:
+                found.append((line, f"import from {node.module}"))
+    return sorted(found)
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"words.py", "search.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_keeps_the_rules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert violations(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "assert x",
+        "y = x / 2",
+        "x /= 2",
+        "y = 0.5",
+        "y = float(x)",
+        "import numpy",
+        "from sympy import Poly",
+    ],
+)
+def test_each_rule_is_detected(source):
+    assert len(violations(ast.parse(source))) == 1

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weq import (
@@ -19,9 +20,83 @@ from weq import (
     renaming_equivalent,
     theta_alpha,
 )
-from weq.words import _integer_rank
+from weq.words import _integer_rank, _rank_and_normal
 
 from conftest import eq, morph
+
+
+def reference_rank(rows) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            for c in range(col + 1, ncols):
+                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = m[rank][col]
+        rank += 1
+    return rank
+
+
+def reference_normal(rows, n: int) -> tuple[int, ...] | None:
+    """Canonical entries of the nullspace direction of ``rows`` (``n``
+    columns) when the nullspace is one-dimensional, else None: a kernel
+    vector by rational Gauss-Jordan elimination, scaled by the lcm of its
+    denominators."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    if len(pivots) != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    v = [Fraction(0)] * n
+    v[free] = Fraction(1)
+    for row, pc in zip(m, pivots):
+        v[pc] = -row[free]
+    denom = lcm(*(x.denominator for x in v))
+    return LambdaVector.from_vector(int(x * denom) for x in v).entries
+
+
+@st.composite
+def integer_matrices(draw):
+    """0-5 rows of 1-5 columns with entries -4..4, and the column count."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=5))
+    return rows, n
+
+
+@st.composite
+def count_morphisms(draw):
+    """Morphisms of 1-5 unknowns into 1-4 letters, images of length <= 6,
+    whose occurrence-count matrices are non-negative."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    image = st.lists(st.integers(0, k - 1), max_size=6).map(lambda s: Word(tuple(s)))
+    return Morphism(tuple(draw(st.lists(image, min_size=n, max_size=n))), k)
 
 
 CONJ = EqSystem((eq("xz", "zy"),))
@@ -122,6 +197,28 @@ class TestRank:
             width = max(len(r) for r in rows)
             rows = [r + [0] * (width - len(r)) for r in rows]
             assert _integer_rank(rows) == fraction_rank(rows)
+
+
+class TestEliminationAgainstReference:
+    @given(integer_matrices())
+    @example(([], 1))
+    @example(([[2, 4, 0], [0, -3, 6]], 3))
+    @example(([[0, 0], [0, 0]], 2))
+    def test_integer_matrices(self, matrix):
+        rows, n = matrix
+        assert _integer_rank(rows) == reference_rank(rows)
+        assert _rank_and_normal(rows, n) == (reference_rank(rows), reference_normal(rows, n))
+
+    @given(count_morphisms())
+    def test_count_matrices(self, h):
+        rows = gamma_matrix(h)
+        assert rank(h) == _integer_rank(rows) == reference_rank(rows)
+        expected = reference_normal(rows, h.domain_size)
+        if expected is None:
+            with pytest.raises(ValueError):
+                gamma_normal(h)
+        else:
+            assert gamma_normal(h).entries == expected
 
 
 class TestLinearEquivalent:
