@@ -11,7 +11,7 @@ determinant yield size bounds on the number of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .encode import DetGrid, _det_grid, is_balanced, s_vector, t_det
@@ -114,6 +114,18 @@ class BoundReport:
     status: str
     system_size_bound: int | None = None
 
+    def to_json(self) -> dict:
+        """The bounds as JSON, with 1-based index pairs; ``status`` is left
+        to the caller."""
+        out: dict = {
+            "sum": self.sum_bound,
+            "pairs": [{"pair": [j + 1, k + 1], "bound": b} for (j, k), b in self.pair_bounds],
+            "best": self.best,
+        }
+        if self.system_size_bound is not None:
+            out["system_size_bound"] = self.system_size_bound
+        return out
+
 
 def bounds(E: Equation, Ep: Equation) -> BoundReport:
     """Bounds for a pair of equations; identical or linearly dependent
@@ -143,13 +155,7 @@ def system_bounds(T: EqSystem, *, has_rank_n1_solution: bool = False) -> BoundRe
     E1, E2 = T.equations[0], T.equations[1]
     base = bounds(E1, E2)
     slack = 1 if has_rank_n1_solution else 2
-    return BoundReport(
-        base.sum_bound,
-        base.pair_bounds,
-        base.best,
-        base.status,
-        system_size_bound=base.best + slack,
-    )
+    return replace(base, system_size_bound=base.best + slack)
 
 
 def cofactor_3vars(E1: Equation, E2: Equation) -> MultiPoly:
@@ -219,13 +225,7 @@ def pair_report_json(
     br = _bounds(E, Ep, grid)
     out: dict = {
         "status": hr.status,
-        "bounds": {
-            "sum": br.sum_bound,
-            "pairs": [
-                {"pair": [j + 1, k + 1], "bound": b} for (j, k), b in br.pair_bounds
-            ],
-            "best": br.best,
-        },
+        "bounds": br.to_json(),
     }
     if hr.primary is None:
         out.update(

@@ -30,9 +30,23 @@ from .words import InternalError, LambdaVector, is_solution
 
 def _read_text(arg: str) -> str:
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {arg}: {exc.strerror}") from None
     return arg
+
+
+def _read_pair_system(arg: str, too_few_equations: str):
+    """Read a system for the determinant commands, which need two
+    equations and two unknowns."""
+    system, names = parse_system(_read_text(arg))
+    if len(system) < 2:
+        raise ParseError(too_few_equations)
+    if system.n < 2:
+        raise ParseError("determinants need two unknowns")
+    return system, names
 
 
 def _factorization_text(fac: dict) -> str:
@@ -75,11 +89,7 @@ def cmd_encode(args):
 
 
 def cmd_det(args):
-    system, names = parse_system(_read_text(args.input))
-    if len(system) < 2:
-        raise ParseError("determinants need two equations")
-    if system.n < 2:
-        raise ParseError("determinants need two unknowns")
+    system, names = _read_pair_system(args.input, "determinants need two equations")
     grid = _det_grid(s_vector(system.equations[0]), s_vector(system.equations[1]))
     rows = [{"pair": [j + 1, k + 1], "determinant": format_poly(det)} for (j, k), det in grid.items()]
     return 0, rows, lambda rows: (f"t{r['pair'][0]}{r['pair'][1]} = {r['determinant']}" for r in rows)
@@ -153,11 +163,7 @@ def cmd_principal(args):
 
 
 def cmd_hyperplanes(args):
-    system, names = parse_system(_read_text(args.input))
-    if len(system) < 2:
-        raise ParseError("hyperplane analysis needs two equations")
-    if system.n < 2:
-        raise ParseError("determinants need two unknowns")
+    system, names = _read_pair_system(args.input, "hyperplane analysis needs two equations")
     E, Ep = system.equations[0], system.equations[1]
 
     def render(p):
@@ -172,27 +178,14 @@ def cmd_hyperplanes(args):
 
 
 def cmd_bounds(args):
-    system, names = parse_system(_read_text(args.input))
-    if len(system) < 2:
-        raise ParseError("bounds need at least two equations")
-    if system.n < 2:
-        raise ParseError("determinants need two unknowns")
+    system, names = _read_pair_system(args.input, "bounds need at least two equations")
     if len(system) == 2 and not args.assume_rank_solution:
         report = analysis.bounds(system.equations[0], system.equations[1])
     else:
         report = analysis.system_bounds(
             system, has_rank_n1_solution=args.assume_rank_solution
         )
-    payload = {
-        "status": report.status,
-        "sum": report.sum_bound,
-        "pairs": [
-            {"pair": [j + 1, k + 1], "bound": b} for (j, k), b in report.pair_bounds
-        ],
-        "best": report.best,
-    }
-    if report.system_size_bound is not None:
-        payload["system_size_bound"] = report.system_size_bound
+    payload = {"status": report.status, **report.to_json()}
 
     def render(p):
         yield f"status: {p['status']}"
@@ -206,6 +199,10 @@ def cmd_bounds(args):
 
 
 def cmd_search(args):
+    if args.verify_encoding and (args.input is not None or args.verify_bounds or args.csv):
+        raise ParseError("--verify-encoding runs alone: no equations, --verify-bounds or --csv")
+    if args.verify_bounds and args.csv:
+        raise ParseError("--csv writes the catalog, which --verify-bounds does not build")
     if args.verify_encoding:
         report = search.verify_encoding(args.verify_encoding, args.seed)
         payload = {

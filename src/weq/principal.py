@@ -6,16 +6,18 @@ and ``theta`` is non-erasing on the letters of ``g``. The reduction works
 by elementary transformations driven purely by image lengths:
 
 * unknowns with empty images are stripped first;
-* while some equation has distinct sides, compare the images of the two
-  unknowns ``x != y`` at the first mismatching position: the shorter
-  image is a prefix of the longer, so either substitute the longer
-  unknown by ``shorter . longer`` and cut the prefix off its image, or,
-  on equal lengths, merge the two unknowns.
+* while ``g`` does not solve some equation ``u = v``, take the letters
+  ``s != t`` at the first position where ``g(u)`` and ``g(v)`` differ,
+  ``s`` the one with the shorter image. That image is a prefix of the
+  image of ``t``, so there are two cases: *expand* substitutes ``t`` by
+  ``s t`` and cuts the prefix off the image of ``t``; on equal lengths,
+  *merge* identifies ``t`` with ``s``.
 
-The three cases (shorter, longer, equal) are handled explicitly. The
-letters of ``g`` are renamed to 0, 1, 2, ... by first occurrence in
-``g(x_0) g(x_1) ...``, so equal-length-type inputs produce literally
-identical results.
+Throughout, ``g`` maps each unknown to a word over the unknowns still
+alive, whose remaining images compose with ``g`` to ``h``; it starts as
+the identity on the non-erased unknowns. The letters of ``g`` are then
+renamed to 0, 1, 2, ... by first occurrence in ``g(x_0) g(x_1) ...``, so
+equal-length-type inputs produce literally identical results.
 """
 
 from __future__ import annotations
@@ -72,71 +74,54 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
         raise ValueError("the morphism is not a solution of the system")
 
     trace: list[tuple] = []
-    # Letters of the intermediate principal solution are the unknown
-    # indices that are still alive; g_imgs maps original unknowns to
-    # words over those letters.
+    # The letters of g are the unknowns still keyed in h_img; g_imgs holds
+    # the images of the original unknowns over those letters.
     g_imgs: list[list[int]] = [[i] for i in range(n)]
     h_img: dict[int, Word] = {}
-    alive: set[int] = set()
     for i in range(n):
         if h.images[i]:
             h_img[i] = h.images[i]
-            alive.add(i)
         else:
             g_imgs[i] = []
             trace.append(("erase", i))
-    sides: list[tuple[list[int], list[int]]] = [
-        (
-            [s for s in e.left if s in alive],
-            [s for s in e.right if s in alive],
-        )
-        for e in system
-    ]
 
     def measure() -> int:
-        return len(alive) + sum(len(w) for w in h_img.values())
+        return len(h_img) + sum(len(w) for w in h_img.values())
 
-    def substitute(letter: int, replacement: list[int]) -> None:
-        for idx, (u, v) in enumerate(sides):
-            sides[idx] = (
-                [c for s in u for c in (replacement if s == letter else [s])],
-                [c for s in v for c in (replacement if s == letter else [s])],
-            )
-        for idx, gi in enumerate(g_imgs):
-            g_imgs[idx] = [c for s in gi for c in (replacement if s == letter else [s])]
+    def mismatch() -> tuple[list[int], list[int]] | None:
+        """``g(u), g(v)`` for the first equation ``u = v`` that g does not solve."""
+        for e in system:
+            u = [c for s in e.left.symbols for c in g_imgs[s]]
+            v = [c for s in e.right.symbols for c in g_imgs[s]]
+            if u != v:
+                return u, v
+        return None
 
-    while True:
-        mismatch = next(((u, v) for u, v in sides if u != v), None)
-        if mismatch is None:
-            break
+    while (sides := mismatch()) is not None:
         before = measure()
-        u, v = mismatch
-        j = next(i for i in range(min(len(u), len(v)) + 1) if i >= len(u) or i >= len(v) or u[i] != v[i])
+        u, v = sides
+        j = next((i for i, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
         # A non-erasing solution cannot make one side a proper prefix of
         # the other.
         _require(j < len(u) and j < len(v), "side exhausted under a non-erasing solution")
-        x, y = u[j], v[j]
-        hx, hy = h_img[x], h_img[y]
-        if len(hx) < len(hy):
-            _require(hy.symbols[: len(hx)] == hx.symbols, "shorter image is not a prefix")
-            h_img[y] = Word(hy.symbols[len(hx):])
-            substitute(y, [x, y])
-            trace.append(("expand", x, y))
-        elif len(hx) > len(hy):
-            _require(hx.symbols[: len(hy)] == hy.symbols, "shorter image is not a prefix")
-            h_img[x] = Word(hx.symbols[len(hy):])
-            substitute(x, [y, x])
-            trace.append(("expand", y, x))
+        # s has the shorter image (the left one on a tie), a prefix of t's.
+        s, t = (u[j], v[j]) if len(h_img[u[j]]) <= len(h_img[v[j]]) else (v[j], u[j])
+        hs, ht = h_img[s], h_img[t]
+        if len(hs) < len(ht):
+            _require(ht.symbols[: len(hs)] == hs.symbols, "shorter image is not a prefix")
+            h_img[t] = Word(ht.symbols[len(hs):])
+            replacement = (s, t)
+            trace.append(("expand", s, t))
         else:
-            _require(hx == hy, "equal-length images differ")
-            del h_img[y]
-            alive.discard(y)
-            substitute(y, [x])
-            trace.append(("merge", y, x))
+            _require(hs == ht, "equal-length images differ")
+            del h_img[t]
+            replacement = (s,)
+            trace.append(("merge", t, s))
+        g_imgs = [[c for a in gi for c in (replacement if a == t else (a,))] for gi in g_imgs]
         _require(measure() < before, "termination measure failed to decrease")
 
     order = _first_occurrence_order(g_imgs)
-    _require(set(order) == alive, "letters of g differ from the surviving unknowns")
+    _require(set(order) == h_img.keys(), "letters of g differ from the surviving unknowns")
     remap = {old: new for new, old in enumerate(order)}
     g = Morphism(tuple(Word(tuple(remap[c] for c in gi)) for gi in g_imgs), len(order))
     theta = Morphism(tuple(h_img[c] for c in order), h.target_alphabet_size)

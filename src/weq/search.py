@@ -14,7 +14,6 @@ against the word-level definitions.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -229,6 +228,8 @@ def enumerate_solutions(
     lts = _feasible_length_types(system, cfg)
     tasks = [(sides, cfg.alphabet_size, lt) for lt in lts]
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solutions_for_length_type, tasks))
     else:

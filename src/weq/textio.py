@@ -17,7 +17,7 @@ import re
 from typing import Sequence
 
 from .poly import MultiPoly
-from .words import EqSystem, Equation, Morphism, Word
+from .words import EqSystem, Equation, Morphism, Word, unknown_names
 
 
 class ParseError(ValueError):
@@ -101,8 +101,6 @@ def parse_morphism(text: str, names: Sequence[str]) -> Morphism:
 
 
 def render_morphism(h: Morphism, names: Sequence[str] | None = None) -> str:
-    from .words import unknown_names
-
     names = list(names) if names is not None else unknown_names(h.domain_size)
     return "\n".join(
         f"{nm} = {im if im else 'eps'}" for nm, im in zip(names, h.images)

@@ -22,6 +22,9 @@ class InternalError(RuntimeError):
     """A computation broke one of its own invariants: a bug, never bad input."""
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
 def unknown_names(n: int) -> list[str]:
     """Default display names x, y, z, x4, x5, ... for ``n`` unknowns."""
     return ["x", "y", "z"][:n] + [f"x{i}" for i in range(4, n + 1)]
@@ -75,9 +78,10 @@ class Word:
         return Word(self.symbols + other.symbols)
 
     def __str__(self) -> str:
-        if any(s >= 26 for s in self.symbols):
+        try:
+            return "".join([_LETTERS[s] for s in self.symbols])
+        except IndexError:  # a letter past z: spell every letter as <s>
             return "".join(f"<{s}>" for s in self.symbols)
-        return "".join(chr(ord("a") + s) for s in self.symbols)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import weq
 
 from weq import (
     Word,
@@ -324,6 +330,38 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: determinants need two unknowns\n"
+
+    def test_unreadable_input_exits_2(self, capsys, tmp_path):
+        assert main(["encode", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [PAIR_TEXT, "--verify-bounds", "--csv", "<csv>"],
+            ["xy = yx", "--verify-encoding", "3"],
+            ["--verify-encoding", "3", "--verify-bounds"],
+            ["--verify-encoding", "3", "--csv", "<csv>"],
+        ],
+    )
+    def test_search_modes_that_ignore_an_input_exit_2(self, capsys, tmp_path, argv):
+        csv = tmp_path / "out.csv"
+        assert main(["search", *(str(csv) if a == "<csv>" else a for a in argv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+        assert not csv.exists()
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_multiprocessing(self):
+        src = str(Path(weq.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, weq.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestBoundsAssumption:

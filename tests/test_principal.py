@@ -15,9 +15,94 @@ from weq import (
     rank,
     renaming_equivalent,
 )
+from weq.principal import PrincipalDecomposition, _require
 from weq.search import random_equation_solved_by, random_morphism
+from weq.words import _first_occurrence_order, as_system
 
 from conftest import eq, eq_n, morph
+
+
+def reference_principal(h: Morphism, T) -> PrincipalDecomposition:
+    """The reduction with the rewritten sides kept as a third copy of the
+    state and the two expand cases written out; oracle for
+    ``principal_decompose``."""
+    system = as_system(T)
+    n = system.n
+    if h.domain_size != n:
+        raise ValueError(f"morphism has {h.domain_size} images, system has {n} unknowns")
+    if not is_solution(h, system):
+        raise ValueError("the morphism is not a solution of the system")
+
+    trace: list[tuple] = []
+    # Letters of the intermediate principal solution are the unknown
+    # indices that are still alive; g_imgs maps original unknowns to
+    # words over those letters.
+    g_imgs: list[list[int]] = [[i] for i in range(n)]
+    h_img: dict[int, Word] = {}
+    alive: set[int] = set()
+    for i in range(n):
+        if h.images[i]:
+            h_img[i] = h.images[i]
+            alive.add(i)
+        else:
+            g_imgs[i] = []
+            trace.append(("erase", i))
+    sides: list[tuple[list[int], list[int]]] = [
+        (
+            [s for s in e.left if s in alive],
+            [s for s in e.right if s in alive],
+        )
+        for e in system
+    ]
+
+    def measure() -> int:
+        return len(alive) + sum(len(w) for w in h_img.values())
+
+    def substitute(letter: int, replacement: list[int]) -> None:
+        for idx, (u, v) in enumerate(sides):
+            sides[idx] = (
+                [c for s in u for c in (replacement if s == letter else [s])],
+                [c for s in v for c in (replacement if s == letter else [s])],
+            )
+        for idx, gi in enumerate(g_imgs):
+            g_imgs[idx] = [c for s in gi for c in (replacement if s == letter else [s])]
+
+    while True:
+        mismatch = next(((u, v) for u, v in sides if u != v), None)
+        if mismatch is None:
+            break
+        before = measure()
+        u, v = mismatch
+        j = next(i for i in range(min(len(u), len(v)) + 1) if i >= len(u) or i >= len(v) or u[i] != v[i])
+        # A non-erasing solution cannot make one side a proper prefix of
+        # the other.
+        _require(j < len(u) and j < len(v), "side exhausted under a non-erasing solution")
+        x, y = u[j], v[j]
+        hx, hy = h_img[x], h_img[y]
+        if len(hx) < len(hy):
+            _require(hy.symbols[: len(hx)] == hx.symbols, "shorter image is not a prefix")
+            h_img[y] = Word(hy.symbols[len(hx):])
+            substitute(y, [x, y])
+            trace.append(("expand", x, y))
+        elif len(hx) > len(hy):
+            _require(hx.symbols[: len(hy)] == hy.symbols, "shorter image is not a prefix")
+            h_img[x] = Word(hx.symbols[len(hy):])
+            substitute(x, [y, x])
+            trace.append(("expand", y, x))
+        else:
+            _require(hx == hy, "equal-length images differ")
+            del h_img[y]
+            alive.discard(y)
+            substitute(y, [x])
+            trace.append(("merge", y, x))
+        _require(measure() < before, "termination measure failed to decrease")
+
+    order = _first_occurrence_order(g_imgs)
+    _require(set(order) == alive, "letters of g differ from the surviving unknowns")
+    remap = {old: new for new, old in enumerate(order)}
+    g = Morphism(tuple(Word(tuple(remap[c] for c in gi)) for gi in g_imgs), len(order))
+    theta = Morphism(tuple(h_img[c] for c in order), h.target_alphabet_size)
+    return PrincipalDecomposition(g, theta, tuple(trace))
 
 
 def divisor_through(gp: Morphism, g: Morphism) -> Morphism | None:
@@ -254,3 +339,29 @@ class TestFuzz:
             dec2 = principal_decompose(h2, T)
             assert dec2.g == dec.g
             assert dec2.theta.length_type() == dec.theta.length_type()
+
+
+class TestAgainstReference:
+    """``principal_decompose`` returns exactly what ``reference_principal``
+    returns: the same g, theta and step-by-step trace."""
+
+    def test_seeded_solved_systems(self):
+        kinds = set()
+        erasing = multi = 0
+        for T, h in solved_system_instances(random.Random(6), 2000):
+            dec = principal_decompose(h, T)
+            assert dec == reference_principal(h, T), (T, h)
+            kinds |= {step[0] for step in dec.trace}
+            erasing += not all(h.images)
+            multi += len(T) > 1
+        assert kinds == {"erase", "expand", "merge"}
+        assert erasing > 100 and multi > 100
+
+    @pytest.mark.parametrize("left_longer", [True, False])
+    def test_commutation_powers_up_to_200(self, left_longer):
+        T = EqSystem((eq("xy", "yx"),))
+        for N in range(1, 201):
+            h = morph("a" * N, "a") if left_longer else morph("a", "a" * N)
+            dec = principal_decompose(h, T)
+            assert dec == reference_principal(h, T), N
+            assert len(dec.trace) == N

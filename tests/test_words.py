@@ -117,6 +117,13 @@ class TestWord:
         with pytest.raises(ValueError):
             Word((-1,))
 
+    def test_str_spells_every_letter_by_number_past_z(self):
+        assert str(Word((0, 1))) == "ab"
+        assert str(Word((0, 25))) == "az"
+        assert str(Word((0, 26))) == "<0><26>"
+        assert str(Word((26, 0))) == "<26><0>"
+        assert str(Word()) == ""
+
 
 class TestApply:
     def test_conjugacy_image(self):
