@@ -33,7 +33,6 @@ from .poly import (
     Binomial,
     BinomialFactorization,
     MultiPoly,
-    UniPoly,
     binomial_factors,
     divide_by_binomial,
     format_poly,

@@ -199,12 +199,22 @@ def cmd_bounds(args):
 
 
 def cmd_search(args):
-    if args.verify_encoding and (args.input is not None or args.verify_bounds or args.csv):
-        raise ParseError("--verify-encoding runs alone: no equations, --verify-bounds or --csv")
-    if args.verify_bounds and args.csv:
-        raise ParseError("--csv writes the catalog, which --verify-bounds does not build")
-    if args.verify_encoding:
-        report = search.verify_encoding(args.verify_encoding, args.seed)
+    if args.verify_encoding is not None:
+        mode = "--verify-encoding"
+        if args.input is not None:
+            raise ParseError("--verify-encoding takes no equations")
+    else:
+        mode = "--verify-bounds" if args.verify_bounds else "a catalog search"
+    reads = {
+        "--verify-encoding": {"seed"},
+        "--verify-bounds": {"max_len", "alphabet", "no_erasing", "verify_bounds"},
+        "a catalog search": {"max_len", "alphabet", "no_erasing", "csv"},
+    }[mode]
+    for dest in ("max_len", "alphabet", "no_erasing", "csv", "verify_bounds", "seed"):
+        if dest not in reads and getattr(args, dest) is not None:
+            raise ParseError(f"--{dest.replace('_', '-')} is not used by {mode}")
+    if mode == "--verify-encoding":
+        report = search.verify_encoding(args.verify_encoding, args.seed or 0)
         payload = {
             "cases": report.cases,
             "positives": report.positives,
@@ -224,8 +234,8 @@ def cmd_search(args):
         raise ParseError("search needs equations (or --verify-encoding N)")
     system, names = parse_system(_read_text(args.input))
     cfg = search.SearchConfig(
-        max_total_image_length=args.max_len,
-        alphabet_size=args.alphabet,
+        max_total_image_length=6 if args.max_len is None else args.max_len,
+        alphabet_size=2 if args.alphabet is None else args.alphabet,
         allow_erasing=not args.no_erasing,
     )
     if args.verify_bounds:
@@ -377,23 +387,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive solution search and verifications")
     p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--max-len", type=int, default=6, help="total image length budget")
-    p.add_argument("--alphabet", type=int, default=2, help="target alphabet size")
-    p.add_argument("--no-erasing", action="store_true", help="skip erasing morphisms")
+    p.add_argument("--max-len", type=int, help="total image length budget (default 6)")
+    p.add_argument("--alphabet", type=int, help="target alphabet size (default 2)")
+    p.add_argument("--no-erasing", action="store_true", default=None, help="skip erasing morphisms")
     p.add_argument("--csv", default=None, help="also write (length type, rank, class) rows")
     p.add_argument(
         "--verify-bounds",
         action="store_true",
+        default=None,
         help="check the class-count bounds for the first two equations",
     )
     p.add_argument(
         "--verify-encoding",
         type=int,
-        default=0,
         metavar="CASES",
         help="fuzz the polynomial encoding against the word-level check",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p.add_argument("--seed", type=int, help="seed for --verify-encoding (default 0)")
     add_json(p)
     p.set_defaults(func=cmd_search)
 

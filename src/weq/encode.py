@@ -4,17 +4,17 @@ An equation over n unknowns turns into a vector of n polynomials in
 Z[X_1,...,X_n]: the component for unknown j collects, with sign per
 side, one prefix-product monomial for every occurrence of that unknown.
 Substituting a length type beta (via ``X_i -> x^(beta_i)``) yields a
-homogeneous linear condition over Z[x] whose solutions are exactly the
-digit polynomials of the solutions with that length type.
+homogeneous linear condition over Z[x], the one-variable case of the
+same ring, whose solutions are exactly the digit polynomials of the
+solutions with that length type.
 """
 
 from __future__ import annotations
 
-from .poly import MultiPoly, UniPoly, word_poly
+from .poly import MultiPoly, word_poly
 from .words import Equation, Morphism, Word
 
 SVector = tuple[MultiPoly, ...]
-PVector = tuple[UniPoly, ...]
 DetGrid = dict[tuple[int, int], MultiPoly]
 
 
@@ -53,15 +53,15 @@ def s_vector(E: Equation) -> SVector:
             else:
                 del terms[key]
             prefix[sym] += 1
-    return tuple(MultiPoly(E.n, terms) for terms in acc)
+    return tuple(MultiPoly._from_terms(E.n, terms) for terms in acc)
 
 
-def s_vector_eval(E: Equation, beta: tuple[int, ...]) -> PVector:
+def s_vector_eval(E: Equation, beta: tuple[int, ...]) -> SVector:
     """The coefficient vector specialized at a length type."""
     return tuple(p.evaluate(beta) for p in s_vector(E))
 
 
-def p_vector(h: Morphism) -> PVector:
+def p_vector(h: Morphism) -> SVector:
     """Digit polynomials of all images of a morphism."""
     return tuple(word_poly(im) for im in h.images)
 
@@ -73,7 +73,7 @@ def check_solution_poly(E: Equation, h: Morphism) -> bool:
     if h.domain_size != E.n:
         raise ValueError(f"morphism has {h.domain_size} images, equation has {E.n} unknowns")
     beta = h.length_type()
-    total = UniPoly.zero()
+    total = MultiPoly.zero(1)
     for s, im in zip(s_vector(E), h.images):
         total = total + s.evaluate(beta) * word_poly(im)
     return not total

@@ -5,7 +5,8 @@ vectors to nonzero arbitrary-precision coefficients, so two polynomials
 are equal exactly when their term maps are. On top of the ring
 operations this module provides:
 
-* the substitution ``X_i -> x^(gamma_i)`` into a univariate polynomial,
+* the substitution ``X_i -> x^(gamma_i)`` into Z[x], the one-variable
+  case of the same ring,
 * the digit polynomial of a word over a positive-integer alphabet,
 * exact division by a pure difference ``X^(lam+) - X^(lam-)`` with
   coprime ``lam`` (every such difference is irreducible),
@@ -42,6 +43,7 @@ Factor extraction rests on three consequences of that line-sum rule:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .words import InternalError, LambdaVector, Word, _canonical_entries
@@ -54,109 +56,6 @@ def poly_var_names(n: int) -> list[str]:
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exps), exps)
-
-
-class UniPoly:
-    """Element of Z[x] in sparse form: degree -> nonzero coefficient."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        for d, c in (coeffs or {}).items():
-            if d < 0:
-                raise ValueError("degrees must be non-negative")
-            if c:
-                clean[int(d)] = int(c)
-        self._coeffs = clean
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: int) -> "UniPoly":
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, coeff: int, degree: int) -> "UniPoly":
-        return cls({degree: coeff})
-
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return max(self._coeffs, default=-1)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self._coeffs == other._coeffs
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        out = dict(self._coeffs)
-        for d, c in other._coeffs.items():
-            nc = out.get(d, 0) + c
-            if nc:
-                out[d] = nc
-            else:
-                out.pop(d, None)
-        res = UniPoly()
-        res._coeffs = out
-        return res
-
-    def __neg__(self) -> "UniPoly":
-        res = UniPoly()
-        res._coeffs = {d: -c for d, c in self._coeffs.items()}
-        return res
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, int):
-            res = UniPoly()
-            if other:
-                res._coeffs = {d: c * other for d, c in self._coeffs.items()}
-            return res
-        out: dict[int, int] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                d = d1 + d2
-                nc = out.get(d, 0) + c1 * c2
-                if nc:
-                    out[d] = nc
-                else:
-                    out.pop(d, None)
-        res = UniPoly()
-        res._coeffs = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for d in sorted(self._coeffs):
-            c = self._coeffs[d]
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                var = "x" if d == 1 else f"x^{d}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append((c < 0, body))
-        first_neg, first_body = parts[0]
-        out = ("-" if first_neg else "") + first_body
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
-
-    __repr__ = __str__
 
 
 class MultiPoly:
@@ -176,6 +75,15 @@ class MultiPoly:
             if coeff:
                 clean[exps] = int(coeff)
         self._terms = clean
+
+    @classmethod
+    def _from_terms(cls, n: int, terms: dict[tuple[int, ...], int]) -> "MultiPoly":
+        """Wrap terms that are already clean (n-vectors of non-negative
+        exponents, no zero coefficient) without validating them again."""
+        res = cls.__new__(cls)
+        res.n = n
+        res._terms = terms
+        return res
 
     @classmethod
     def zero(cls, n: int) -> "MultiPoly":
@@ -238,16 +146,12 @@ class MultiPoly:
                 out[e] = nc
             else:
                 out.pop(e, None)
-        res = MultiPoly(self.n)
-        res._terms = out
-        return res
+        return MultiPoly._from_terms(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        res = MultiPoly(self.n)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
+        return MultiPoly._from_terms(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, int):
@@ -259,23 +163,19 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):
-            res = MultiPoly(self.n)
-            if other:
-                res._terms = {e: c * other for e, c in self._terms.items()}
-            return res
+            terms = {e: c * other for e, c in self._terms.items()} if other else {}
+            return MultiPoly._from_terms(self.n, terms)
         self._check_same_ring(other)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 nc = out.get(e, 0) + c1 * c2
                 if nc:
                     out[e] = nc
                 else:
                     out.pop(e, None)
-        res = MultiPoly(self.n)
-        res._terms = out
-        return res
+        return MultiPoly._from_terms(self.n, out)
 
     __rmul__ = __mul__
 
@@ -291,24 +191,23 @@ class MultiPoly:
             k >>= 1
         return res
 
-    def evaluate(self, gamma: Sequence[int]) -> UniPoly:
-        """Substitute ``X_i -> x^(gamma_i)``; a ring homomorphism to Z[x]."""
+    def evaluate(self, gamma: Sequence[int]) -> "MultiPoly":
+        """Substitute ``X_i -> x^(gamma_i)``; a ring homomorphism to Z[x],
+        whose elements are one-variable ``MultiPoly``s."""
         gamma = tuple(gamma)
         if len(gamma) != self.n:
             raise ValueError(f"expected {self.n} exponents, got {len(gamma)}")
         if any(g < 0 for g in gamma):
             raise ValueError("substitution exponents must be non-negative")
-        out: dict[int, int] = {}
+        out: dict[tuple[int], int] = {}
         for e, c in self._terms.items():
-            d = sum(a * b for a, b in zip(e, gamma))
+            d = (sum(map(mul, e, gamma)),)
             nc = out.get(d, 0) + c
             if nc:
                 out[d] = nc
             else:
                 out.pop(d, None)
-        res = UniPoly()
-        res._coeffs = out
-        return res
+        return MultiPoly._from_terms(1, out)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -316,11 +215,11 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def format_poly(p: MultiPoly, names: Sequence[str] | None = None) -> str:
+def format_poly(p: MultiPoly) -> str:
     """Canonical text form: terms in descending graded lexicographic order."""
     if not p:
         return "0"
-    names = list(names) if names is not None else poly_var_names(p.n)
+    names = poly_var_names(p.n)
     parts = []
     for e in sorted(p._terms, key=_grlex_key, reverse=True):
         c = p._terms[e]
@@ -342,16 +241,14 @@ def format_poly(p: MultiPoly, names: Sequence[str] | None = None) -> str:
     return out
 
 
-def word_poly(w: Word) -> UniPoly:
-    """Digit polynomial of a word: position i contributes (letter_i + 1) * x^i.
+def word_poly(w: Word) -> MultiPoly:
+    """Digit polynomial in Z[x] of a word: position i contributes
+    (letter_i + 1) * x^i.
 
     Letters take the positive values 1..k, so the word length is always
     recoverable from the polynomial (no trailing-zero ambiguity).
     """
-    coeffs = {i: s + 1 for i, s in enumerate(w)}
-    res = UniPoly()
-    res._coeffs = coeffs
-    return res
+    return MultiPoly._from_terms(1, {(i,): s + 1 for i, s in enumerate(w)})
 
 
 @dataclass(frozen=True)
@@ -410,9 +307,7 @@ def divide_by_binomial(p: MultiPoly, b: Binomial) -> MultiPoly | None:
             acc += line.get(k + 1, 0)
             if acc:
                 quotient[tuple(bi + k * li for bi, li in zip(base, lam))] = acc
-    res = MultiPoly(p.n)
-    res._terms = quotient
-    return res
+    return MultiPoly._from_terms(p.n, quotient)
 
 
 @dataclass(frozen=True)
@@ -465,9 +360,8 @@ def _content(terms: Mapping[tuple[int, ...], int], n: int) -> tuple[int, ...]:
 
 
 def _shift_down(p: MultiPoly, mu: tuple[int, ...]) -> MultiPoly:
-    res = MultiPoly(p.n)
-    res._terms = {tuple(a - b for a, b in zip(e, mu)): c for e, c in p._terms.items()}
-    return res
+    shifted = {tuple(a - b for a, b in zip(e, mu)): c for e, c in p._terms.items()}
+    return MultiPoly._from_terms(p.n, shifted)
 
 
 def binomial_factors(p: MultiPoly) -> BinomialFactorization:

@@ -419,15 +419,14 @@ class EncodingFuzzReport:
         return not self.discrepancies
 
 
-def verify_encoding(
-    cases: int,
-    seed: int = 0,
-    *,
-    max_unknowns: int = 4,
-    max_eq_size: int = 10,
-    alphabet_size: int = 3,
-    max_image_len: int = 6,
-) -> EncodingFuzzReport:
+# the space each fuzz case draws from: unknowns, equation size, letters, image length
+_FUZZ_MAX_UNKNOWNS = 4
+_FUZZ_MAX_EQ_SIZE = 10
+_FUZZ_ALPHABET_SIZE = 3
+_FUZZ_MAX_IMAGE_LEN = 6
+
+
+def verify_encoding(cases: int, seed: int = 0) -> EncodingFuzzReport:
     """Fuzz the polynomial solution test against the direct word test.
 
     Half of the cases are random (equation, morphism) pairs; the other
@@ -441,13 +440,13 @@ def verify_encoding(
     positives = 0
     discrepancies = []
     for i in range(cases):
-        n = rng.randint(1, max_unknowns)
-        k = rng.randint(1, alphabet_size)
+        n = rng.randint(1, _FUZZ_MAX_UNKNOWNS)
+        k = rng.randint(1, _FUZZ_ALPHABET_SIZE)
         if i % 2 == 0:
-            E = random_equation(rng, n, max_eq_size)
-            h = random_morphism(rng, n, k, max_image_len)
+            E = random_equation(rng, n, _FUZZ_MAX_EQ_SIZE)
+            h = random_morphism(rng, n, k, _FUZZ_MAX_IMAGE_LEN)
         else:
-            E, h = random_solution_instance(rng, n, k, max_image_len, max_eq_size // 2)
+            E, h = random_solution_instance(rng, n, k, _FUZZ_MAX_IMAGE_LEN, _FUZZ_MAX_EQ_SIZE // 2)
         word_level = is_solution(h, E)
         poly_level = check_solution_poly(E, h)
         if word_level:

@@ -7,14 +7,15 @@ instances can be shared freely across threads.
 
 Letter-count linear algebra (the occurrence-count rows of a morphism,
 their rank over the rationals, hyperplane normals) is exact: one
-fraction-free integer Gauss-Jordan elimination gives both the rank and
-the nullspace direction.
+fraction-free integer forward elimination gives the rank, and
+back-substitution on its echelon rows gives the nullspace direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 
@@ -41,10 +42,6 @@ class Word:
             object.__setattr__(self, "symbols", tuple(self.symbols))
         if any(not isinstance(s, int) or s < 0 for s in self.symbols):
             raise ValueError(f"letters must be non-negative integers: {self.symbols!r}")
-
-    @classmethod
-    def of(cls, *symbols: int) -> "Word":
-        return cls(tuple(symbols))
 
     @classmethod
     def from_letters(cls, text: str) -> "Word":
@@ -259,12 +256,13 @@ def gamma_matrix(h: Morphism) -> tuple[tuple[int, ...], ...]:
 
 
 def _eliminate(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination of integer rows of width ``n``.
+    """Fraction-free forward elimination of integer rows of width ``n``.
 
-    Returns the pivot columns and one reduced row per pivot: row i is
-    nonzero in pivot column ``pivots[i]`` and zero in every other pivot
-    column. Each combined row is divided by the gcd of its entries, so the
-    entries stay small and no division is ever inexact.
+    Returns the pivot columns and the echelon rows, one per pivot: row i
+    is nonzero in pivot column ``pivots[i]`` and zero in every column
+    before it. Each pivot row clears only the rows below it, and each
+    combined row is divided by the gcd of its entries, so the entries
+    stay small and no division is ever inexact.
     """
     m = [list(r) for r in rows]
     pivots: list[int] = []
@@ -275,10 +273,10 @@ def _eliminate(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[l
             continue
         m[r], m[piv] = m[piv], m[r]
         p = m[r]
-        for i, row in enumerate(m):
-            f = row[c]
-            if i != r and f:
-                combined = [p[c] * a - f * b for a, b in zip(row, p)]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            if f:
+                combined = [p[c] * a - f * b for a, b in zip(m[i], p)]
                 g = gcd(*combined)
                 m[i] = [v // g for v in combined] if g else combined
         pivots.append(c)
@@ -297,18 +295,23 @@ def _rank_and_normal(
     is one-dimensional (rank n-1), the canonical entries of the nullspace
     direction; None otherwise.
 
-    The free column gets the lcm of the pivot entries, so that every
-    pivot column's value is an integer.
+    The direction is read off the echelon rows by fraction-free
+    back-substitution: the free column starts at 1, and each pivot row,
+    from the last one up, scales the vector just enough for its pivot
+    column's value to be an integer.
     """
     pivots, reduced = _eliminate(counts, n)
     if len(pivots) != n - 1:
         return len(pivots), None
     free = next(c for c in range(n) if c not in pivots)
-    scale = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
     v = [0] * n
-    v[free] = scale
-    for row, pc in zip(reduced, pivots):
-        v[pc] = -row[free] * scale // row[pc]
+    v[free] = 1
+    for row, pc in zip(reversed(reduced), reversed(pivots)):
+        s = sum(map(mul, row, v))
+        g = gcd(row[pc], s)
+        scale = row[pc] // g
+        v = [x * scale for x in v]
+        v[pc] = -s // g
     return len(pivots), _canonical_entries(tuple(v))
 
 
@@ -351,16 +354,8 @@ class LambdaVector:
     def __post_init__(self) -> None:
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
-        g = 0
-        for v in self.entries:
-            g = gcd(g, abs(v))
-        if g == 0:
-            raise ValueError("the zero vector is not a direction")
-        if g != 1:
-            raise ValueError(f"entries {self.entries!r} are not coprime")
-        first = next(v for v in self.entries if v != 0)
-        if first < 0:
-            raise ValueError(f"canonical sign requires a positive first nonzero entry: {self.entries!r}")
+        if _canonical_entries(self.entries) != self.entries:
+            raise ValueError(f"{self.entries!r} is not coprime with a positive first entry")
 
     @classmethod
     def from_vector(cls, entries: Iterable[int]) -> "LambdaVector":

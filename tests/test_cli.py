@@ -177,6 +177,8 @@ class TestCommands:
         assert main(["search", "--verify-encoding", "200", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "0 discrepancies" in out
+        assert main(["search", "--verify-encoding", "0"]) == 0
+        assert capsys.readouterr().out == "checked 0 cases (0 solutions), 0 discrepancies\n"
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["encode", "xy yx"]) == 2
@@ -344,6 +346,13 @@ class TestRejectedInput:
             ["xy = yx", "--verify-encoding", "3"],
             ["--verify-encoding", "3", "--verify-bounds"],
             ["--verify-encoding", "3", "--csv", "<csv>"],
+            ["--verify-encoding", "3", "--max-len", "99", "--alphabet", "7", "--no-erasing"],
+            ["--verify-encoding", "3", "--alphabet", "7"],
+            ["--verify-encoding", "3", "--no-erasing"],
+            ["xy = yx", "--seed", "5", "--max-len", "2"],
+            ["xy = yx", "--seed", "0"],
+            [PAIR_TEXT, "--verify-bounds", "--seed", "5"],
+            ["xy = yx", "--verify-encoding", "0", "--max-len", "2"],
         ],
     )
     def test_search_modes_that_ignore_an_input_exit_2(self, capsys, tmp_path, argv):

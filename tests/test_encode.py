@@ -6,7 +6,6 @@ from weq import (
     Binomial,
     EqSystem,
     MultiPoly,
-    UniPoly,
     Word,
     balanced_residual,
     check_solution_poly,
@@ -80,7 +79,7 @@ class TestSVector:
 
     def test_eval_of_zero_vector(self):
         E = eq("xy", "xy")
-        assert s_vector_eval(E, (3, 5)) == (UniPoly.zero(), UniPoly.zero())
+        assert s_vector_eval(E, (3, 5)) == (MultiPoly.zero(1), MultiPoly.zero(1))
 
     def test_zero_only_for_trivial(self, rng):
         for _ in range(200):
@@ -106,19 +105,19 @@ class TestPVector:
     def test_conjugacy_digits(self):
         h = morph("ab", "ba", "aba")
         assert p_vector(h) == (
-            UniPoly({0: 1, 1: 2}),
-            UniPoly({0: 2, 1: 1}),
-            UniPoly({0: 1, 1: 2, 2: 1}),
+            MultiPoly(1, {(0,): 1, (1,): 2}),
+            MultiPoly(1, {(0,): 2, (1,): 1}),
+            MultiPoly(1, {(0,): 1, (1,): 2, (2,): 1}),
         )
 
     def test_all_empty(self):
         h = Word(()), Word(())
         from weq import Morphism
 
-        assert p_vector(Morphism(h, 1)) == (UniPoly.zero(), UniPoly.zero())
+        assert p_vector(Morphism(h, 1)) == (MultiPoly.zero(1), MultiPoly.zero(1))
 
     def test_single_letters_are_constants(self):
-        assert p_vector(morph("a", "b")) == (UniPoly.constant(1), UniPoly.constant(2))
+        assert p_vector(morph("a", "b")) == (MultiPoly.constant(1, 1), MultiPoly.constant(1, 2))
 
 
 class TestCheckSolutionPoly:

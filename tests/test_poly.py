@@ -6,7 +6,6 @@ from weq import (
     Binomial,
     LambdaVector,
     MultiPoly,
-    UniPoly,
     Word,
     binomial_factors,
     divide_by_binomial,
@@ -204,17 +203,17 @@ class TestEvaluate:
             alpha = tuple(rng.randint(0, 5) for _ in range(n))
             gamma = tuple(rng.randint(0, 5) for _ in range(n))
             got = MultiPoly.monomial(n, alpha).evaluate(gamma)
-            want = UniPoly.monomial(1, sum(a * g for a, g in zip(alpha, gamma)))
+            want = MultiPoly.monomial(1, (sum(a * g for a, g in zip(alpha, gamma)),))
             assert got == want
 
     def test_line_substitution(self):
         p = P(3, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): -1, (1, 1, 1): -1})
-        assert p.evaluate((1, 1, 1)) == UniPoly({0: 1, 2: 1, 1: -1, 3: -1})
+        assert p.evaluate((1, 1, 1)) == P(1, {(0,): 1, (2,): 1, (1,): -1, (3,): -1})
 
     def test_zero_vector_sums_coefficients(self, rng):
         p = random_poly(rng, 3)
         total = sum(p.terms.values())
-        assert p.evaluate((0, 0, 0)) == UniPoly.constant(total)
+        assert p.evaluate((0, 0, 0)) == MultiPoly.constant(1, total)
 
     def test_homomorphism(self, rng):
         for _ in range(100):
@@ -227,13 +226,13 @@ class TestEvaluate:
 
 class TestWordPoly:
     def test_two_letters(self):
-        assert word_poly(Word.from_letters("ab")) == UniPoly({0: 1, 1: 2})
+        assert word_poly(Word.from_letters("ab")) == P(1, {(0,): 1, (1,): 2})
 
     def test_empty_word(self):
-        assert word_poly(Word(())) == UniPoly.zero()
+        assert word_poly(Word(())) == MultiPoly.zero(1)
 
     def test_three_letters(self):
-        assert word_poly(Word.from_letters("aba")) == UniPoly({0: 1, 1: 2, 2: 1})
+        assert word_poly(Word.from_letters("aba")) == P(1, {(0,): 1, (1,): 2, (2,): 1})
 
     def test_length_recoverable(self, rng):
         for _ in range(50):
@@ -303,7 +302,7 @@ class TestEvaluationIdentities:
                 d = -d
             p = MultiPoly.monomial(n, alpha) - MultiPoly.monomial(n, beta)
             bg = sum(b * g for b, g in zip(beta, gamma))
-            want = UniPoly.monomial(1, bg) * (UniPoly.monomial(1, d) - UniPoly.constant(1))
+            want = MultiPoly.monomial(1, (bg,)) * (MultiPoly.monomial(1, (d,)) - MultiPoly.one(1))
             assert p.evaluate(gamma) == want
 
     def test_vanishing_iff_orthogonal(self, rng):
@@ -694,7 +693,3 @@ class TestFormatting:
         assert str(MultiPoly.zero(2)) == "0"
         assert str(MultiPoly.constant(2, -7)) == "-7"
         assert format_poly(P(2, {(1, 1): -2, (0, 0): 1})) == "-2*X*Y + 1"
-
-    def test_unipoly_ascending(self):
-        assert str(UniPoly({0: 1, 1: 2, 3: -1})) == "1 + 2*x - x^3"
-        assert str(UniPoly.zero()) == "0"

@@ -310,8 +310,9 @@ class TestLambdaVector:
             LambdaVector.from_vector((0, 0))
 
     def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            LambdaVector((2, 4))
+        for entries in ((2, 4), (-1, 2)):
+            with pytest.raises(ValueError):
+                LambdaVector(entries)
 
     def test_normalization(self):
         assert LambdaVector.from_vector((0, -2, 4)).entries == (0, 1, -2)
