@@ -30,7 +30,6 @@ from .encode import (
     t_det,
 )
 from .poly import (
-    Binomial,
     BinomialFactorization,
     MultiPoly,
     binomial_factors,
@@ -38,6 +37,7 @@ from .poly import (
     format_poly,
     minimal_monomials,
     poly_var_names,
+    pure_difference,
     word_poly,
 )
 from .principal import PrincipalDecomposition, is_trivial, principal_decompose
@@ -55,7 +55,6 @@ from .search import (
 )
 from .textio import (
     ParseError,
-    parse_equation,
     parse_morphism,
     parse_poly,
     parse_system,

@@ -16,13 +16,13 @@ from typing import Sequence
 
 from .encode import DetGrid, _det_grid, is_balanced, s_vector, t_det
 from .poly import (
-    Binomial,
     BinomialFactorization,
     MultiPoly,
     binomial_factors,
     divide_by_binomial,
     format_poly,
     minimal_monomials,
+    pure_difference,
 )
 from .words import EqSystem, Equation, InternalError, LambdaVector, unknown_names
 
@@ -62,12 +62,8 @@ class HyperplaneReport:
 
 
 def _erasing_note(lam: LambdaVector, names: Sequence[str]) -> str:
-    support = [i for i, v in enumerate(lam.entries) if v]
-    if len(support) == 1 and lam.entries[support[0]] == 1:
-        nm = names[support[0]]
-        return f"factor {Binomial(lam)}: only erasing solutions with |h({nm})| = 0"
-    emptied = ", ".join(f"|h({names[i]})| = 0" for i in support)
-    return f"factor {Binomial(lam)}: only erasing solutions with {emptied}"
+    emptied = ", ".join(f"|h({nm})| = 0" for nm, v in zip(names, lam.entries) if v)
+    return f"factor {format_poly(pure_difference(lam))}: only erasing solutions with {emptied}"
 
 
 def solution_hyperplanes(
@@ -83,16 +79,12 @@ def _hyperplanes(grid: DetGrid, names: Sequence[str]) -> HyperplaneReport:
     pair = next((pair for pair, det in grid.items() if det), None)
     if pair is None:
         return HyperplaneReport(STATUS_ALL_ZERO, None, (), (), ())
-    primary = PairDeterminant(pair, grid[pair], binomial_factors(grid[pair]))
-    hyperplanes = []
-    notes = []
-    for b, _mult in primary.factorization.factors:
-        if b.lam.is_erasing_constraint():
-            notes.append(_erasing_note(b.lam, names))
-        else:
-            hyperplanes.append(b.lam)
+    fac = binomial_factors(grid[pair])
+    hyperplanes = fac.hyperplane_factors()
     constraints = tuple(lam.constraint_text(names) for lam in hyperplanes)
-    return HyperplaneReport(STATUS_OK, primary, tuple(hyperplanes), constraints, tuple(notes))
+    notes = tuple(_erasing_note(lam, names) for lam, _ in fac.factors if lam.is_erasing_constraint())
+    primary = PairDeterminant(pair, grid[pair], fac)
+    return HyperplaneReport(STATUS_OK, primary, hyperplanes, constraints, notes)
 
 
 @dataclass(frozen=True)
@@ -178,8 +170,7 @@ def _cofactor(grid: DetGrid) -> MultiPoly:
     for det, i in dets:
         if not det:
             continue
-        unit = LambdaVector(tuple(1 if j == i else 0 for j in range(3)))
-        q = divide_by_binomial(det, Binomial(unit))
+        q = divide_by_binomial(det, LambdaVector(tuple(1 if j == i else 0 for j in range(3))))
         if q is None:
             raise InternalError("determinant of balanced pair not divisible by X_i - 1")
         quotients.append(q)

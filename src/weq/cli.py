@@ -16,7 +16,7 @@ import sys
 
 from . import analysis, search
 from .encode import _det_grid, balanced_residual, check_solution_poly, is_balanced, s_vector
-from .poly import Binomial, MultiPoly, binomial_factors, format_poly
+from .poly import MultiPoly, binomial_factors, format_poly, pure_difference
 from .principal import principal_decompose
 from .textio import (
     ParseError,
@@ -58,7 +58,8 @@ def _factorization_text(fac: dict) -> str:
         parts.append(format_poly(MultiPoly.monomial(len(fac["content"]), fac["content"])))
     for f in fac["factors"]:
         m = f["multiplicity"]
-        parts.append(f"({Binomial(LambdaVector(tuple(f['lambda'])))})" + (f"^{m}" if m > 1 else ""))
+        factor = format_poly(pure_difference(LambdaVector(tuple(f["lambda"]))))
+        parts.append(f"({factor})" + (f"^{m}" if m > 1 else ""))
     residual = fac["residual"]
     if residual != "1":
         # format_poly separates terms by spaces and puts none inside a term
@@ -259,10 +260,13 @@ def cmd_search(args):
 
     catalog = search.enumerate_solutions(system, cfg)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("length_type,rank,class\n")
-            for lt, r, cid in catalog.csv_rows():
-                fh.write(f"{lt},{r},{cid}\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write("length_type,rank,class\n")
+                for lt, r, cid in catalog.csv_rows():
+                    fh.write(f"{lt},{r},{cid}\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.csv}: {exc.strerror}") from None
 
     def render(p):
         yield f"solutions within budget: {p['solution_count']}"

@@ -251,28 +251,16 @@ def word_poly(w: Word) -> MultiPoly:
     return MultiPoly._from_terms(1, {(i,): s + 1 for i, s in enumerate(w)})
 
 
-@dataclass(frozen=True)
-class Binomial:
+def pure_difference(lam: LambdaVector) -> MultiPoly:
     """The pure difference ``X^(lam+) - X^(lam-)``.
 
     ``lam`` is coprime with disjoint positive/negative parts by
     construction, which makes the difference irreducible in Z[X].
     """
-
-    lam: LambdaVector
-
-    @property
-    def n(self) -> int:
-        return self.lam.n
-
-    def as_poly(self) -> MultiPoly:
-        return MultiPoly(self.n, {self.lam.plus: 1, self.lam.minus: -1})
-
-    def __str__(self) -> str:
-        return format_poly(self.as_poly())
+    return MultiPoly(lam.n, {lam.plus: 1, lam.minus: -1})
 
 
-def divide_by_binomial(p: MultiPoly, b: Binomial) -> MultiPoly | None:
+def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     """Exact quotient ``p / (X^(lam+) - X^(lam-))``, or None when the
     division leaves a remainder.
 
@@ -283,14 +271,14 @@ def divide_by_binomial(p: MultiPoly, b: Binomial) -> MultiPoly | None:
     ``k = 0..K``, the quotient holds ``X^(f + i*lam - lam-)`` for
     ``i = 0..K-1``, with the sum of the coefficients at ``k > i``.
     """
-    if p.n != b.n:
-        raise ValueError(f"variable count mismatch: {p.n} vs {b.n}")
-    lam = b.lam.entries
-    pos = [(i, l) for i, l in enumerate(lam) if l > 0]
+    if p.n != lam.n:
+        raise ValueError(f"variable count mismatch: {p.n} vs {lam.n}")
+    d, minus = lam.entries, lam.minus
+    pos = [(i, l) for i, l in enumerate(d) if l > 0]
     lines: dict[tuple[int, ...], dict[int, int]] = {}
     for e, c in p._terms.items():
         k = min(e[i] // l for i, l in pos)
-        nf = tuple(ei - k * li for ei, li in zip(e, lam)) if k else e
+        nf = tuple(ei - k * li for ei, li in zip(e, d)) if k else e
         line = lines.get(nf)
         if line is None:
             lines[nf] = {k: c}
@@ -298,7 +286,6 @@ def divide_by_binomial(p: MultiPoly, b: Binomial) -> MultiPoly | None:
             line[k] = c
     if any(sum(line.values()) for line in lines.values()):
         return None
-    minus = b.lam.minus
     quotient: dict[tuple[int, ...], int] = {}
     for nf, line in lines.items():
         base = tuple(fi - mi for fi, mi in zip(nf, minus))
@@ -306,7 +293,7 @@ def divide_by_binomial(p: MultiPoly, b: Binomial) -> MultiPoly | None:
         for k in range(max(line) - 1, min(line) - 1, -1):
             acc += line.get(k + 1, 0)
             if acc:
-                quotient[tuple(bi + k * li for bi, li in zip(base, lam))] = acc
+                quotient[tuple(bi + k * li for bi, li in zip(base, d))] = acc
     return MultiPoly._from_terms(p.n, quotient)
 
 
@@ -322,14 +309,14 @@ class BinomialFactorization:
     n: int
     sign: int
     content: tuple[int, ...]
-    factors: tuple[tuple[Binomial, int], ...]
+    factors: tuple[tuple[LambdaVector, int], ...]
     residual: MultiPoly
 
     def expand(self) -> MultiPoly:
         """Multiply the factorization back out."""
         out = MultiPoly.monomial(self.n, self.content, self.sign)
-        for b, mult in self.factors:
-            out = out * b.as_poly() ** mult
+        for lam, mult in self.factors:
+            out = out * pure_difference(lam) ** mult
         return out * self.residual
 
     def to_json(self) -> dict:
@@ -337,7 +324,7 @@ class BinomialFactorization:
             "sign": self.sign,
             "content": list(self.content),
             "factors": [
-                {"lambda": list(b.lam.entries), "multiplicity": m} for b, m in self.factors
+                {"lambda": list(lam.entries), "multiplicity": m} for lam, m in self.factors
             ],
             "residual": format_poly(self.residual),
         }
@@ -345,9 +332,7 @@ class BinomialFactorization:
     def hyperplane_factors(self) -> tuple[LambdaVector, ...]:
         """Directions of the factors whose positive and negative parts are
         both nonzero (the ones meeting the positive orthant)."""
-        return tuple(
-            b.lam for b, _ in self.factors if not b.lam.is_erasing_constraint()
-        )
+        return tuple(lam for lam, _ in self.factors if not lam.is_erasing_constraint())
 
 
 def _content(terms: Mapping[tuple[int, ...], int], n: int) -> tuple[int, ...]:
@@ -396,15 +381,15 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
         return sums
 
     first, last = line_sums(min(terms)), line_sums(max(terms))
-    factors: list[tuple[Binomial, int]] = []
+    factors: list[tuple[LambdaVector, int]] = []
     for d in sorted(d for d, total in first.items() if not total and last.get(d) == 0):
-        b = Binomial(LambdaVector(d))
+        lam = LambdaVector(d)
         mult = 0
-        while (q := divide_by_binomial(cur, b)) is not None:
+        while (q := divide_by_binomial(cur, lam)) is not None:
             mult += 1
             cur = q
         if mult:
-            factors.append((b, mult))
+            factors.append((lam, mult))
     sign = 1
     lead = max(cur._terms, key=_grlex_key)
     if cur._terms[lead] < 0:

@@ -36,6 +36,10 @@ from .words import (
 )
 
 
+# The largest search space, in candidate morphisms, that enumerate_solutions accepts.
+MAX_CANDIDATES = 100_000_000
+
+
 class SearchSpaceError(ValueError):
     """The configured enumeration would exceed the candidate budget."""
 
@@ -48,7 +52,6 @@ class SearchConfig:
     max_total_image_length: int
     alphabet_size: int = 2
     allow_erasing: bool = True
-    max_candidates: int = 100_000_000
 
     def __post_init__(self) -> None:
         if self.max_total_image_length < 0:
@@ -63,9 +66,6 @@ class SolutionClass:
 
     normal: LambdaVector
     members: tuple[Morphism, ...]
-
-    def is_erasing_class(self) -> bool:
-        return self.normal.is_erasing_constraint()
 
 
 @dataclass(frozen=True)
@@ -220,9 +220,9 @@ def enumerate_solutions(
     system = as_system(T)
     n = system.n
     size = search_space_size(n, cfg)
-    if size > cfg.max_candidates:
+    if size > MAX_CANDIDATES:
         raise SearchSpaceError(
-            f"search space of {size} morphisms exceeds the budget of {cfg.max_candidates}"
+            f"search space of {size} morphisms exceeds the budget of {MAX_CANDIDATES}"
         )
     sides = tuple((e.left.symbols, e.right.symbols) for e in system)
     lts = _feasible_length_types(system, cfg)
@@ -290,7 +290,7 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
     if breport.status != STATUS_OK:
         return BoundCheckReport("no-nonzero-determinant", True, bound_report=breport)
     catalog = enumerate_solutions(EqSystem((E, Ep)), cfg)
-    erasing = sum(1 for cls in catalog.classes if cls.is_erasing_class())
+    erasing = sum(1 for cls in catalog.classes if cls.normal.is_erasing_constraint())
     if erasing >= 2:
         return BoundCheckReport(
             "commutation-like", True, len(catalog.classes), erasing, breport

@@ -4,8 +4,9 @@ Equations: one per line, ``xyxz = zxyx``; unknowns are single lowercase
 letters, whitespace is ignored, ``#`` starts a comment. The unknown
 order is x, y, z first, then any other letters alphabetically.
 
-Morphisms: one binding per line, ``x = ab`` (``eps`` for the empty
-word); image letters a..z map to target letters 0..25.
+Morphisms: one binding per line, ``x = ab``; image letters a..z map to
+target letters 0..25. In both formats a side or image written ``eps`` is
+the empty word, so one spelled with the letters e, p, s reads as empty.
 
 Polynomials: canonical form as printed, e.g. ``X^4*Y - X^3*Y + 2``;
 variables are X, Y, Z, X4, X5, ... (X1, X2, X3 are accepted aliases).
@@ -44,6 +45,7 @@ def parse_system(text: str) -> tuple[EqSystem, list[str]]:
         if line.count("=") != 1:
             raise ParseError(f"expected exactly one '=' in {line!r}")
         l, r = ("".join(part.split()) for part in line.split("="))
+        l, r = ("" if side == "eps" else side for side in (l, r))
         for ch in l + r:
             if not ("a" <= ch <= "z"):
                 raise ParseError(f"unknowns must be lowercase letters, got {ch!r}")
@@ -61,13 +63,6 @@ def parse_system(text: str) -> tuple[EqSystem, list[str]]:
         for l, r in sides
     )
     return EqSystem(eqs), names
-
-
-def parse_equation(text: str) -> tuple[Equation, list[str]]:
-    system, names = parse_system(text)
-    if len(system) != 1:
-        raise ParseError(f"expected a single equation, found {len(system)}")
-    return system.equations[0], names
 
 
 def render_equation(E: Equation, names: Sequence[str]) -> str:
@@ -126,6 +121,8 @@ def _var_index(letter: str, digits: str) -> int:
 
 def parse_poly(text: str, n: int | None = None) -> MultiPoly:
     """Parse the canonical polynomial text form back into a polynomial."""
+    if m := re.search(r"\*(?!\s*[A-Z])", text):
+        raise ParseError(f"expected a variable after '*' at position {m.start()} in {text!r}")
     s = text
     i, L = 0, len(s)
 

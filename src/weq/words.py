@@ -195,8 +195,6 @@ class Morphism:
             out.extend(self.images[s].symbols)
         return Word(tuple(out))
 
-    __call__ = apply
-
     def length_type(self) -> tuple[int, ...]:
         """Vector of image lengths."""
         return tuple(len(im) for im in self.images)

@@ -1,14 +1,19 @@
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import weq
 
 from weq import (
+    Equation,
+    Morphism,
     Word,
     format_poly,
     parse_morphism,
@@ -24,6 +29,7 @@ from conftest import morph
 
 
 PAIR_TEXT = "xyxz = zxyx\nxyxxz = zxxyx\n"
+UNKNOWN_NAMES = st.lists(st.sampled_from(string.ascii_lowercase), min_size=1, max_size=5, unique=True)
 
 
 class TestTextRoundTrips:
@@ -51,6 +57,36 @@ class TestTextRoundTrips:
         h = parse_morphism("x = eps\ny = a", ["x", "y"])
         assert h.images == (Word(()), Word((0,)))
         assert "eps" in render_morphism(h, ["x", "y"])
+
+    @given(st.data())
+    def test_equation_render_parse_render(self, data):
+        """Parsing a rendered system gives back its sides, so rendering
+        again reproduces the text."""
+        names = data.draw(UNKNOWN_NAMES)
+        n = len(names)
+        words = st.lists(st.integers(0, n - 1), max_size=5).map(lambda s: Word(tuple(s)))
+        sides = data.draw(st.lists(st.tuples(words, words), min_size=1, max_size=3))
+        spell = lambda w, nms: "".join(nms[c] for c in w)
+        # a nonempty side spelled e, p, s is indistinguishable from eps
+        assume(all(spell(w, names) != "eps" for pair in sides for w in pair))
+        text = "\n".join(render_equation(Equation(u, v, n), names) for u, v in sides)
+        system, parsed = parse_system(text)
+        assert [(spell(E.left, parsed), spell(E.right, parsed)) for E in system] == [
+            (spell(u, names), spell(v, names)) for u, v in sides
+        ]
+
+    @given(st.data())
+    def test_morphism_render_parse_render(self, data):
+        """Parsing a rendered morphism gives it back, so rendering again
+        reproduces the text."""
+        names = data.draw(UNKNOWN_NAMES)
+        words = st.lists(st.integers(0, 25), max_size=5).map(lambda s: Word(tuple(s)))
+        images = data.draw(st.lists(words, min_size=len(names), max_size=len(names)))
+        # a nonempty image spelled e, p, s is indistinguishable from eps
+        assume(all(str(w) != "eps" for w in images))
+        h = Morphism(tuple(images), 1 + max((c for w in images for c in w), default=-1))
+        text = render_morphism(h, names)
+        assert parse_morphism(text, names) == h
 
     def test_morphism_missing_binding(self):
         with pytest.raises(ParseError):
@@ -83,7 +119,7 @@ class TestTextRoundTrips:
             assert parse_poly(format_poly(p), n) == p
 
     def test_poly_rejects_garbage(self):
-        for bad in ("X +", "* X", "X^", "q", "2 ** X"):
+        for bad in ("X +", "* X", "X^", "q", "2 ** X", "X*+Y", "2*-X", "X^2 - 1*", "2*", "X*"):
             with pytest.raises(ParseError):
                 parse_poly(bad)
 
@@ -338,6 +374,16 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "name, reason", [("", "Is a directory"), ("missing/out.csv", "No such file or directory")]
+    )
+    def test_unwritable_csv_exits_2(self, capsys, tmp_path, name, reason):
+        path = tmp_path / name
+        assert main(["search", "xy = yx", "--max-len", "2", "--csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {reason}\n"
 
     @pytest.mark.parametrize(
         "argv",

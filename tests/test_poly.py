@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weq import (
-    Binomial,
     LambdaVector,
     MultiPoly,
     Word,
@@ -11,6 +10,7 @@ from weq import (
     divide_by_binomial,
     format_poly,
     minimal_monomials,
+    pure_difference,
     word_poly,
 )
 from weq.encode import _det_grid, s_vector
@@ -30,10 +30,10 @@ def P(n, terms):
 # restarting the scan after each factor found.
 
 
-def reference_divide(p: MultiPoly, b: Binomial) -> MultiPoly | None:
+def reference_divide(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     """Quotient by rewriting every monomial to its normal form, or None
     when the remainder (the sum of the normal forms) is nonzero."""
-    lam, plus = b.lam.entries, b.lam.plus
+    plus, lam = lam.plus, lam.entries
     pos = [(i, l) for i, l in enumerate(lam) if l > 0]
     quotient: dict[tuple[int, ...], int] = {}
     remainder: dict[tuple[int, ...], int] = {}
@@ -69,7 +69,7 @@ def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
             for e2 in support[i + 1 :]
         }
         for lam in sorted(cands, key=lambda lv: lv.entries):
-            while (q := reference_divide(cur, Binomial(lam))) is not None:
+            while (q := reference_divide(cur, lam)) is not None:
                 factors[lam] = factors.get(lam, 0) + 1
                 cur = q
                 progressed = True
@@ -83,7 +83,7 @@ def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
         n,
         sign,
         content,
-        tuple((Binomial(lam), m) for lam, m in sorted(factors.items(), key=lambda kv: kv[0].entries)),
+        tuple(sorted(factors.items(), key=lambda kv: kv[0].entries)),
         cur * sign,
     )
 
@@ -134,7 +134,7 @@ def binomial_products(draw):
         )
     )
     for vec, mult in factors:
-        p = p * Binomial(LambdaVector.from_vector(vec)).as_poly() ** mult
+        p = p * pure_difference(LambdaVector.from_vector(vec)) ** mult
     return p * draw(sparse_polys(n))
 
 
@@ -243,49 +243,47 @@ class TestWordPoly:
 class TestDivision:
     def test_difference_of_squares(self):
         p = P(2, {(2, 0): 1, (0, 2): -1})
-        q = divide_by_binomial(p, Binomial(LambdaVector((1, -1))))
+        q = divide_by_binomial(p, LambdaVector((1, -1)))
         assert q == P(2, {(1, 0): 1, (0, 1): 1})
 
     def test_worked_example_quotient(self):
         p = P(3, {(4, 1, 0): 1, (3, 1, 0): -1, (2, 0, 1): -1, (1, 0, 1): 1})
-        q = divide_by_binomial(p, Binomial(LambdaVector((2, 1, -1))))
+        q = divide_by_binomial(p, LambdaVector((2, 1, -1)))
         assert q == P(3, {(2, 0, 0): 1, (1, 0, 0): -1})
 
     def test_not_divisible(self):
         p = P(3, {(2, 1, 0): 1, (0, 0, 0): -1})
-        assert divide_by_binomial(p, Binomial(LambdaVector((2, 1, -1)))) is None
+        assert divide_by_binomial(p, LambdaVector((2, 1, -1))) is None
 
     def test_exactness_fuzz(self, rng):
         for _ in range(200):
             n = rng.randint(2, 4)
             lam = random_mixed_lambda(rng, n)
-            b = Binomial(lam)
             q = random_poly(rng, n)
-            p = b.as_poly() * q
-            got = divide_by_binomial(p, b)
+            p = pure_difference(lam) * q
+            got = divide_by_binomial(p, lam)
             if p:
-                assert got is not None and got * b.as_poly() == p
+                assert got is not None and got * pure_difference(lam) == p
             # a remainder-free division of a perturbed polynomial must
             # still multiply back exactly
             p2 = p + MultiPoly.monomial(n, tuple(rng.randint(0, 3) for _ in range(n)))
-            got2 = divide_by_binomial(p2, b)
+            got2 = divide_by_binomial(p2, lam)
             if got2 is not None:
-                assert got2 * b.as_poly() == p2
+                assert got2 * pure_difference(lam) == p2
 
     @given(st.data())
     def test_line_sum_verdict_matches_remainder(self, data):
         n = data.draw(st.integers(1, 4))
-        b = Binomial(LambdaVector.from_vector(data.draw(directions(n))))
+        lam = LambdaVector.from_vector(data.draw(directions(n)))
         p = data.draw(sparse_polys(n, max_terms=6, max_exp=5))
         if data.draw(st.booleans()):
-            p = p * b.as_poly()
+            p = p * pure_difference(lam)
         if data.draw(st.booleans()):
             p = p + data.draw(sparse_polys(n, max_terms=1, max_exp=5))
-        assert divide_by_binomial(p, b) == reference_divide(p, b)
+        assert divide_by_binomial(p, lam) == reference_divide(p, lam)
 
     def test_divide_zero(self):
-        b = Binomial(LambdaVector((1, -1)))
-        assert divide_by_binomial(MultiPoly.zero(2), b) == MultiPoly.zero(2)
+        assert divide_by_binomial(MultiPoly.zero(2), LambdaVector((1, -1))) == MultiPoly.zero(2)
 
 
 class TestEvaluationIdentities:
@@ -342,7 +340,6 @@ class TestDivisibilityVsVanishing:
             n = rng.randint(2, 4)
             lam = random_mixed_lambda(rng, n)
             basis = nonneg_kernel_basis(lam)
-            b = Binomial(lam)
             mu = tuple(rng.randint(0, 2) for _ in range(n))
             m = rng.randint(1, 3)
             if rng.random() < 0.5:
@@ -353,14 +350,13 @@ class TestDivisibilityVsVanishing:
                 beta = tuple(rng.randint(0, 5) for _ in range(n))
             p = MultiPoly.monomial(n, alpha) - MultiPoly.monomial(n, beta)
             vanishes = all(not p.evaluate(g) for g in basis)
-            divisible = divide_by_binomial(p, b) is not None if p else True
+            divisible = divide_by_binomial(p, lam) is not None if p else True
             assert vanishes == divisible
 
     def test_general_polynomials(self, rng):
         for _ in range(100):
             n = rng.randint(2, 4)
             lam = random_mixed_lambda(rng, n)
-            b = Binomial(lam)
             basis = nonneg_kernel_basis(lam)
             pos = positive_kernel_point(lam)
             samples = list(basis) + [pos]
@@ -372,7 +368,7 @@ class TestDivisibilityVsVanishing:
             p = random_poly(rng, n)
             if not p:
                 continue
-            if divide_by_binomial(p, b) is not None:
+            if divide_by_binomial(p, lam) is not None:
                 assert all(not p.evaluate(g) for g in samples)
             else:
                 # seeded: some sampled hyperplane point must witness it
@@ -385,7 +381,7 @@ class TestBinomialFactors:
         fac = binomial_factors(p)
         assert fac.sign == 1
         assert fac.content == (1, 0, 0)
-        assert [(b.lam.entries, m) for b, m in fac.factors] == [
+        assert [(lam.entries, m) for lam, m in fac.factors] == [
             ((1, 0, 0), 1),
             ((2, 1, -1), 1),
         ]
@@ -395,7 +391,7 @@ class TestBinomialFactors:
     def test_difference_of_squares_residual(self):
         p = P(2, {(2, 0): 1, (0, 2): -1})
         fac = binomial_factors(p)
-        assert [(b.lam.entries, m) for b, m in fac.factors] == [((1, -1), 1)]
+        assert [(lam.entries, m) for lam, m in fac.factors] == [((1, -1), 1)]
         assert fac.residual == P(2, {(1, 0): 1, (0, 1): 1})
 
     def test_pure_monomial(self):
@@ -408,14 +404,14 @@ class TestBinomialFactors:
     def test_negative_unit(self):
         fac = binomial_factors(P(1, {(0,): 1, (1,): -1}))  # 1 - X = -(X - 1)
         assert fac.sign == -1
-        assert [(b.lam.entries, m) for b, m in fac.factors] == [((1,), 1)]
+        assert [(lam.entries, m) for lam, m in fac.factors] == [((1,), 1)]
         assert fac.residual == MultiPoly.one(1)
 
     def test_multiplicity(self):
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
         p = (x - y) * (x - y) * (x + y)
         fac = binomial_factors(p)
-        assert [(b.lam.entries, m) for b, m in fac.factors] == [((1, -1), 2)]
+        assert [(lam.entries, m) for lam, m in fac.factors] == [((1, -1), 2)]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -454,7 +450,7 @@ class TestBinomialFactors:
         fac = binomial_factors(p)
         assert fac == reference_binomial_factors(p)
         assert fac.sign == sign
-        assert [(b.lam.entries, m) for b, m in fac.factors] == factors
+        assert [(lam.entries, m) for lam, m in fac.factors] == factors
 
     @given(binomial_products())
     def test_matches_reference_on_binomial_products(self, p):
@@ -474,7 +470,7 @@ class TestBinomialFactors:
         x, y, z = (MultiPoly.variable(3, i) for i in range(3))
         p = (x * x - y) ** 2 * (x * y - z) * (x + y + z + 1)
         fac = binomial_factors(p)
-        assert [(b.lam.entries, m) for b, m in fac.factors] == [((1, 1, -1), 1), ((2, -1, 0), 2)]
+        assert [(lam.entries, m) for lam, m in fac.factors] == [((1, 1, -1), 1), ((2, -1, 0), 2)]
         m = len(p.terms)
         assert 0 < len(calls) <= 2 * (m - 1) < m * (m - 1) // 2
 
@@ -508,7 +504,7 @@ class TestBinomialFactors:
                     lams.append(lam)
             p = MultiPoly.monomial(n, tuple(rng.randint(0, 2) for _ in range(n)))
             for lam in lams:
-                p = p * Binomial(lam).as_poly()
+                p = p * pure_difference(lam)
             sparse = MultiPoly(
                 n,
                 {
@@ -521,10 +517,10 @@ class TestBinomialFactors:
             p = p * sparse
             fac = binomial_factors(p)
             assert fac.expand() == p
-            for b, _m in fac.factors:
+            for lam, _m in fac.factors:
                 # canonical direction vectors are coprime with split parts
-                LambdaVector(b.lam.entries)
-                assert sum(x * y for x, y in zip(b.lam.plus, b.lam.minus)) == 0
+                LambdaVector(lam.entries)
+                assert sum(x * y for x, y in zip(lam.plus, lam.minus)) == 0
 
 
 def assert_matches_sympy(sympy, p: MultiPoly, fac: BinomialFactorization) -> None:
@@ -545,7 +541,7 @@ def assert_matches_sympy(sympy, p: MultiPoly, fac: BinomialFactorization) -> Non
         return sympy.expand(expr)
 
     coeff, sfactors = sympy.factor_list(to_sympy(p))
-    mine = {b.lam.entries: m for b, m in fac.factors}
+    mine = {lam.entries: m for lam, m in fac.factors}
     theirs = {}
     content = [0] * n
     flips = 0
@@ -599,7 +595,7 @@ class TestAgainstGeneralFactorizer:
             for _ in range(rng.randint(1, 3)):
                 vec = [rng.randint(-2, 2) for _ in range(n)]
                 if any(vec):
-                    p = p * Binomial(LambdaVector.from_vector(vec)).as_poly()
+                    p = p * pure_difference(LambdaVector.from_vector(vec))
             sparse = MultiPoly(
                 n,
                 {
@@ -669,7 +665,7 @@ class TestLowerBound:
                     lams.append(lam)
             p = MultiPoly.one(n)
             for lam in lams:
-                p = p * Binomial(lam).as_poly()
+                p = p * pure_difference(lam)
             sparse = MultiPoly(
                 n,
                 {

@@ -140,7 +140,7 @@ class TestEnumeration:
 
     def test_space_guard(self):
         with pytest.raises(SearchSpaceError):
-            enumerate_solutions(CONJ, SearchConfig(30, 3, max_candidates=10**6))
+            enumerate_solutions(CONJ, SearchConfig(30, 3))
 
     def test_space_size_matches_enumeration(self):
         cfg = SearchConfig(5, 2)
@@ -315,7 +315,7 @@ class TestErasingStructure:
                 continue
             catalog = enumerate_solutions(EqSystem((E,)), SearchConfig(6, 2))
             for cls in catalog.classes:
-                if not cls.is_erasing_class():
+                if not cls.normal.is_erasing_constraint():
                     continue
                 seen += 1
                 assert sum(cls.normal.entries) == 1  # unit vector
