@@ -38,6 +38,7 @@ from .poly import (
     minimal_monomials,
     poly_var_names,
     pure_difference,
+    pure_difference_divisors,
     word_poly,
 )
 from .principal import PrincipalDecomposition, is_trivial, principal_decompose

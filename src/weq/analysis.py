@@ -23,6 +23,7 @@ from .poly import (
     format_poly,
     minimal_monomials,
     pure_difference,
+    pure_difference_divisors,
 )
 from .words import EqSystem, Equation, InternalError, LambdaVector, unknown_names
 
@@ -189,14 +190,15 @@ def minimal_count_bounds(
 
     Returns ``(count, upper, lower)`` where ``upper`` is twice the
     occurrence count of the pair in ``E`` and ``lower`` is one more than
-    the number of distinct mixed-sign pure-difference factors.
+    the number of distinct mixed-sign pure-difference divisors, found by
+    the line-sum test alone.
     """
     det = t_det(E, Ep, j, k)
     if not det:
         raise ValueError(f"determinant for pair ({j}, {k}) is zero")
     count = len(minimal_monomials(det))
     upper = 2 * (E.occurrences(j) + E.occurrences(k))
-    lower = len(binomial_factors(det).hyperplane_factors()) + 1
+    lower = 1 + sum(not lam.is_erasing_constraint() for lam in pure_difference_divisors(det))
     if not lower <= count <= upper:
         raise InternalError(
             f"minimal-monomial count {count} outside [{lower}, {upper}] "

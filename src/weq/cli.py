@@ -258,10 +258,13 @@ def cmd_search(args):
 
         return 0 if report.ok else 1, payload, render
 
-    catalog = search.enumerate_solutions(system, cfg)
-    if args.csv:
+    if not args.csv:
+        catalog = search.enumerate_solutions(system, cfg)
+    else:
+        # Open the file first, so that an unwritable path fails before the search.
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
+                catalog = search.enumerate_solutions(system, cfg)
                 fh.write("length_type,rank,class\n")
                 for lt, r, cid in catalog.csv_rows():
                     fh.write(f"{lt},{r},{cid}\n")

@@ -57,8 +57,21 @@ def s_vector(E: Equation) -> SVector:
 
 
 def s_vector_eval(E: Equation, beta: tuple[int, ...]) -> SVector:
-    """The coefficient vector specialized at a length type."""
-    return tuple(p.evaluate(beta) for p in s_vector(E))
+    """The coefficient vector specialized at a length type, in one scan:
+    an occurrence adds ``sign * x^d`` to its unknown's entry, where ``d``
+    is the length under ``beta`` of the prefix before it."""
+    beta = tuple(beta)
+    if len(beta) != E.n:
+        raise ValueError(f"expected {E.n} exponents, got {len(beta)}")
+    if any(b < 0 for b in beta):
+        raise ValueError("substitution exponents must be non-negative")
+    acc: list[dict[tuple[int], int]] = [{} for _ in range(E.n)]
+    for side, sign in ((E.left, 1), (E.right, -1)):
+        d = 0
+        for sym in side:
+            acc[sym][(d,)] = acc[sym].get((d,), 0) + sign
+            d += beta[sym]
+    return tuple(MultiPoly(1, terms) for terms in acc)
 
 
 def p_vector(h: Morphism) -> SVector:
@@ -72,10 +85,9 @@ def check_solution_poly(E: Equation, h: Morphism) -> bool:
     polynomials of ``h`` must vanish in Z[x]."""
     if h.domain_size != E.n:
         raise ValueError(f"morphism has {h.domain_size} images, equation has {E.n} unknowns")
-    beta = h.length_type()
     total = MultiPoly.zero(1)
-    for s, im in zip(s_vector(E), h.images):
-        total = total + s.evaluate(beta) * word_poly(im)
+    for s, im in zip(s_vector_eval(E, h.length_type()), h.images):
+        total = total + s * word_poly(im)
     return not total
 
 

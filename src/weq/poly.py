@@ -10,8 +10,9 @@ operations this module provides:
 * the digit polynomial of a word over a positive-integer alphabet,
 * exact division by a pure difference ``X^(lam+) - X^(lam-)`` with
   coprime ``lam`` (every such difference is irreducible),
-* complete extraction of the monomial content and of all irreducible
-  pure-difference divisors with multiplicities,
+* the directions of all irreducible pure-difference divisors, and the
+  complete extraction of the monomial content and of those divisors
+  with multiplicities,
 * the minimal monomials of the support under the componentwise order.
 
 Division uses the single rewriting rule ``X^(lam+) -> X^(lam-)``. Each
@@ -37,13 +38,19 @@ Factor extraction rests on three consequences of that line-sum rule:
   candidates that divides out each direction while it divides finds
   every factor with its multiplicity.
 * **Test before dividing.** The line sums decide divisibility in one
-  pass over the terms, so a quotient is built only for a divisor.
+  pass over the terms. The divisor directions come from this test
+  alone: the lines and the anchor differences do not change when the
+  polynomial is shifted by a monomial, and distinct irreducible pure
+  differences are coprime to each other and to every monomial, so a
+  direction divides the input exactly when it divides its quotient by
+  the content and the other factors. Only ``binomial_factors`` builds
+  quotients, and only for a divisor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, le, mul
 from typing import Mapping, Sequence
 
 from .words import InternalError, LambdaVector, Word, _canonical_entries
@@ -260,20 +267,15 @@ def pure_difference(lam: LambdaVector) -> MultiPoly:
     return MultiPoly(lam.n, {lam.plus: 1, lam.minus: -1})
 
 
-def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
-    """Exact quotient ``p / (X^(lam+) - X^(lam-))``, or None when the
-    division leaves a remainder.
-
-    The remainder vanishes exactly when the coefficients on every
-    lam-line of the support sum to zero (see the module docstring), so
-    that test runs first and a quotient is built only for a divisor.
-    On the line with normal form ``f`` and points ``f + k*lam`` for
-    ``k = 0..K``, the quotient holds ``X^(f + i*lam - lam-)`` for
-    ``i = 0..K-1``, with the sum of the coefficients at ``k > i``.
-    """
+def _lam_lines(p: MultiPoly, lam: LambdaVector) -> dict[tuple[int, ...], dict[int, int]] | None:
+    """The support of ``p`` grouped by lam-line, or None when the
+    coefficients on some line do not sum to zero, that is, when
+    ``X^(lam+) - X^(lam-)`` does not divide ``p`` (see the module
+    docstring). Each line is keyed by its normal form ``f`` and maps
+    ``k`` to the coefficient at ``f + k*lam``."""
     if p.n != lam.n:
         raise ValueError(f"variable count mismatch: {p.n} vs {lam.n}")
-    d, minus = lam.entries, lam.minus
+    d = lam.entries
     pos = [(i, l) for i, l in enumerate(d) if l > 0]
     lines: dict[tuple[int, ...], dict[int, int]] = {}
     for e, c in p._terms.items():
@@ -286,6 +288,22 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
             line[k] = c
     if any(sum(line.values()) for line in lines.values()):
         return None
+    return lines
+
+
+def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
+    """Exact quotient ``p / (X^(lam+) - X^(lam-))``, or None when the
+    division leaves a remainder.
+
+    The line-sum test runs first, so a quotient is built only for a
+    divisor. On the line with normal form ``f`` and points ``f + k*lam``
+    for ``k = 0..K``, the quotient holds ``X^(f + i*lam - lam-)`` for
+    ``i = 0..K-1``, with the sum of the coefficients at ``k > i``.
+    """
+    lines = _lam_lines(p, lam)
+    if lines is None:
+        return None
+    d, minus = lam.entries, lam.minus
     quotient: dict[tuple[int, ...], int] = {}
     for nf, line in lines.items():
         base = tuple(fi - mi for fi, mi in zip(nf, minus))
@@ -349,26 +367,12 @@ def _shift_down(p: MultiPoly, mu: tuple[int, ...]) -> MultiPoly:
     return MultiPoly._from_terms(p.n, shifted)
 
 
-def binomial_factors(p: MultiPoly) -> BinomialFactorization:
-    """Extract the monomial content and every irreducible pure-difference
-    divisor of ``p`` with multiplicities.
-
-    With the content removed, the candidates are the directions through
-    both the first and the last support monomial whose lines through
-    these two anchors have zero coefficient sum: a divisor's line through
-    an anchor holds a second support monomial, so the divisor is the
-    normalized difference of the two, and its line sums vanish. One sweep
-    over the candidates in order of ``entries`` divides out each while it
-    divides, since every pure-difference divisor of a quotient divides
-    ``p``. A quotient keeps zero content, as a monomial dividing it would
-    divide ``p``.
-    """
-    if not p:
-        raise ValueError("the zero polynomial has no factorization")
-    n = p.n
-    content = _content(p._terms, n)
-    cur = _shift_down(p, content)
-    terms = cur._terms
+def _anchor_candidates(terms: Mapping[tuple[int, ...], int]) -> list[LambdaVector]:
+    """The directions, in order of ``entries``, through both the first and
+    the last support monomial whose lines through these two anchors have
+    zero coefficient sum: a divisor's line through an anchor holds a
+    second support monomial, so the divisor is the normalized difference
+    of the two, and its line sums vanish."""
 
     def line_sums(anchor: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Coefficient sum of each line through ``anchor`` that holds a
@@ -381,9 +385,39 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
         return sums
 
     first, last = line_sums(min(terms)), line_sums(max(terms))
+    return [
+        LambdaVector(d)
+        for d in sorted(d for d, total in first.items() if not total and last.get(d) == 0)
+    ]
+
+
+def pure_difference_divisors(p: MultiPoly) -> tuple[LambdaVector, ...]:
+    """The directions of the distinct irreducible pure-difference divisors
+    of ``p`` in order of ``entries``, which are the factor directions of
+    :func:`binomial_factors`, found by the line-sum test alone with no
+    quotient (see the module docstring)."""
+    if not p:
+        raise ValueError("every pure difference divides the zero polynomial")
+    return tuple(lam for lam in _anchor_candidates(p._terms) if _lam_lines(p, lam) is not None)
+
+
+def binomial_factors(p: MultiPoly) -> BinomialFactorization:
+    """Extract the monomial content and every irreducible pure-difference
+    divisor of ``p`` with multiplicities.
+
+    One sweep over the anchor candidates of the content-free part, in
+    order of ``entries``, divides out each direction while it divides,
+    since every pure-difference divisor of a quotient divides ``p``. A
+    quotient keeps zero content, as a monomial dividing it would divide
+    ``p``.
+    """
+    if not p:
+        raise ValueError("the zero polynomial has no factorization")
+    n = p.n
+    content = _content(p._terms, n)
+    cur = _shift_down(p, content)
     factors: list[tuple[LambdaVector, int]] = []
-    for d in sorted(d for d, total in first.items() if not total and last.get(d) == 0):
-        lam = LambdaVector(d)
+    for lam in _anchor_candidates(cur._terms):
         mult = 0
         while (q := divide_by_binomial(cur, lam)) is not None:
             mult += 1
@@ -402,14 +436,17 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
 
 
 def minimal_monomials(p: MultiPoly) -> set[tuple[int, ...]]:
-    """Minimal elements of the support under the componentwise order."""
+    """Minimal elements of the support under the componentwise order.
+
+    One sweep in order of total degree: a monomial strictly below ``e``
+    has a smaller total degree and comes first, and every non-minimal
+    ``e`` lies above some minimal one, so ``e`` is kept exactly when no
+    monomial kept before it lies below it.
+    """
     if not p:
         raise ValueError("the zero polynomial has no minimal monomials")
-    supp = p.support()
-    out = set()
-    for e in supp:
-        if not any(
-            f != e and all(fi <= ei for fi, ei in zip(f, e)) for f in supp
-        ):
-            out.add(e)
-    return out
+    kept: list[tuple[int, ...]] = []
+    for e in sorted(p._terms, key=sum):
+        if not any(all(map(le, f, e)) for f in kept):
+            kept.append(e)
+    return set(kept)

@@ -13,6 +13,7 @@ import weq
 
 from weq import (
     Equation,
+    InternalError,
     Morphism,
     Word,
     format_poly,
@@ -378,8 +379,18 @@ class TestRejectedInput:
     @pytest.mark.parametrize(
         "name, reason", [("", "Is a directory"), ("missing/out.csv", "No such file or directory")]
     )
-    def test_unwritable_csv_exits_2(self, capsys, tmp_path, name, reason):
+    def test_unwritable_csv_exits_2(self, capsys, monkeypatch, tmp_path, name, reason):
         path = tmp_path / name
+        assert main(["search", "xy = yx", "--max-len", "2", "--csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+        def no_search(*args, **kwargs):
+            raise InternalError("the search ran before the path was checked")
+
+        # the path is opened before the search runs
+        monkeypatch.setattr(weq.search, "enumerate_solutions", no_search)
         assert main(["search", "xy = yx", "--max-len", "2", "--csv", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -80,6 +80,18 @@ class TestSVector:
         E = eq("xy", "xy")
         assert s_vector_eval(E, (3, 5)) == (MultiPoly.zero(1), MultiPoly.zero(1))
 
+    def test_eval_matches_substituted_vector(self, rng):
+        # the one-scan specialization against substituting into S(E)
+        for _ in range(300):
+            E = random_equation(rng, rng.randint(1, 4), 8)
+            beta = tuple(rng.randint(0, 3) for _ in range(E.n))
+            assert s_vector_eval(E, beta) == tuple(p.evaluate(beta) for p in s_vector(E))
+
+    @pytest.mark.parametrize("beta", [(1,), (1, 2, 3), (1, -1)])
+    def test_eval_rejects_bad_length_type(self, beta):
+        with pytest.raises(ValueError):
+            s_vector_eval(eq("xy", "yx"), beta)
+
     def test_zero_only_for_trivial(self, rng):
         for _ in range(200):
             E = random_equation(rng, rng.randint(1, 4), 8)

@@ -11,6 +11,7 @@ from weq import (
     format_poly,
     minimal_monomials,
     pure_difference,
+    pure_difference_divisors,
     word_poly,
 )
 from weq.encode import _det_grid, s_vector
@@ -86,6 +87,20 @@ def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
         tuple(sorted(factors.items(), key=lambda kv: kv[0].entries)),
         cur * sign,
     )
+
+
+def reference_minimal_monomials(p: MultiPoly) -> set[tuple[int, ...]]:
+    """Minimal monomials by comparing every pair of support monomials."""
+    supp = p.support()
+    return {
+        e
+        for e in supp
+        if not any(f != e and all(fi <= ei for fi, ei in zip(f, e)) for f in supp)
+    }
+
+
+def factor_directions(p: MultiPoly) -> tuple[LambdaVector, ...]:
+    return tuple(lam for lam, _ in binomial_factors(p).factors)
 
 
 def random_poly(rng, n, max_terms=5, max_exp=4, max_coeff=3):
@@ -473,6 +488,9 @@ class TestBinomialFactors:
         assert [(lam.entries, m) for lam, m in fac.factors] == [((1, 1, -1), 1), ((2, -1, 0), 2)]
         m = len(p.terms)
         assert 0 < len(calls) <= 2 * (m - 1) < m * (m - 1) // 2
+        calls.clear()
+        assert [lam.entries for lam in pure_difference_divisors(p)] == [(1, 1, -1), (2, -1, 0)]
+        assert 0 < len(calls) <= 2 * (m - 1)
 
     def test_matches_reference_on_solved_pair_determinants(self, rng):
         # 300 independent pairs (some nonzero determinant), alternating 3
@@ -491,6 +509,7 @@ class TestBinomialFactors:
         for det in dets:
             fac = binomial_factors(det)
             assert fac == reference_binomial_factors(det), det
+            assert pure_difference_divisors(det) == tuple(lam for lam, _ in fac.factors), det
             with_factors += bool(fac.factors)
         assert with_factors >= 300
 
@@ -521,6 +540,31 @@ class TestBinomialFactors:
                 # canonical direction vectors are coprime with split parts
                 LambdaVector(lam.entries)
                 assert sum(x * y for x, y in zip(lam.plus, lam.minus)) == 0
+
+
+class TestPureDifferenceDivisors:
+    @given(binomial_products(), st.integers(0, 3))
+    def test_match_factor_directions(self, p, shift):
+        # binomial_products() carries monomial content; shift it further
+        assert pure_difference_divisors(p) == factor_directions(p)
+        q = p * MultiPoly.monomial(p.n, (shift,) * p.n)
+        assert pure_difference_divisors(q) == factor_directions(q) == factor_directions(p)
+
+    def test_worked_determinant(self):
+        p = P(3, {(4, 1, 0): 1, (3, 1, 0): -1, (2, 0, 1): -1, (1, 0, 1): 1})
+        assert [lam.entries for lam in pure_difference_divisors(p)] == [(1, 0, 0), (2, 1, -1)]
+
+    def test_multiplicity_listed_once(self):
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p = x * (x - y) ** 3 * (x + y)
+        assert [lam.entries for lam in pure_difference_divisors(p)] == [(1, -1)]
+
+    def test_monomial_has_none(self):
+        assert pure_difference_divisors(P(2, {(2, 1): -3})) == ()
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            pure_difference_divisors(MultiPoly.zero(2))
 
 
 def assert_matches_sympy(sympy, p: MultiPoly, fac: BinomialFactorization) -> None:
@@ -641,15 +685,25 @@ class TestMinimalMonomials:
             p = random_poly(rng, 3, max_terms=8)
             if not p:
                 continue
-            supp = set(p.terms)
-            naive = {
-                e
-                for e in supp
-                if not any(
-                    f != e and all(fi <= ei for fi, ei in zip(f, e)) for f in supp
-                )
-            }
-            assert minimal_monomials(p) == naive
+            assert minimal_monomials(p) == reference_minimal_monomials(p)
+
+    @given(sparse_polys(3, max_terms=12, max_exp=3))
+    def test_matches_reference(self, p):
+        assert minimal_monomials(p) == reference_minimal_monomials(p)
+
+    @given(st.integers(1, 4), st.integers(0, 4), st.data())
+    def test_matches_reference_with_degree_ties(self, n, degree, data):
+        # a support spread over two total degrees, so that ties abound
+        exps = st.lists(st.integers(0, degree + 1), min_size=n, max_size=n).filter(
+            lambda e: sum(e) in (degree, degree + 1)
+        )
+        terms = data.draw(st.dictionaries(exps.map(tuple), st.sampled_from((-1, 1)), min_size=1))
+        p = MultiPoly(n, terms)
+        assert minimal_monomials(p) == reference_minimal_monomials(p)
+
+    def test_equal_degree_support_is_all_minimal(self):
+        p = P(3, {(2, 0, 0): 1, (1, 1, 0): -1, (0, 1, 1): 2, (0, 0, 2): 1})
+        assert minimal_monomials(p) == set(p.terms)
 
 
 class TestLowerBound:
