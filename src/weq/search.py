@@ -134,17 +134,30 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
             yield (head,) + rest
 
 
+def _running_space_sizes(n: int, cfg: SearchConfig) -> Iterator[int]:
+    """Running totals of the candidate count over the total image lengths
+    up to L, so the last is the exact size of the space. Over one letter
+    the sum has the closed form comb(L - m*n + n, n), m the minimum image
+    length, and only that total is given."""
+    if n == 0:
+        yield 1
+        return
+    minimum = 0 if cfg.allow_erasing else 1
+    L, k = cfg.max_total_image_length, cfg.alphabet_size
+    if k == 1:
+        yield comb(L - minimum * n + n, n)
+        return
+    total = 0
+    for s in range(minimum * n, L + 1):
+        total += comb(s - minimum * n + n - 1, n - 1) * k**s
+        yield total
+
+
 def search_space_size(n: int, cfg: SearchConfig) -> int:
     """Exact number of candidate morphisms the configuration spans."""
-    if n == 0:
-        return 1
-    minimum = 0 if cfg.allow_erasing else 1
     total = 0
-    for s in range(cfg.max_total_image_length + 1):
-        shifted = s - minimum * n
-        if shifted < 0:
-            continue
-        total += comb(shifted + n - 1, n - 1) * cfg.alphabet_size**s
+    for total in _running_space_sizes(n, cfg):
+        pass
     return total
 
 
@@ -219,11 +232,9 @@ def enumerate_solutions(
     """
     system = as_system(T)
     n = system.n
-    size = search_space_size(n, cfg)
-    if size > MAX_CANDIDATES:
-        raise SearchSpaceError(
-            f"search space of {size} morphisms exceeds the budget of {MAX_CANDIDATES}"
-        )
+    # stop summing as soon as the budget is passed
+    if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
+        raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
     sides = tuple((e.left.symbols, e.right.symbols) for e in system)
     lts = _feasible_length_types(system, cfg)
     tasks = [(sides, cfg.alphabet_size, lt) for lt in lts]

@@ -8,8 +8,18 @@ Morphisms: one binding per line, ``x = ab``; image letters a..z map to
 target letters 0..25. In both formats a side or image written ``eps`` is
 the empty word, so one spelled with the letters e, p, s reads as empty.
 
-Polynomials: canonical form as printed, e.g. ``X^4*Y - X^3*Y + 2``;
-variables are X, Y, Z, X4, X5, ... (X1, X2, X3 are accepted aliases).
+Polynomials: canonical form as printed, e.g. ``X^4*Y - X^3*Y + 2``, in
+this grammar, with whitespace allowed between tokens::
+
+    poly     := [sign] term (sign term)*
+    term     := number | [number ['*']] factor ('*' factor)*
+    factor   := variable ['^' number]
+    variable := X | Y | Z | X1 ... X26
+
+A number is a run of digits 0-9. X, Y, Z are X1, X2, X3; a numbered
+variable has no leading zero. The ring has at most ``MAX_VARS`` = 26
+variables, one per lowercase unknown, so an index past 26 and a
+declared ring size outside 0..26 are parse errors.
 """
 
 from __future__ import annotations
@@ -21,48 +31,41 @@ from .poly import MultiPoly
 from .words import EqSystem, Equation, Morphism, Word, unknown_names
 
 
+# The most ring variables a polynomial can have: one per unknown letter.
+MAX_VARS = 26
+
+
 class ParseError(ValueError):
     pass
 
 
-def _content_lines(text: str) -> list[str]:
-    lines = []
+def _sides(text: str) -> list[tuple[str, str]]:
+    """The ``lhs = rhs`` lines of ``text`` as side pairs: comments and blank
+    lines dropped, whitespace removed, a side written ``eps`` read as empty."""
+    pairs = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
+        if not line:
+            continue
+        if line.count("=") != 1:
+            raise ParseError(f"expected exactly one '=' in {line!r}")
+        l, r = ("".join(part.split()) for part in line.split("="))
+        pairs.append(("" if l == "eps" else l, "" if r == "eps" else r))
+    return pairs
 
 
 def parse_system(text: str) -> tuple[EqSystem, list[str]]:
     """Parse equations; returns the system and the unknown display names."""
-    lines = _content_lines(text)
-    if not lines:
+    sides = _sides(text)
+    if not sides:
         raise ParseError("no equations found")
-    sides = []
-    letters: set[str] = set()
-    for line in lines:
-        if line.count("=") != 1:
-            raise ParseError(f"expected exactly one '=' in {line!r}")
-        l, r = ("".join(part.split()) for part in line.split("="))
-        l, r = ("" if side == "eps" else side for side in (l, r))
-        for ch in l + r:
-            if not ("a" <= ch <= "z"):
-                raise ParseError(f"unknowns must be lowercase letters, got {ch!r}")
-            letters.add(ch)
-        sides.append((l, r))
-    names = [c for c in "xyz" if c in letters] + sorted(letters - set("xyz"))
+    letters = "".join(l + r for l, r in sides)
+    if bad := re.search("[^a-z]", letters):
+        raise ParseError(f"unknowns must be lowercase letters, got {bad.group()!r}")
+    names = [c for c in "xyz" if c in letters] + sorted(set(letters) - set("xyz"))
     index = {c: i for i, c in enumerate(names)}
-    n = len(names)
-    eqs = tuple(
-        Equation(
-            Word(tuple(index[c] for c in l)),
-            Word(tuple(index[c] for c in r)),
-            n,
-        )
-        for l, r in sides
-    )
-    return EqSystem(eqs), names
+    word = lambda side: Word(tuple(index[c] for c in side))
+    return EqSystem(tuple(Equation(word(l), word(r), len(names)) for l, r in sides)), names
 
 
 def render_equation(E: Equation, names: Sequence[str]) -> str:
@@ -72,27 +75,17 @@ def render_equation(E: Equation, names: Sequence[str]) -> str:
 
 def parse_morphism(text: str, names: Sequence[str]) -> Morphism:
     """Parse bindings like ``x = ab`` for exactly the given unknown names."""
-    lines = _content_lines(text)
-    index = {nm: i for i, nm in enumerate(names)}
-    images: dict[int, Word] = {}
-    for line in lines:
-        if line.count("=") != 1:
-            raise ParseError(f"expected exactly one '=' in {line!r}")
-        lhs, rhs = (part.strip() for part in line.split("="))
-        if lhs not in index:
+    images: dict[str, str] = {}
+    for lhs, rhs in _sides(text):
+        if lhs not in names:
             raise ParseError(f"unexpected unknown {lhs!r}; known: {', '.join(names)}")
-        if index[lhs] in images:
+        if lhs in images:
             raise ParseError(f"duplicate binding for {lhs!r}")
-        if rhs == "eps":
-            images[index[lhs]] = Word()
-        else:
-            images[index[lhs]] = Word.from_letters("".join(rhs.split()))
-    missing = [nm for nm in names if index[nm] not in images]
+        images[lhs] = rhs
+    missing = [nm for nm in names if nm not in images]
     if missing:
         raise ParseError(f"missing bindings for: {', '.join(missing)}")
-    words = tuple(images[i] for i in range(len(names)))
-    k = 1 + max((s for w in words for s in w), default=-1)
-    return Morphism(words, k)
+    return Morphism.from_images(*(images[nm] for nm in names))
 
 
 def render_morphism(h: Morphism, names: Sequence[str] | None = None) -> str:
@@ -102,93 +95,66 @@ def render_morphism(h: Morphism, names: Sequence[str] | None = None) -> str:
     )
 
 
-_VAR_RE = re.compile(r"([A-Z])(\d*)")
-_INT_RE = re.compile(r"\d+")
+# A term: an optional sign, then a coefficient and/or '*'-joined factors,
+# where a '*' after the coefficient is taken only when a factor follows.
+# Groups 1-3 are the sign, the coefficient and the factors.
+_FACTOR = r"([A-Z])([0-9]*)(?:\s*\^\s*([0-9]+))?"
+_FACTOR_RE = re.compile(_FACTOR, re.ASCII)
+_TERM_RE = re.compile(
+    rf"\s*([+-]?)\s*([0-9]+)?(?:(?(2)\s*\*?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*))?\s*", re.ASCII
+)
+
+
+def _int(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-string conversion limit
+        raise ParseError(f"{what} with {len(digits)} digits is too long") from None
 
 
 def _var_index(letter: str, digits: str) -> int:
-    if digits:
-        if letter != "X":
-            raise ParseError(f"numbered variables use X, got {letter}{digits}")
-        idx = int(digits)
-        if idx < 1:
-            raise ParseError(f"variable index must be positive: X{digits}")
-        return idx - 1
-    if letter in "XYZ":
-        return "XYZ".index(letter)
-    raise ParseError(f"unknown variable {letter!r} (use X, Y, Z, X4, ...)")
+    if not digits:
+        if letter in "XYZ":
+            return "XYZ".index(letter)
+        raise ParseError(f"unknown variable {letter!r} (use X, Y, Z, X4, ...)")
+    if letter != "X":
+        raise ParseError(f"numbered variables use X, got {letter}{digits}")
+    if digits[0] == "0":
+        raise ParseError(f"variable index must be positive, with no leading zero: X{digits}")
+    if len(digits) > 2 or int(digits) > MAX_VARS:
+        raise ParseError(f"variable X{digits} is past X{MAX_VARS}, the last ring variable")
+    return int(digits) - 1
 
 
 def parse_poly(text: str, n: int | None = None) -> MultiPoly:
-    """Parse the canonical polynomial text form back into a polynomial."""
-    if m := re.search(r"\*(?!\s*[A-Z])", text):
-        raise ParseError(f"expected a variable after '*' at position {m.start()} in {text!r}")
-    s = text
-    i, L = 0, len(s)
-
-    def skip() -> None:
-        nonlocal i
-        while i < L and s[i].isspace():
-            i += 1
-
-    collected: list[tuple[int, dict[int, int]]] = []
-    maxvar = -1
-    skip()
-    if i >= L:
+    """Parse the polynomial text form into a polynomial over ``n`` ring
+    variables, by default as many as the largest variable index read."""
+    if n is not None and not 0 <= n <= MAX_VARS:
+        raise ParseError(f"the ring size must be 0..{MAX_VARS}, got {n}")
+    if not text.strip():
         raise ParseError("empty polynomial")
-    first = True
-    while i < L:
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-            skip()
-        elif not first:
-            raise ParseError(f"expected '+' or '-' at position {i} in {text!r}")
-        first = False
-        coeff = None
-        m = _INT_RE.match(s, i)
-        if m:
-            coeff = int(m.group())
-            i = m.end()
-            skip()
-            if i < L and s[i] == "*":
-                i += 1
-                skip()
+    terms: list[tuple[int, dict[int, int]]] = []
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        sign, coeff, factors = m.group(1, 2, 3)
+        if pos and not sign:
+            raise ParseError(f"expected '+' or '-' at position {pos} in {text!r}")
+        if not (coeff or factors):
+            raise ParseError(f"expected a term at position {m.end()} in {text!r}")
         exps: dict[int, int] = {}
-        while True:
-            m = _VAR_RE.match(s, i)
-            if not m:
-                break
-            i = m.end()
-            var = _var_index(m.group(1), m.group(2))
-            maxvar = max(maxvar, var)
-            e = 1
-            skip()
-            if i < L and s[i] == "^":
-                i += 1
-                skip()
-                m2 = _INT_RE.match(s, i)
-                if not m2:
-                    raise ParseError(f"expected an exponent at position {i} in {text!r}")
-                e = int(m2.group())
-                i = m2.end()
-                skip()
-            exps[var] = exps.get(var, 0) + e
-            if i < L and s[i] == "*":
-                i += 1
-                skip()
-                continue
-            break
-        if coeff is None and not exps:
-            raise ParseError(f"expected a term at position {i} in {text!r}")
-        collected.append((sign * (coeff if coeff is not None else 1), exps))
-        skip()
+        for letter, digits, e in _FACTOR_RE.findall(factors or ""):
+            var = _var_index(letter, digits)
+            exps[var] = exps.get(var, 0) + (_int(e, "an exponent") if e else 1)
+        c = _int(coeff, "a coefficient") if coeff else 1
+        terms.append((-c if sign == "-" else c, exps))
+        pos = m.end()
+    maxvar = max((v for _, exps in terms for v in exps), default=-1)
     nvars = n if n is not None else maxvar + 1
     if maxvar >= nvars:
         raise ParseError(f"variable X{maxvar + 1} exceeds the declared count {nvars}")
     acc: dict[tuple[int, ...], int] = {}
-    for c, exps in collected:
+    for c, exps in terms:
         key = tuple(exps.get(v, 0) for v in range(nvars))
         acc[key] = acc.get(key, 0) + c
     return MultiPoly(nvars, acc)

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from weq import (
     Equation,
     InternalError,
     Morphism,
+    MultiPoly,
     Word,
     format_poly,
     parse_morphism,
@@ -24,13 +27,116 @@ from weq import (
     render_morphism,
 )
 from weq.cli import main
-from weq.textio import ParseError
+from weq.textio import MAX_VARS, ParseError
 
 from conftest import morph
 
 
 PAIR_TEXT = "xyxz = zxyx\nxyxxz = zxxyx\n"
 UNKNOWN_NAMES = st.lists(st.sampled_from(string.ascii_lowercase), min_size=1, max_size=5, unique=True)
+
+
+_REF_VAR_RE = re.compile(r"([A-Z])(\d*)")
+_REF_INT_RE = re.compile(r"\d+")
+
+
+def _reference_var_index(letter: str, digits: str) -> int:
+    if digits:
+        if letter != "X":
+            raise ParseError(f"numbered variables use X, got {letter}{digits}")
+        idx = int(digits)
+        if idx < 1:
+            raise ParseError(f"variable index must be positive: X{digits}")
+        return idx - 1
+    if letter in "XYZ":
+        return "XYZ".index(letter)
+    raise ParseError(f"unknown variable {letter!r} (use X, Y, Z, X4, ...)")
+
+
+def reference_parse_poly(text: str, n: int | None = None) -> MultiPoly:
+    """The hand-written scanner that parse_poly replaced, kept as an oracle.
+
+    It sizes the ring by the largest index read and accepts leading zeros,
+    so only inputs whose indices are 1..26 without leading zero are compared.
+    """
+    if m := re.search(r"\*(?!\s*[A-Z])", text):
+        raise ParseError(f"expected a variable after '*' at position {m.start()} in {text!r}")
+    s = text
+    i, L = 0, len(s)
+
+    def skip() -> None:
+        nonlocal i
+        while i < L and s[i].isspace():
+            i += 1
+
+    collected: list[tuple[int, dict[int, int]]] = []
+    maxvar = -1
+    skip()
+    if i >= L:
+        raise ParseError("empty polynomial")
+    first = True
+    while i < L:
+        sign = 1
+        if s[i] in "+-":
+            sign = -1 if s[i] == "-" else 1
+            i += 1
+            skip()
+        elif not first:
+            raise ParseError(f"expected '+' or '-' at position {i} in {text!r}")
+        first = False
+        coeff = None
+        m = _REF_INT_RE.match(s, i)
+        if m:
+            coeff = int(m.group())
+            i = m.end()
+            skip()
+            if i < L and s[i] == "*":
+                i += 1
+                skip()
+        exps: dict[int, int] = {}
+        while True:
+            m = _REF_VAR_RE.match(s, i)
+            if not m:
+                break
+            i = m.end()
+            var = _reference_var_index(m.group(1), m.group(2))
+            maxvar = max(maxvar, var)
+            e = 1
+            skip()
+            if i < L and s[i] == "^":
+                i += 1
+                skip()
+                m2 = _REF_INT_RE.match(s, i)
+                if not m2:
+                    raise ParseError(f"expected an exponent at position {i} in {text!r}")
+                e = int(m2.group())
+                i = m2.end()
+                skip()
+            exps[var] = exps.get(var, 0) + e
+            if i < L and s[i] == "*":
+                i += 1
+                skip()
+                continue
+            break
+        if coeff is None and not exps:
+            raise ParseError(f"expected a term at position {i} in {text!r}")
+        collected.append((sign * (coeff if coeff is not None else 1), exps))
+        skip()
+    nvars = n if n is not None else maxvar + 1
+    if maxvar >= nvars:
+        raise ParseError(f"variable X{maxvar + 1} exceeds the declared count {nvars}")
+    acc: dict[tuple[int, ...], int] = {}
+    for c, exps in collected:
+        key = tuple(exps.get(v, 0) for v in range(nvars))
+        acc[key] = acc.get(key, 0) + c
+    return MultiPoly(nvars, acc)
+
+
+# Tokens of random polynomial texts: valid and invalid variables, numbers,
+# operators and spaces.
+POLY_TOKENS = ["X", "Y", "Z", "X1", "X4", "X02", "X27", "W", "0", "1", "2", "3", "12", "+", "-", "*", "^", " "]
+
+
 
 
 class TestTextRoundTrips:
@@ -58,6 +164,10 @@ class TestTextRoundTrips:
         h = parse_morphism("x = eps\ny = a", ["x", "y"])
         assert h.images == (Word(()), Word((0,)))
         assert "eps" in render_morphism(h, ["x", "y"])
+
+    def test_morphism_spaced_eps(self):
+        # whitespace is removed before an image is compared with eps, as for equation sides
+        assert parse_morphism("x = e p s", ["x"]).images == (Word(()),)
 
     @given(st.data())
     def test_equation_render_parse_render(self, data):
@@ -107,13 +217,11 @@ class TestTextRoundTrips:
 
     def test_poly_roundtrip_random(self, rng):
         for _ in range(150):
-            n = rng.randint(1, 5)
+            n = rng.randint(1, MAX_VARS)
             terms = {
                 tuple(rng.randint(0, 4) for _ in range(n)): rng.randint(-5, 5)
                 for _ in range(rng.randint(1, 5))
             }
-            from weq import MultiPoly
-
             p = MultiPoly(n, terms)
             if not p:
                 continue
@@ -123,6 +231,45 @@ class TestTextRoundTrips:
         for bad in ("X +", "* X", "X^", "q", "2 ** X", "X*+Y", "2*-X", "X^2 - 1*", "2*", "X*"):
             with pytest.raises(ParseError):
                 parse_poly(bad)
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("X0322", None),
+            ("X27", None),
+            ("X1000000 - 1", None),
+            ("X - 1", MAX_VARS + 1),
+        ],
+    )
+    def test_poly_ring_is_bounded(self, text, n):
+        with pytest.raises(ParseError):
+            parse_poly(text, n)
+
+    @pytest.mark.parametrize("template", ["{} * X", "X^{} - 1"])
+    def test_poly_overlong_number(self, template):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError, match="digits is too long"):
+            parse_poly(template.format(digits))
+
+    @given(
+        st.lists(st.sampled_from(POLY_TOKENS), max_size=12).map("".join),
+        st.sampled_from([None, 3, 5]),
+    )
+    def test_poly_matches_reference_parser(self, text, n):
+        """The grammar accepts what the hand scanner accepted, with the same
+        polynomial, except for an index with a leading zero or past X26."""
+        indices = re.findall(r"X(\d+)", text)
+        if any(d.startswith("0") or len(d) > 2 or int(d) > MAX_VARS for d in indices):
+            with pytest.raises(ParseError):
+                parse_poly(text, n)
+            return
+        try:
+            expected = reference_parse_poly(text, n)
+        except ParseError:
+            with pytest.raises(ParseError):
+                parse_poly(text, n)
+        else:
+            assert parse_poly(text, n) == expected
 
     def test_equation_rejects_garbage(self):
         for bad in ("xy yx", "xy = yx = xx", "xY = yx"):
@@ -419,6 +566,24 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
         assert not csv.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "X1000000 - 1"],
+            ["factor", "X - 1", "--nvars", "100000000"],
+            ["search", "xy = yx", "--max-len", "1000000"],
+            ["search", "xy = yx", "--max-len", "1000000", "--alphabet", "1"],
+        ],
+    )
+    def test_oversized_input_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert len(captured.err) < 200
 
 
 class TestImportCost:
