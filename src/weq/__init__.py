@@ -8,15 +8,14 @@ brute-force search that verifies everything at desk scale.
 """
 
 from .analysis import (
-    BoundReport,
-    HyperplaneReport,
+    PairAnalysis,
     PairDeterminant,
     bounds,
     cofactor_3vars,
     minimal_count_bounds,
     pair_report_json,
     solution_hyperplanes,
-    system_bounds,
+    system_size_bound,
 )
 from .encode import (
     balanced_residual,

@@ -7,14 +7,19 @@ pure-difference divisor of every nonzero determinant. Factoring a
 determinant therefore yields the candidate hyperplanes (as length
 constraints), and the degrees and minimal-monomial counts of the
 determinant yield size bounds on the number of classes.
+
+One :class:`PairAnalysis` holds one pair and computes each of these
+results once, when it is first read; ``solution_hyperplanes``,
+``bounds``, ``cofactor_3vars`` and ``pair_report_json`` are views of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .encode import DetGrid, _det_grid, is_balanced, s_vector, t_det
+from .encode import SVector, is_balanced, s_vector, t_det
 from .poly import (
     BinomialFactorization,
     MultiPoly,
@@ -30,10 +35,6 @@ from .words import EqSystem, Equation, InternalError, LambdaVector, unknown_name
 STATUS_OK = "ok"
 STATUS_ALL_ZERO = "all-determinants-zero"
 
-# The private ``_hyperplanes``, ``_bounds`` and ``_cofactor`` take the
-# determinant grid of the pair, so a caller that needs several analyses of
-# one pair builds the grid once.
-
 
 @dataclass(frozen=True)
 class PairDeterminant:
@@ -44,142 +45,167 @@ class PairDeterminant:
     factorization: BinomialFactorization
 
 
-@dataclass(frozen=True)
-class HyperplaneReport:
-    """Hyperplane classification of rank-(n-1) common solutions.
-
-    ``primary`` is the lexicographically first index pair with a nonzero
-    determinant; ``hyperplanes`` lists the mixed-sign factor directions of
-    its determinant and ``constraints`` their rendered length equalities.
-    Factors with all entries of one sign cannot be met by a non-erasing
-    length type and are reported in ``erasing_notes`` instead.
-    """
-
-    status: str
-    primary: PairDeterminant | None
-    hyperplanes: tuple[LambdaVector, ...]
-    constraints: tuple[str, ...]
-    erasing_notes: tuple[str, ...]
-
-
 def _erasing_note(lam: LambdaVector, names: Sequence[str]) -> str:
     emptied = ", ".join(f"|h({nm})| = 0" for nm, v in zip(names, lam.entries) if v)
     return f"factor {format_poly(pure_difference(lam))}: only erasing solutions with {emptied}"
 
 
-def solution_hyperplanes(
-    E: Equation, Ep: Equation, names: Sequence[str] | None = None
-) -> HyperplaneReport:
-    """Classify the possible rank-(n-1) common solutions of two equations
-    by factoring the first nonzero coefficient determinant."""
-    names = list(names) if names is not None else unknown_names(E.n)
-    return _hyperplanes(_det_grid(s_vector(E), s_vector(Ep)), names)
-
-
-def _hyperplanes(grid: DetGrid, names: Sequence[str]) -> HyperplaneReport:
-    pair = next((pair for pair, det in grid.items() if det), None)
-    if pair is None:
-        return HyperplaneReport(STATUS_ALL_ZERO, None, (), (), ())
-    fac = binomial_factors(grid[pair])
-    hyperplanes = fac.hyperplane_factors()
-    constraints = tuple(lam.constraint_text(names) for lam in hyperplanes)
-    notes = tuple(_erasing_note(lam, names) for lam, _ in fac.factors if lam.is_erasing_constraint())
-    primary = PairDeterminant(pair, grid[pair], fac)
-    return HyperplaneReport(STATUS_OK, primary, hyperplanes, constraints, notes)
-
-
 @dataclass(frozen=True)
-class BoundReport:
-    """Size bounds for linearly nonequivalent rank-(n-1) common solutions.
+class PairAnalysis:
+    """Everything read off one equation pair, each computed on first read.
 
-    ``sum_bound`` is the total length of the two equations;
-    ``pair_bounds`` maps each index pair with a nonzero determinant to
-    twice the occurrence count of the pair in the first equation;
-    ``best`` is the minimum applicable bound. ``system_size_bound`` is set
-    by :func:`system_bounds` only: it bounds the size of a system that is
-    assumed, not checked, to be strongly independent, and it is computed
-    from the system's first two equations alone.
+    ``primary`` is the lexicographically first index pair with a nonzero
+    determinant, with its factorization; ``hyperplanes`` lists the
+    mixed-sign factor directions of that determinant and ``constraints``
+    their rendered length equalities. Factors with all entries of one sign
+    cannot be met by a non-erasing length type and are reported in
+    ``erasing_notes`` instead. ``sum_bound`` is the total length of the two
+    equations; ``pair_bounds`` maps each index pair with a nonzero
+    determinant to twice the occurrence count of the pair in ``E``;
+    ``best`` is the minimum applicable bound. Identical or linearly
+    dependent coefficient vectors, and fewer than two unknowns, give the
+    all-zero ``status`` rather than an error. ``names`` defaults to
+    ``x, y, z, ...``.
     """
 
-    sum_bound: int
-    pair_bounds: tuple[tuple[tuple[int, int], int], ...]
-    best: int
-    status: str
-    system_size_bound: int | None = None
+    E: Equation
+    Ep: Equation
+    names: Sequence[str] = ()
 
-    def to_json(self) -> dict:
-        """The bounds as JSON, with 1-based index pairs; ``status`` is left
-        to the caller."""
-        out: dict = {
+    def __post_init__(self):
+        if self.E.n != self.Ep.n:
+            raise ValueError("equations must share the unknown count")
+        object.__setattr__(self, "names", tuple(self.names or unknown_names(self.E.n)))
+
+    @cached_property
+    def s_vectors(self) -> tuple[SVector, SVector]:
+        return s_vector(self.E), s_vector(self.Ep)
+
+    @cached_property
+    def grid(self) -> dict[tuple[int, int], MultiPoly]:
+        """Every determinant ``t_jk`` with ``j < k``, in lexicographic order."""
+        (S, Sp), n = self.s_vectors, self.E.n
+        return {(j, k): S[j] * Sp[k] - Sp[j] * S[k] for j in range(n) for k in range(j + 1, n)}
+
+    @cached_property
+    def status(self) -> str:
+        """Read off ``pair_bounds``, so that the bounds never factor."""
+        return STATUS_OK if self.pair_bounds else STATUS_ALL_ZERO
+
+    @cached_property
+    def primary(self) -> PairDeterminant | None:
+        pair = next((pair for pair, det in self.grid.items() if det), None)
+        if pair is None:
+            return None
+        return PairDeterminant(pair, self.grid[pair], binomial_factors(self.grid[pair]))
+
+    @cached_property
+    def hyperplanes(self) -> tuple[LambdaVector, ...]:
+        return self.primary.factorization.hyperplane_factors() if self.primary else ()
+
+    @cached_property
+    def constraints(self) -> tuple[str, ...]:
+        return tuple(lam.constraint_text(self.names) for lam in self.hyperplanes)
+
+    @cached_property
+    def erasing_notes(self) -> tuple[str, ...]:
+        factors = self.primary.factorization.factors if self.primary else ()
+        return tuple(_erasing_note(lam, self.names) for lam, _ in factors if lam.is_erasing_constraint())
+
+    @cached_property
+    def sum_bound(self) -> int:
+        return self.E.size + self.Ep.size
+
+    @cached_property
+    def pair_bounds(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        occ = self.E.occurrences
+        return tuple(((j, k), 2 * (occ(j) + occ(k))) for (j, k), det in self.grid.items() if det)
+
+    @cached_property
+    def best(self) -> int:
+        return min([self.sum_bound] + [b for _, b in self.pair_bounds])
+
+    @cached_property
+    def cofactor(self) -> MultiPoly:
+        """For balanced equations in three unknowns the determinant triple
+        ``(t_23, t_31, t_12)`` is ``t * (X-1, Y-1, Z-1)``; this is ``t``.
+
+        Zero when the two coefficient vectors are linearly dependent.
+        """
+        if self.E.n != 3:
+            raise ValueError("cofactor is defined for exactly three unknowns")
+        for E in (self.E, self.Ep):
+            if not is_balanced(E):
+                raise ValueError(f"equation {E} is not balanced")
+        grid, quotients = self.grid, []
+        for det, i in ((grid[(1, 2)], 0), (-grid[(0, 2)], 1), (grid[(0, 1)], 2)):
+            if det:
+                q = divide_by_binomial(det, LambdaVector(tuple(int(j == i) for j in range(3))))
+                if q is None:
+                    raise InternalError("determinant of balanced pair not divisible by X_i - 1")
+                quotients.append(q)
+        if not quotients:
+            return MultiPoly.zero(3)
+        if len(quotients) != 3 or any(q != quotients[0] for q in quotients):
+            raise InternalError("inconsistent cofactors across the determinant triple")
+        return quotients[0]
+
+    def bounds_json(self) -> dict:
+        """The bounds as JSON, with 1-based index pairs."""
+        return {
             "sum": self.sum_bound,
             "pairs": [{"pair": [j + 1, k + 1], "bound": b} for (j, k), b in self.pair_bounds],
             "best": self.best,
         }
-        if self.system_size_bound is not None:
-            out["system_size_bound"] = self.system_size_bound
-        return out
+
+    def to_json(self) -> dict:
+        """The pair report: status, bounds, and the primary determinant
+        with its factorization, hyperplane constraints and erasing notes."""
+        out: dict = {
+            "status": self.status,
+            "bounds": self.bounds_json(),
+            "hyperplane_constraints": list(self.constraints),
+            "erasing_notes": list(self.erasing_notes),
+        }
+        if self.primary is None:
+            none = dict.fromkeys(("pair", "determinant", "content", "residual"))
+            return {**out, **none, "factors": []}
+        pair, det, fac = self.primary.pair, self.primary.determinant, self.primary.factorization
+        return {**out, "pair": [pair[0] + 1, pair[1] + 1], "determinant": format_poly(det), **fac.to_json()}
 
 
-def bounds(E: Equation, Ep: Equation) -> BoundReport:
-    """Bounds for a pair of equations; identical or linearly dependent
-    coefficient vectors are reported via ``status`` rather than an error.
-    With fewer than two unknowns there is no determinant, so the status is
-    all-zero."""
-    return _bounds(E, Ep, _det_grid(s_vector(E), s_vector(Ep)))
+def solution_hyperplanes(E: Equation, Ep: Equation, names: Sequence[str] | None = None) -> PairAnalysis:
+    """Classify the possible rank-(n-1) common solutions of two equations
+    by factoring the first nonzero coefficient determinant. The factoring
+    is done inside the call."""
+    pa = PairAnalysis(E, Ep, names or ())
+    _ = pa.constraints, pa.erasing_notes
+    return pa
 
 
-def _bounds(E: Equation, Ep: Equation, grid: DetGrid) -> BoundReport:
-    sum_bound = E.size + Ep.size
-    pair_bounds = tuple(
-        ((j, k), 2 * (E.occurrences(j) + E.occurrences(k))) for (j, k), det in grid.items() if det
-    )
-    status = STATUS_OK if pair_bounds else STATUS_ALL_ZERO
-    best = min([sum_bound] + [b for _, b in pair_bounds])
-    return BoundReport(sum_bound, pair_bounds, best, status)
+def bounds(E: Equation, Ep: Equation) -> PairAnalysis:
+    """Bounds for a pair of equations, computed inside the call; nothing
+    is factored."""
+    pa = PairAnalysis(E, Ep)
+    _ = pa.status, pa.best
+    return pa
 
 
-def system_bounds(T: EqSystem, *, has_rank_n1_solution: bool = False) -> BoundReport:
+def system_size_bound(T: EqSystem, *, has_rank_n1_solution: bool = False) -> int:
     """Size bound for a system assumed, not checked, to be strongly
-    independent: the bound of its first two equations plus 2, or plus 1
-    when the system is declared to have a rank-(n-1) solution. Only the
+    independent: the best bound of its first two equations plus 2, or plus
+    1 when the system is declared to have a rank-(n-1) solution. Only the
     first two equations are read."""
     if len(T) < 2:
         raise ValueError("system bounds need at least two equations")
-    E1, E2 = T.equations[0], T.equations[1]
-    base = bounds(E1, E2)
     slack = 1 if has_rank_n1_solution else 2
-    return replace(base, system_size_bound=base.best + slack)
+    return PairAnalysis(T.equations[0], T.equations[1]).best + slack
 
 
 def cofactor_3vars(E1: Equation, E2: Equation) -> MultiPoly:
-    """For balanced equations in three unknowns the determinant triple
-    ``(t_23, t_31, t_12)`` is ``t * (X-1, Y-1, Z-1)``; returns ``t``.
-
-    Zero when the two coefficient vectors are linearly dependent.
-    """
-    if E1.n != 3 or E2.n != 3:
-        raise ValueError("cofactor is defined for exactly three unknowns")
-    for E in (E1, E2):
-        if not is_balanced(E):
-            raise ValueError(f"equation {E} is not balanced")
-    return _cofactor(_det_grid(s_vector(E1), s_vector(E2)))
-
-
-def _cofactor(grid: DetGrid) -> MultiPoly:
-    dets = [(grid[(1, 2)], 0), (-grid[(0, 2)], 1), (grid[(0, 1)], 2)]
-    quotients = []
-    for det, i in dets:
-        if not det:
-            continue
-        q = divide_by_binomial(det, LambdaVector(tuple(1 if j == i else 0 for j in range(3))))
-        if q is None:
-            raise InternalError("determinant of balanced pair not divisible by X_i - 1")
-        quotients.append(q)
-    if not quotients:
-        return MultiPoly.zero(3)
-    if len(quotients) != 3 or any(q != quotients[0] for q in quotients):
-        raise InternalError("inconsistent cofactors across the determinant triple")
-    return quotients[0]
+    """The cofactor ``t`` of a balanced pair in three unknowns; see
+    :attr:`PairAnalysis.cofactor`."""
+    return PairAnalysis(E1, E2).cofactor
 
 
 def minimal_count_bounds(
@@ -212,34 +238,4 @@ def pair_report_json(
 ) -> dict:
     """JSON-ready report for an equation pair: primary determinant,
     factorization, hyperplane constraints and bounds."""
-    names = list(names) if names is not None else unknown_names(E.n)
-    grid = _det_grid(s_vector(E), s_vector(Ep))
-    hr = _hyperplanes(grid, names)
-    br = _bounds(E, Ep, grid)
-    out: dict = {
-        "status": hr.status,
-        "bounds": br.to_json(),
-    }
-    if hr.primary is None:
-        out.update(
-            {
-                "pair": None,
-                "determinant": None,
-                "content": None,
-                "factors": [],
-                "residual": None,
-                "hyperplane_constraints": [],
-                "erasing_notes": [],
-            }
-        )
-        return out
-    out.update(
-        {
-            "pair": [hr.primary.pair[0] + 1, hr.primary.pair[1] + 1],
-            "determinant": format_poly(hr.primary.determinant),
-            **hr.primary.factorization.to_json(),
-            "hyperplane_constraints": list(hr.constraints),
-            "erasing_notes": list(hr.erasing_notes),
-        }
-    )
-    return out
+    return PairAnalysis(E, Ep, names or ()).to_json()

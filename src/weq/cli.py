@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import analysis, search
-from .encode import _det_grid, balanced_residual, check_solution_poly, is_balanced, s_vector
+from .encode import balanced_residual, check_solution_poly, is_balanced, s_vector
 from .poly import MultiPoly, binomial_factors, format_poly, pure_difference
 from .principal import principal_decompose
 from .textio import (
@@ -91,7 +91,7 @@ def cmd_encode(args):
 
 def cmd_det(args):
     system, names = _read_pair_system(args.input, "determinants need two equations")
-    grid = _det_grid(s_vector(system.equations[0]), s_vector(system.equations[1]))
+    grid = analysis.PairAnalysis(system.equations[0], system.equations[1]).grid
     rows = [{"pair": [j + 1, k + 1], "determinant": format_poly(det)} for (j, k), det in grid.items()]
     return 0, rows, lambda rows: (f"t{r['pair'][0]}{r['pair'][1]} = {r['determinant']}" for r in rows)
 
@@ -165,7 +165,7 @@ def cmd_principal(args):
 
 def cmd_hyperplanes(args):
     system, names = _read_pair_system(args.input, "hyperplane analysis needs two equations")
-    E, Ep = system.equations[0], system.equations[1]
+    pa = analysis.PairAnalysis(system.equations[0], system.equations[1], names)
 
     def render(p):
         yield f"status: {p['status']}"
@@ -175,18 +175,17 @@ def cmd_hyperplanes(args):
             yield from p["erasing_notes"]
         yield f"bounds: sum={p['bounds']['sum']} best={p['bounds']['best']}"
 
-    return 0, analysis.pair_report_json(E, Ep, names), render
+    return 0, pa.to_json(), render
 
 
 def cmd_bounds(args):
     system, names = _read_pair_system(args.input, "bounds need at least two equations")
-    if len(system) == 2 and not args.assume_rank_solution:
-        report = analysis.bounds(system.equations[0], system.equations[1])
-    else:
-        report = analysis.system_bounds(
+    pa = analysis.PairAnalysis(system.equations[0], system.equations[1])
+    payload = {"status": pa.status, **pa.bounds_json()}
+    if len(system) > 2 or args.assume_rank_solution:
+        payload["system_size_bound"] = analysis.system_size_bound(
             system, has_rank_n1_solution=args.assume_rank_solution
         )
-    payload = {"status": report.status, **report.to_json()}
 
     def render(p):
         yield f"status: {p['status']}"
@@ -300,12 +299,8 @@ _EXAMPLE_EXPECTED = {
 
 def cmd_paper_example(args):
     system, names = parse_system(_EXAMPLE_INPUT)
-    E1, E2 = system.equations
-    S1, S2 = s_vector(E1), s_vector(E2)
-    grid = _det_grid(S1, S2)
-    t = analysis._cofactor(grid)
-    hyper = analysis._hyperplanes(grid, names)
-    breport = analysis._bounds(E1, E2, grid)
+    pa = analysis.PairAnalysis(*system.equations, names)
+    (S1, S2), grid, t = pa.s_vectors, pa.grid, pa.cofactor
     got = {
         "S(E1)": "(" + ", ".join(format_poly(p) for p in S1) + ")",
         "S(E2)": "(" + ", ".join(format_poly(p) for p in S2) + ")",
@@ -315,9 +310,9 @@ def cmd_paper_example(args):
         "t23 factored": _factorization_text(binomial_factors(grid[(1, 2)]).to_json()),
         "cofactor t": format_poly(t),
         "cofactor t factored": _factorization_text(binomial_factors(t).to_json()),
-        "constraint": "; ".join(hyper.constraints),
-        "sum bound": str(breport.sum_bound),
-        "best bound": str(breport.best),
+        "constraint": "; ".join(pa.constraints),
+        "sum bound": str(pa.sum_bound),
+        "best bound": str(pa.best),
     }
     rows = [
         {"item": key, "value": got[key], "expected": expected, "ok": got[key] == expected}

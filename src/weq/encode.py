@@ -15,7 +15,6 @@ from .poly import MultiPoly, word_poly
 from .words import Equation, Morphism, Word
 
 SVector = tuple[MultiPoly, ...]
-DetGrid = dict[tuple[int, int], MultiPoly]
 
 
 def s_poly(E: Equation, j: int) -> MultiPoly:
@@ -101,15 +100,6 @@ def t_det(E: Equation, Ep: Equation, j: int, k: int) -> MultiPoly:
             raise IndexError(f"unknown index {idx} out of range for n={E.n}")
     S, Sp = s_vector(E), s_vector(Ep)
     return S[j] * Sp[k] - Sp[j] * S[k]
-
-
-def _det_grid(S: SVector, Sp: SVector) -> DetGrid:
-    """Every determinant ``t_jk`` with ``j < k``, in lexicographic order of
-    the pairs, from the coefficient vectors of the two equations."""
-    if len(S) != len(Sp):
-        raise ValueError("equations must share the unknown count")
-    n = len(S)
-    return {(j, k): S[j] * Sp[k] - Sp[j] * S[k] for j in range(n) for k in range(j + 1, n)}
 
 
 def balanced_residual(E: Equation) -> MultiPoly:

@@ -55,6 +55,10 @@ from typing import Mapping, Sequence
 
 from .words import InternalError, LambdaVector, Word, _canonical_entries
 
+# The most terms a quotient by a pure difference may have. A determinant of
+# equations of total length m has degree at most m, so it never comes near.
+MAX_QUOTIENT_TERMS = 100_000
+
 
 def poly_var_names(n: int) -> list[str]:
     """Display names X, Y, Z, X4, X5, ... for ``n`` ring variables."""
@@ -298,17 +302,24 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     The line-sum test runs first, so a quotient is built only for a
     divisor. On the line with normal form ``f`` and points ``f + k*lam``
     for ``k = 0..K``, the quotient holds ``X^(f + i*lam - lam-)`` for
-    ``i = 0..K-1``, with the sum of the coefficients at ``k > i``.
+    ``i = 0..K-1``, with the sum of the coefficients at ``k > i``. A
+    quotient of more than ``MAX_QUOTIENT_TERMS`` terms is refused with
+    ``ValueError`` before it is built.
     """
     lines = _lam_lines(p, lam)
     if lines is None:
         return None
+    spans = [(nf, line, min(line), max(line)) for nf, line in lines.items()]
+    size = sum(hi - lo for _, _, lo, hi in spans)
+    if size > MAX_QUOTIENT_TERMS:
+        by = format_poly(pure_difference(lam))
+        raise ValueError(f"the quotient by {by} could have {size} terms, more than {MAX_QUOTIENT_TERMS}")
     d, minus = lam.entries, lam.minus
     quotient: dict[tuple[int, ...], int] = {}
-    for nf, line in lines.items():
+    for nf, line, lo, hi in spans:
         base = tuple(fi - mi for fi, mi in zip(nf, minus))
         acc = 0
-        for k in range(max(line) - 1, min(line) - 1, -1):
+        for k in range(hi - 1, lo - 1, -1):
             acc += line.get(k + 1, 0)
             if acc:
                 quotient[tuple(bi + k * li for bi, li in zip(base, d))] = acc

@@ -20,7 +20,7 @@ from itertools import product
 from math import comb
 from typing import Iterator
 
-from .analysis import STATUS_OK, BoundReport, bounds
+from .analysis import STATUS_OK, PairAnalysis
 from .encode import check_solution_poly
 from .words import (
     EqSystem,
@@ -282,7 +282,7 @@ class BoundCheckReport:
     ok: bool
     class_count: int | None = None
     erasing_class_count: int = 0
-    bound_report: BoundReport | None = None
+    bound_report: PairAnalysis | None = None
     counterexample: dict | None = None
 
 
@@ -297,17 +297,15 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
     """
     if E == Ep:
         return BoundCheckReport("identical-equations", True)
-    breport = bounds(E, Ep)
-    if breport.status != STATUS_OK:
-        return BoundCheckReport("no-nonzero-determinant", True, bound_report=breport)
+    pa = PairAnalysis(E, Ep)
+    if pa.status != STATUS_OK:
+        return BoundCheckReport("no-nonzero-determinant", True, bound_report=pa)
     catalog = enumerate_solutions(EqSystem((E, Ep)), cfg)
     erasing = sum(1 for cls in catalog.classes if cls.normal.is_erasing_constraint())
     if erasing >= 2:
-        return BoundCheckReport(
-            "commutation-like", True, len(catalog.classes), erasing, breport
-        )
+        return BoundCheckReport("commutation-like", True, len(catalog.classes), erasing, pa)
     m = len(catalog.classes)
-    limit = breport.best
+    limit = pa.best
     ok = m <= limit
     counterexample = None
     if not ok:
@@ -322,7 +320,7 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
                 for cls in catalog.classes
             ],
         }
-    return BoundCheckReport(STATUS_OK, ok, m, erasing, breport, counterexample)
+    return BoundCheckReport(STATUS_OK, ok, m, erasing, pa, counterexample)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@ import pytest
 
 from weq import (
     EqSystem,
+    Equation,
     MultiPoly,
+    PairAnalysis,
+    PairDeterminant,
     SearchConfig,
+    Word,
+    binomial_factors,
     bounds,
     cofactor_3vars,
     divide_by_binomial,
@@ -13,9 +18,11 @@ from weq import (
     linear_equivalent,
     minimal_count_bounds,
     pair_report_json,
+    s_vector,
     solution_hyperplanes,
-    system_bounds,
+    system_size_bound,
     t_det,
+    unknown_names,
 )
 from weq.analysis import STATUS_ALL_ZERO, STATUS_OK
 from weq.search import random_equation
@@ -166,17 +173,111 @@ class TestBounds:
 
     def test_system_bounds_plus_two(self):
         T = EqSystem((E1, E2))
-        report = system_bounds(T)
-        assert report.system_size_bound == report.best + 2 == 10
+        assert system_size_bound(T) == bounds(E1, E2).best + 2 == 10
 
     def test_system_bounds_with_solution_flag(self):
         T = EqSystem((E1, E2))
-        report = system_bounds(T, has_rank_n1_solution=True)
-        assert report.system_size_bound == report.best + 1 == 9
+        assert system_size_bound(T, has_rank_n1_solution=True) == bounds(E1, E2).best + 1 == 9
 
     def test_system_bounds_needs_two_equations(self):
         with pytest.raises(ValueError):
-            system_bounds(EqSystem((E1,)))
+            system_size_bound(EqSystem((E1,)))
+
+
+def balanced_equation(rng, n, max_side):
+    left = [rng.randrange(n) for _ in range(rng.randint(1, max_side))]
+    right = rng.sample(left, len(left))
+    return Equation(Word(tuple(left)), Word(tuple(right)), n)
+
+
+def pair_corpus(rng, count):
+    """Seeded pairs in turn: random over 3 and over 4 unknowns, balanced
+    over 3 unknowns, and identical (every determinant zero)."""
+    pairs = []
+    for i in range(count):
+        kind = i % 4
+        n = 4 if kind == 1 or (kind == 3 and i % 8 == 7) else 3
+        if kind == 2:
+            pairs.append((balanced_equation(rng, 3, 6), balanced_equation(rng, 3, 6)))
+        else:
+            A = random_equation(rng, n, 10)
+            pairs.append((A, A if kind == 3 else random_equation(rng, n, 10)))
+    return pairs
+
+
+REPORT_KEYS = {
+    "status", "bounds", "pair", "determinant", "content", "factors", "residual",
+    "hyperplane_constraints", "erasing_notes",
+}
+
+
+def refuse_call(p):
+    raise AssertionError("computed after the call returned, or factored where no factor is read")
+
+
+class TestPairAnalysis:
+    def test_fields_match_direct_computation(self, rng):
+        x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+        kinds = set()
+        for E, Ep in pair_corpus(rng, 200):
+            n = E.n
+            pa = PairAnalysis(E, Ep)
+            assert pa.s_vectors == (s_vector(E), s_vector(Ep))
+            grid = {(j, k): t_det(E, Ep, j, k) for j in range(n) for k in range(j + 1, n)}
+            assert list(pa.grid.items()) == list(grid.items())
+            nonzero = [pr for pr, det in grid.items() if det]
+            occ = E.occurrences
+            assert pa.sum_bound == E.size + Ep.size
+            assert pa.pair_bounds == tuple(((j, k), 2 * (occ(j) + occ(k))) for j, k in nonzero)
+            assert pa.best == min([E.size + Ep.size] + [b for _, b in pa.pair_bounds])
+            assert pa.status == (STATUS_OK if nonzero else STATUS_ALL_ZERO)
+            if nonzero:
+                fac = binomial_factors(grid[nonzero[0]])
+                assert pa.primary == PairDeterminant(nonzero[0], grid[nonzero[0]], fac)
+                mixed = tuple(lam for lam, _ in fac.factors if not lam.is_erasing_constraint())
+                assert pa.hyperplanes == mixed
+                assert pa.constraints == tuple(lam.constraint_text(unknown_names(n)) for lam in mixed)
+                assert len(pa.erasing_notes) == len(fac.factors) - len(mixed)
+                assert set(pa.to_json()) == REPORT_KEYS | {"sign"}
+            else:
+                assert pa.primary is None
+                assert pa.hyperplanes == pa.constraints == pa.erasing_notes == ()
+                assert set(pa.to_json()) == REPORT_KEYS
+            assert pa.to_json() == pair_report_json(E, Ep) == solution_hyperplanes(E, Ep).to_json()
+            balanced = n == 3 and is_balanced(E) and is_balanced(Ep)
+            if balanced:
+                t = pa.cofactor
+                assert (grid[(1, 2)], -grid[(0, 2)], grid[(0, 1)]) == (t * (x - 1), t * (y - 1), t * (z - 1))
+                assert cofactor_3vars(E, Ep) == t
+            else:
+                with pytest.raises(ValueError):
+                    pa.cofactor
+            kinds.add((n, bool(nonzero), balanced))
+        assert kinds >= {(3, True, True), (3, True, False), (4, True, False), (3, False, False), (4, False, False)}
+
+    def test_solution_hyperplanes_factors_inside_the_call(self, monkeypatch):
+        report = solution_hyperplanes(E1, E2)
+        monkeypatch.setattr("weq.analysis.binomial_factors", refuse_call)
+        assert report.primary.pair == (0, 1)
+        assert [lam.entries for lam in report.hyperplanes] == [(2, 1, -1)]
+        assert report.constraints == ("2|h(x)| + |h(y)| = |h(z)|",)
+        assert len(report.erasing_notes) == 1
+
+    def test_bounds_never_factor(self, monkeypatch):
+        monkeypatch.setattr("weq.analysis.binomial_factors", refuse_call)
+        report = bounds(E1, E2)
+        assert (report.status, report.best) == (STATUS_OK, 8)
+        assert bounds(E1, E1).status == STATUS_ALL_ZERO
+
+    def test_bounds_are_computed_inside_the_call(self, monkeypatch):
+        report = bounds(E1, E2)
+        monkeypatch.setattr("weq.analysis.s_vector", refuse_call)
+        assert dict(report.pair_bounds)[(1, 2)] == 8
+        assert (report.status, report.sum_bound, report.best) == (STATUS_OK, 18, 8)
+
+    def test_names_default_to_unknown_names(self):
+        assert PairAnalysis(E1, E2).names == ("x", "y", "z")
+        assert PairAnalysis(E1, E2, ["u", "v", "w"]).constraints == ("2|h(u)| + |h(v)| = |h(w)|",)
 
 
 class TestExclusiveSolutionSeparation:

@@ -574,6 +574,8 @@ class TestRejectedInput:
             ["factor", "X - 1", "--nvars", "100000000"],
             ["search", "xy = yx", "--max-len", "1000000"],
             ["search", "xy = yx", "--max-len", "1000000", "--alphabet", "1"],
+            ["factor", "X^99999999999 - 1"],
+            ["factor", "X^9999999*Y - X*Y^9999999"],
         ],
     )
     def test_oversized_input_exits_2_at_once(self, capsys, argv):

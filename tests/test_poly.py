@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from weq import (
     LambdaVector,
     MultiPoly,
+    PairAnalysis,
     Word,
     binomial_factors,
     divide_by_binomial,
@@ -14,8 +15,7 @@ from weq import (
     pure_difference_divisors,
     word_poly,
 )
-from weq.encode import _det_grid, s_vector
-from weq.poly import BinomialFactorization
+from weq.poly import MAX_QUOTIENT_TERMS, BinomialFactorization
 from weq.search import random_equation_solved_by, random_morphism
 from weq.textio import parse_system
 from weq.words import _integer_rank
@@ -300,6 +300,17 @@ class TestDivision:
     def test_divide_zero(self):
         assert divide_by_binomial(MultiPoly.zero(2), LambdaVector((1, -1))) == MultiPoly.zero(2)
 
+    def test_quotient_size_is_bounded(self):
+        x_minus_1 = LambdaVector((1,))
+        q = divide_by_binomial(P(1, {(MAX_QUOTIENT_TERMS,): 1, (0,): -1}), x_minus_1)
+        assert len(q.terms) == MAX_QUOTIENT_TERMS
+        with pytest.raises(ValueError, match="more than 100000"):
+            divide_by_binomial(P(1, {(MAX_QUOTIENT_TERMS + 1,): 1, (0,): -1}), x_minus_1)
+        # the bound is on the sum over lines: two lines of 60,000 terms each
+        two_lines = P(2, {(60_000, 1): 1, (0, 1): -1, (60_000, 0): 1, (0, 0): -1})
+        with pytest.raises(ValueError, match="could have 120000 terms"):
+            divide_by_binomial(two_lines, LambdaVector((1, 0)))
+
 
 class TestEvaluationIdentities:
     def test_difference_evaluation_formula(self, rng):
@@ -502,7 +513,7 @@ class TestBinomialFactors:
             A, B = random_equation_solved_by(rng, h, 6), random_equation_solved_by(rng, h, 6)
             if A is None or B is None:
                 continue
-            nonzero = [d for d in _det_grid(s_vector(A), s_vector(B)).values() if d]
+            nonzero = [d for d in PairAnalysis(A, B).grid.values() if d]
             pairs += bool(nonzero)
             dets += nonzero
         with_factors = 0
@@ -657,7 +668,7 @@ class TestAgainstGeneralFactorizer:
         sympy = pytest.importorskip("sympy")
         system, _ = parse_system(text)
         E, Ep = system.equations
-        det = next(d for d in _det_grid(s_vector(E), s_vector(Ep)).values() if d)
+        det = next(d for d in PairAnalysis(E, Ep).grid.values() if d)
         assert len(det.terms) >= 190
         assert_matches_sympy(sympy, det, binomial_factors(det))
 

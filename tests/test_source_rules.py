@@ -2,7 +2,8 @@
 
 The library is exact and stdlib-only: no true division and no floating
 point anywhere, and no import from outside the standard library.
-Invariants raise, because ``python -O`` strips ``assert``.
+Invariants raise, because ``python -O`` strips ``assert``. The command
+line reads only the public names of the other modules.
 """
 
 import ast
@@ -60,3 +61,49 @@ def test_module_keeps_the_rules(path):
 )
 def test_each_rule_is_detected(source):
     assert len(violations(ast.parse(source))) == 1
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """Underscore names imported from a ``weq`` module, or read as an
+    attribute of a name imported from one (dunder names aside)."""
+    found, imported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "weq"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, f"import of {alias.name}"))
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.asname or "weq" for alias in node.names if alias.name.partition(".")[0] == "weq"
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.append((node.lineno, f"use of {ast.unparse(node)}"))
+    return sorted(found)
+
+
+def test_cli_uses_only_public_names():
+    path = SOURCES[0].parent / "cli.py"
+    assert private_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, count",
+    [
+        ("from .encode import _det_grid, s_vector", 1),
+        ("from . import analysis\nt = analysis._cofactor(grid)", 1),
+        ("import weq.analysis\nt = weq.analysis._cofactor(grid)", 1),
+        ("from . import analysis\nt = analysis.PairAnalysis(E, Ep).cofactor\nargs._x, args.__dict__", 0),
+    ],
+)
+def test_private_use_is_detected(source, count):
+    assert len(private_uses(ast.parse(source))) == count
