@@ -64,8 +64,8 @@ class PairAnalysis:
     determinant to twice the occurrence count of the pair in ``E``;
     ``best`` is the minimum applicable bound. Identical or linearly
     dependent coefficient vectors, and fewer than two unknowns, give the
-    all-zero ``status`` rather than an error. ``names`` defaults to
-    ``x, y, z, ...``.
+    all-zero ``status`` rather than an error. ``names`` has one entry per
+    unknown, else ValueError, and defaults to ``x, y, z, ...``.
     """
 
     E: Equation
@@ -75,7 +75,7 @@ class PairAnalysis:
     def __post_init__(self):
         if self.E.n != self.Ep.n:
             raise ValueError("equations must share the unknown count")
-        object.__setattr__(self, "names", tuple(self.names or unknown_names(self.E.n)))
+        object.__setattr__(self, "names", tuple(unknown_names(self.E.n, self.names or None)))
 
     @cached_property
     def s_vectors(self) -> tuple[SVector, SVector]:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when an analysis finds a violation or a
 mismatch, 2 on parse or usage errors, 3 on an internal error (a
-computation broke one of its own invariants; one line on stderr).
+computation broke one of its own invariants; one line on stderr), and
+141, the code a shell gives a process killed by SIGPIPE, when stdout is
+closed before the output is written, as in ``weq ... | head -1``.
 Inputs that look like existing paths are read as files, anything else
 is treated as literal text.
 """
@@ -274,10 +276,10 @@ def cmd_search(args):
         yield f"solutions within budget: {p['solution_count']}"
         yield from (f"rank {r}: {c}" for r, c in p["rank_counts"].items())
         for i, cls in enumerate(p["classes"]):
-            normal = LambdaVector(tuple(cls["normal"]))
-            yield f"class {i}: normal {normal} ({normal.constraint_text(names)}), {cls['size']} members"
+            normal = ", ".join(map(str, cls["normal"]))
+            yield f"class {i}: normal ({normal}) ({cls['constraint']}), {cls['size']} members"
 
-    return 0, catalog.to_json(), render
+    return 0, catalog.to_json(names), render
 
 
 _EXAMPLE_INPUT = "xyxz = zxyx\nxyxxz = zxxyx\n"
@@ -426,11 +428,17 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in render(payload):
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in render(payload):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

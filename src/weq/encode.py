@@ -127,6 +127,6 @@ def delta_k(E: Equation, k: int) -> Equation:
         raise IndexError(f"unknown index {k} out of range for n={E.n}")
 
     def strip(w: Word) -> Word:
-        return Word(tuple(s - (s > k) for s in w if s != k))
+        return Word(s - (s > k) for s in w if s != k)
 
     return Equation(strip(E.left), strip(E.right), E.n - 1)

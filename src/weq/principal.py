@@ -91,8 +91,8 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
     def mismatch() -> tuple[list[int], list[int]] | None:
         """``g(u), g(v)`` for the first equation ``u = v`` that g does not solve."""
         for e in system:
-            u = [c for s in e.left.symbols for c in g_imgs[s]]
-            v = [c for s in e.right.symbols for c in g_imgs[s]]
+            u = [c for s in e.left for c in g_imgs[s]]
+            v = [c for s in e.right for c in g_imgs[s]]
             if u != v:
                 return u, v
         return None
@@ -108,8 +108,8 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
         s, t = (u[j], v[j]) if len(h_img[u[j]]) <= len(h_img[v[j]]) else (v[j], u[j])
         hs, ht = h_img[s], h_img[t]
         if len(hs) < len(ht):
-            _require(ht.symbols[: len(hs)] == hs.symbols, "shorter image is not a prefix")
-            h_img[t] = Word(ht.symbols[len(hs):])
+            _require(ht[: len(hs)] == hs, "shorter image is not a prefix")
+            h_img[t] = Word(ht[len(hs):])
             replacement = (s, t)
             trace.append(("expand", s, t))
         else:
@@ -123,6 +123,6 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
     order = _first_occurrence_order(g_imgs)
     _require(set(order) == h_img.keys(), "letters of g differ from the surviving unknowns")
     remap = {old: new for new, old in enumerate(order)}
-    g = Morphism(tuple(Word(tuple(remap[c] for c in gi)) for gi in g_imgs), len(order))
+    g = Morphism(tuple(Word(remap[c] for c in gi) for gi in g_imgs), len(order))
     theta = Morphism(tuple(h_img[c] for c in order), h.target_alphabet_size)
     return PrincipalDecomposition(g, theta, tuple(trace))

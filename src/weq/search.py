@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .analysis import STATUS_OK, PairAnalysis
 from .encode import check_solution_poly
@@ -90,7 +90,8 @@ class SolutionCatalog:
         class_of = {h: i for i, cls in enumerate(self.classes) for h in cls.members}
         return [(rank_of[h], class_of.get(h, -1)) for h in self.solutions]
 
-    def to_json(self) -> dict:
+    def to_json(self, names: Sequence[str] | None = None) -> dict:
+        """The catalog as JSON, with the unknowns of the constraints named ``names``."""
         return {
             "n": self.n,
             "max_total_image_length": self.config.max_total_image_length,
@@ -100,7 +101,7 @@ class SolutionCatalog:
             "classes": [
                 {
                     "normal": list(cls.normal.entries),
-                    "constraint": cls.normal.constraint_text(),
+                    "constraint": cls.normal.constraint_text(names),
                     "size": len(cls.members),
                     "example": [str(im) for im in cls.members[0].images],
                 }
@@ -235,7 +236,7 @@ def enumerate_solutions(
     # stop summing as soon as the budget is passed
     if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
         raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
-    sides = tuple((e.left.symbols, e.right.symbols) for e in system)
+    sides = tuple((e.left, e.right) for e in system)
     lts = _feasible_length_types(system, cfg)
     tasks = [(sides, cfg.alphabet_size, lt) for lt in lts]
     if workers > 1 and len(tasks) > 1:
@@ -328,7 +329,7 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
 
 
 def random_word(rng: random.Random, n: int, max_len: int, min_len: int = 0) -> Word:
-    return Word(tuple(rng.randrange(n) for _ in range(rng.randint(min_len, max_len))))
+    return Word(rng.randrange(n) for _ in range(rng.randint(min_len, max_len)))
 
 
 def random_equation(rng: random.Random, n: int, max_size: int) -> Equation:
@@ -354,19 +355,18 @@ def random_morphism(
 def _preimages(h: Morphism, target: Word, max_len: int, cap: int) -> list[Word]:
     """Words over the domain that ``h`` maps onto ``target`` (bounded DFS)."""
     out: list[Word] = []
-    target_syms = target.symbols
 
     def extend(pos: int, acc: list[int]) -> None:
         if len(out) >= cap:
             return
-        if pos == len(target_syms):
-            out.append(Word(tuple(acc)))
+        if pos == len(target):
+            out.append(Word(acc))
             return
         if len(acc) >= max_len:
             return
         for j in range(h.domain_size):
-            im = h.images[j].symbols
-            if im and target_syms[pos : pos + len(im)] == im:
+            im = h.images[j]
+            if im and target[pos : pos + len(im)] == im:
                 acc.append(j)
                 extend(pos + len(im), acc)
                 acc.pop()
@@ -389,10 +389,10 @@ def random_equation_solved_by(
     if empties and vs:
         padded = []
         for v in vs[:8]:
-            syms = list(v.symbols)
+            syms = list(v)
             for _ in range(rng.randint(0, 2)):
                 syms.insert(rng.randint(0, len(syms)), rng.choice(empties))
-            padded.append(Word(tuple(syms)))
+            padded.append(Word(syms))
         vs = vs + padded
     if not vs:
         return None

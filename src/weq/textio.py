@@ -64,11 +64,12 @@ def parse_system(text: str) -> tuple[EqSystem, list[str]]:
         raise ParseError(f"unknowns must be lowercase letters, got {bad.group()!r}")
     names = [c for c in "xyz" if c in letters] + sorted(set(letters) - set("xyz"))
     index = {c: i for i, c in enumerate(names)}
-    word = lambda side: Word(tuple(index[c] for c in side))
+    word = lambda side: Word(index[c] for c in side)
     return EqSystem(tuple(Equation(word(l), word(r), len(names)) for l, r in sides)), names
 
 
 def render_equation(E: Equation, names: Sequence[str]) -> str:
+    names = unknown_names(E.n, names)
     fmt = lambda w: "".join(names[s] for s in w) if w else "eps"
     return f"{fmt(E.left)} = {fmt(E.right)}"
 
@@ -89,7 +90,7 @@ def parse_morphism(text: str, names: Sequence[str]) -> Morphism:
 
 
 def render_morphism(h: Morphism, names: Sequence[str] | None = None) -> str:
-    names = list(names) if names is not None else unknown_names(h.domain_size)
+    names = unknown_names(h.domain_size, names)
     return "\n".join(
         f"{nm} = {im if im else 'eps'}" for nm, im in zip(names, h.images)
     )

@@ -1,9 +1,11 @@
 """Words over indexed alphabets, morphisms between them, and equations.
 
 Letters are small non-negative integers indexing an alphabet; display
-names exist only at the text-format boundary. Everything in this module
-is an immutable value and every operation is a pure function, so
-instances can be shared freely across threads.
+names exist only at the text-format boundary. A ``Word`` is the tuple of
+its letters: it equals and hashes as the plain tuple, and a slice of it
+is a plain tuple. Everything in this module is an immutable value and
+every operation is a pure function, so instances can be shared freely
+across threads.
 
 Letter-count linear algebra (the occurrence-count rows of a morphism,
 their rank over the rationals, hyperplane normals) is exact: one
@@ -26,22 +28,27 @@ class InternalError(RuntimeError):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def unknown_names(n: int) -> list[str]:
-    """Default display names x, y, z, x4, x5, ... for ``n`` unknowns."""
-    return ["x", "y", "z"][:n] + [f"x{i}" for i in range(4, n + 1)]
+def unknown_names(n: int, names: Sequence[str] | None = None) -> list[str]:
+    """Display names for ``n`` unknowns: ``names``, which must have exactly
+    ``n`` entries, or by default x, y, z, x4, x5, ..."""
+    if names is None:
+        return ["x", "y", "z"][:n] + [f"x{i}" for i in range(4, n + 1)]
+    if len(names) != n:
+        raise ValueError(f"expected {n} unknown names, got {len(names)}")
+    return list(names)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(tuple):
     """Finite sequence of letters of an indexed alphabet; may be empty."""
 
-    symbols: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.symbols, tuple):
-            object.__setattr__(self, "symbols", tuple(self.symbols))
-        if any(not isinstance(s, int) or s < 0 for s in self.symbols):
-            raise ValueError(f"letters must be non-negative integers: {self.symbols!r}")
+    def __new__(cls, symbols: Iterable[int] = ()) -> "Word":
+        self = super().__new__(cls, symbols)
+        for s in self:
+            if not isinstance(s, int) or s < 0:
+                raise ValueError(f"letters must be non-negative integers: {tuple(self)!r}")
+        return self
 
     @classmethod
     def from_letters(cls, text: str) -> "Word":
@@ -51,34 +58,23 @@ class Word:
             if not ("a" <= ch <= "z"):
                 raise ValueError(f"expected a lowercase letter, got {ch!r}")
             syms.append(ord(ch) - ord("a"))
-        return cls(tuple(syms))
+        return cls(syms)
 
-    def letters(self) -> frozenset[int]:
-        return frozenset(self.symbols)
-
-    def count(self, symbol: int) -> int:
-        return self.symbols.count(symbol)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __getitem__(self, i):
-        return self.symbols[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.symbols)
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.symbols + other.symbols)
+        return Word(tuple.__add__(self, other))
+
+    def __repr__(self) -> str:
+        return f"Word({tuple(self)!r})"
 
     def __str__(self) -> str:
         try:
-            return "".join([_LETTERS[s] for s in self.symbols])
+            return "".join([_LETTERS[s] for s in self])
         except IndexError:  # a letter past z: spell every letter as <s>
-            return "".join(f"<{s}>" for s in self.symbols)
+            return "".join(f"<{s}>" for s in self)
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ class Equation:
             raise ValueError("number of unknowns must be non-negative")
         for side in (self.left, self.right):
             if any(s >= self.n for s in side):
-                raise ValueError(f"unknown index out of range in {side.symbols!r} (n={self.n})")
+                raise ValueError(f"unknown index out of range in {tuple(side)!r} (n={self.n})")
 
     @property
     def size(self) -> int:
@@ -107,7 +103,7 @@ class Equation:
         return self.left.count(j) + self.right.count(j)
 
     def unknowns(self) -> frozenset[int]:
-        return self.left.letters() | self.right.letters()
+        return frozenset(self.left).union(self.right)
 
     def __str__(self) -> str:
         names = unknown_names(self.n)
@@ -171,7 +167,7 @@ class Morphism:
         for im in self.images:
             if any(s >= self.target_alphabet_size for s in im):
                 raise ValueError(
-                    f"image {im.symbols!r} uses letters outside alphabet of size "
+                    f"image {tuple(im)!r} uses letters outside alphabet of size "
                     f"{self.target_alphabet_size}"
                 )
 
@@ -192,8 +188,8 @@ class Morphism:
         for s in w:
             if s >= self.domain_size:
                 raise ValueError(f"letter {s} outside domain of size {self.domain_size}")
-            out.extend(self.images[s].symbols)
-        return Word(tuple(out))
+            out.extend(self.images[s])
+        return Word(out)
 
     def length_type(self) -> tuple[int, ...]:
         """Vector of image lengths."""
@@ -201,20 +197,14 @@ class Morphism:
 
     def letters(self) -> frozenset[int]:
         """Target letters actually occurring in some image."""
-        out: frozenset[int] = frozenset()
-        for im in self.images:
-            out |= im.letters()
-        return out
+        return frozenset().union(*self.images)
 
     def is_erasing(self) -> bool:
         return any(not im for im in self.images)
 
     def is_letter_renaming(self) -> bool:
         """True when every image is a single letter and no two images coincide."""
-        if any(len(im) != 1 for im in self.images):
-            return False
-        seen = [im.symbols[0] for im in self.images]
-        return len(seen) == len(set(seen))
+        return all(len(im) == 1 for im in self.images) and len(set(self.images)) == len(self.images)
 
     def __str__(self) -> str:
         names = unknown_names(self.domain_size)
@@ -384,7 +374,7 @@ class LambdaVector:
 
     def constraint_text(self, names: Sequence[str] | None = None) -> str:
         """Render as a length constraint, e.g. ``2|h(x)| + |h(y)| = |h(z)|``."""
-        names = list(names) if names is not None else unknown_names(self.n)
+        names = unknown_names(self.n, names)
 
         def side(part: tuple[int, ...]) -> str:
             terms = []
@@ -433,7 +423,7 @@ def canonical_letters(h: Morphism) -> Morphism:
     images (in image order), dropping unused letters."""
     order = _first_occurrence_order(h.images)
     remap = {old: new for new, old in enumerate(order)}
-    images = tuple(Word(tuple(remap[s] for s in im)) for im in h.images)
+    images = tuple(Word(remap[s] for s in im) for im in h.images)
     return Morphism(images, len(order))
 
 

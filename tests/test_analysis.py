@@ -279,6 +279,11 @@ class TestPairAnalysis:
         assert PairAnalysis(E1, E2).names == ("x", "y", "z")
         assert PairAnalysis(E1, E2, ["u", "v", "w"]).constraints == ("2|h(u)| + |h(v)| = |h(w)|",)
 
+    @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z", "w")])
+    def test_names_of_the_wrong_length_are_refused(self, names):
+        with pytest.raises(ValueError, match="expected 3 unknown names"):
+            PairAnalysis(E1, E2, names)
+
 
 class TestExclusiveSolutionSeparation:
     def test_common_and_exclusive_solutions_not_equivalent(self):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import weq
@@ -198,6 +200,15 @@ class TestTextRoundTrips:
         h = Morphism(tuple(images), 1 + max((c for w in images for c in w), default=-1))
         text = render_morphism(h, names)
         assert parse_morphism(text, names) == h
+
+    def test_render_equation_needs_one_name_per_unknown(self):
+        system, _ = parse_system(PAIR_TEXT)
+        with pytest.raises(ValueError, match="expected 3 unknown names, got 1"):
+            render_equation(system.equations[0], ["x"])
+
+    def test_render_morphism_needs_one_name_per_unknown(self):
+        with pytest.raises(ValueError, match="expected 3 unknown names, got 1"):
+            render_morphism(morph("ab", "ba", "aba"), ["x"])
 
     def test_morphism_missing_binding(self):
         with pytest.raises(ParseError):
@@ -439,6 +450,15 @@ class TestJsonStability:
             "solutions",
         }
 
+    def test_search_json_names_the_unknowns_as_the_text_does(self, capsys):
+        assert main(["search", "uv = vu", "--max-len", "4", "--json"]) == 0
+        constraints = [cls["constraint"] for cls in json.loads(capsys.readouterr().out)["classes"]]
+        assert main(["search", "uv = vu", "--max-len", "4"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("class ")]
+        assert constraints and len(lines) == len(constraints)
+        assert all(f"({c})," in line for c, line in zip(constraints, lines))
+        assert all("h(x)" not in c and "h(y)" not in c for c in constraints)
+
     def test_stable_across_runs(self, capsys):
         assert main(["hyperplanes", PAIR_TEXT, "--json"]) == 0
         first = capsys.readouterr().out
@@ -595,6 +615,84 @@ class TestImportCost:
         code = "import sys, weq.cli; print('multiprocessing' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        src = str(Path(weq.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        # about 119 KB of JSON, more than a pipe buffers
+        argv = [sys.executable, "-m", "weq.cli", "search", "xy = yx", "--max-len", "8", "--json"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+
+@st.composite
+def equations_text(draw):
+    """1-3 equations of at most 6 letters over x, y, z."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = draw(st.text("xyz", max_size=6))
+        cut = draw(st.integers(0, len(word)))
+        lines.append(f"{word[:cut]} = {word[cut:]}")
+    return "\n".join(lines)
+
+
+@st.composite
+def poly_text(draw):
+    """At most 4 terms over X, Y, Z, X4, exponents <= 30, coefficients <= 12."""
+    terms = []
+    for i in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["", "-"] if i == 0 else ["+", "-"]))
+        factors = [
+            var + (f"^{e}" if (e := draw(st.integers(0, 30))) != 1 else "")
+            for var in draw(st.lists(st.sampled_from(["X", "Y", "Z", "X4"]), max_size=3, unique=True))
+        ]
+        coeff = draw(st.integers(0, 12))
+        terms.append(sign + "*".join(([str(coeff)] if coeff != 1 or not factors else []) + factors))
+    return draw(st.sampled_from([" ", ""])).join(terms)
+
+
+@st.composite
+def short_commands(draw):
+    """An argument list for one command whose input sizes are all fixed:
+    no search passes 2,815 candidates."""
+    eqs = draw(equations_text())
+    search = ["--max-len", str(draw(st.integers(0, 6))), "--alphabet", str(draw(st.integers(1, 2)))]
+    names = [c for c in "xyz" if c in eqs]
+    images = st.text("ab", max_size=4).map(lambda im: im or "eps")
+    morphism = "\n".join(f"{nm} = {draw(images)}" for nm in names)
+    argv = draw(
+        st.sampled_from(
+            [
+                ["factor", draw(poly_text())],
+                ["det", eqs],
+                ["bounds", eqs],
+                ["search", eqs, *search],
+                ["search", eqs, "--verify-bounds", *search],
+                ["principal", eqs, morphism],
+            ]
+        )
+    )
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+class TestBoundedWork:
+    @settings(max_examples=200)
+    @given(short_commands())
+    def test_short_input_ends_in_a_documented_exit_code(self, argv):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse, e.g. a polynomial read as an option
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert time.perf_counter() - start < 10
 
 
 class TestBoundsAssumption:

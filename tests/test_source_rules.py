@@ -2,8 +2,9 @@
 
 The library is exact and stdlib-only: no true division and no floating
 point anywhere, and no import from outside the standard library.
-Invariants raise, because ``python -O`` strips ``assert``. The command
-line reads only the public names of the other modules.
+Invariants raise, because ``python -O`` strips ``assert``. A word is the
+tuple of its letters, so the library never reads ``.symbols`` to get
+them. The command line reads only the public names of the other modules.
 """
 
 import ast
@@ -27,6 +28,8 @@ def violations(tree: ast.AST) -> list[tuple[int, str]]:
             found.append((line, f"float constant {node.value!r}"))
         elif isinstance(node, ast.Name) and node.id == "float":
             found.append((line, "use of float"))
+        elif isinstance(node, ast.Attribute) and node.attr == "symbols":
+            found.append((line, f"read of {ast.unparse(node)}"))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.partition(".")[0] not in sys.stdlib_module_names:
@@ -57,10 +60,22 @@ def test_module_keeps_the_rules(path):
         "y = float(x)",
         "import numpy",
         "from sympy import Poly",
+        "u = [c for s in e.left.symbols for c in g[s]]",
     ],
 )
 def test_each_rule_is_detected(source):
     assert len(violations(ast.parse(source))) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "u = [c for s in e.left for c in g[s]]",
+        "@property\ndef symbols(self):\n    return tuple(self)",
+    ],
+)
+def test_allowed_source_passes(source):
+    assert violations(ast.parse(source)) == []
 
 
 def _private(name: str) -> bool:

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import lcm
 
@@ -116,6 +117,33 @@ class TestWord:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Word((-1,))
+
+    @pytest.mark.parametrize("letters", [[-1], "a", [1.5], (0, None)])
+    def test_rejects_non_letters(self, letters):
+        with pytest.raises(ValueError):
+            Word(letters)
+
+    def test_is_the_tuple_of_its_letters(self):
+        w = Word((0, 1, 0))
+        assert w == (0, 1, 0) and hash(w) == hash((0, 1, 0))
+        assert {(0, 1, 0): "t"}[w] == "t"
+        assert type(w[1:]) is tuple and w[1:] == (1, 0)
+        assert type(w.symbols) is tuple and w.symbols == (0, 1, 0)
+        assert repr(w) == "Word((0, 1, 0))"
+
+    def test_concatenation_is_a_word(self):
+        w = Word((0,)) + Word((1, 1))
+        assert type(w) is Word and w == (0, 1, 1)
+
+    def test_pickle_round_trip(self):
+        w = Word((2, 0, 1))
+        back = pickle.loads(pickle.dumps(w))
+        assert type(back) is Word and back == w
+
+    def test_only_the_tuple_holds_the_letters(self):
+        assert issubclass(Word, tuple) and Word.__slots__ == ()
+        inherited = ("__len__", "__iter__", "__getitem__", "__bool__", "count", "letters")
+        assert not set(inherited) & set(vars(Word))
 
     def test_str_spells_every_letter_by_number_past_z(self):
         assert str(Word((0, 1))) == "ab"
@@ -326,6 +354,12 @@ class TestLambdaVector:
     def test_constraint_text(self):
         assert LambdaVector((2, 1, -1)).constraint_text() == "2|h(x)| + |h(y)| = |h(z)|"
         assert LambdaVector((1, 0, 0)).constraint_text() == "|h(x)| = 0"
+        assert LambdaVector((2, 1, -1)).constraint_text("uvw") == "2|h(u)| + |h(v)| = |h(w)|"
+
+    @pytest.mark.parametrize("names", [["x"], ["x", "y", "z", "w"]])
+    def test_constraint_text_needs_one_name_per_entry(self, names):
+        with pytest.raises(ValueError, match="expected 3 unknown names"):
+            LambdaVector((2, 1, -1)).constraint_text(names)
 
     def test_erasing_constraint_flag(self):
         assert LambdaVector((1, 0, 0)).is_erasing_constraint()
