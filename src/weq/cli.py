@@ -279,7 +279,8 @@ def cmd_search(args):
             normal = ", ".join(map(str, cls["normal"]))
             yield f"class {i}: normal ({normal}) ({cls['constraint']}), {cls['size']} members"
 
-    return 0, catalog.to_json(names), render
+    # the text names no solution, so it renders from the summary alone
+    return 0, catalog.to_json(names) if args.json else catalog.summary(names), render
 
 
 _EXAMPLE_INPUT = "xyxz = zxyx\nxyxxz = zxxyx\n"

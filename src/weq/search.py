@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .analysis import STATUS_OK, PairAnalysis
 from .encode import check_solution_poly
@@ -31,7 +31,6 @@ from .words import (
     Word,
     _rank_and_normal,
     as_system,
-    gamma_matrix,
     is_solution,
 )
 
@@ -60,6 +59,18 @@ class SearchConfig:
             raise ValueError(f"the alphabet needs at least one letter, got {self.alphabet_size}")
 
 
+class _Memo(dict):
+    """Each key's value, made by ``make`` on the key's first lookup only."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 @dataclass(frozen=True)
 class SolutionClass:
     """One linear-equivalence class of rank-(n-1) solutions."""
@@ -84,14 +95,16 @@ class SolutionCatalog:
 
     @cached_property
     def _ranks_and_classes(self) -> list[tuple[int, int]]:
-        """Rank and class index (-1 below rank n-1) of every solution, read
-        off ``by_rank`` and ``classes`` once per catalog."""
+        """Rank and class index (-1 below rank n-1) of every solution.
+        ``enumerate_solutions`` records it while classifying; a catalog
+        built any other way reads it off ``by_rank`` and ``classes``."""
         rank_of = {h: r for r, ms in self.by_rank.items() for h in ms}
         class_of = {h: i for i, cls in enumerate(self.classes) for h in cls.members}
         return [(rank_of[h], class_of.get(h, -1)) for h in self.solutions]
 
-    def to_json(self, names: Sequence[str] | None = None) -> dict:
-        """The catalog as JSON, with the unknowns of the constraints named ``names``."""
+    def summary(self, names: Sequence[str] | None = None) -> dict:
+        """The catalog as JSON without its per-solution list, with the
+        unknowns of the constraints named ``names``."""
         return {
             "n": self.n,
             "max_total_image_length": self.config.max_total_image_length,
@@ -107,16 +120,24 @@ class SolutionCatalog:
                 }
                 for cls in self.classes
             ],
+        }
+
+    def to_json(self, names: Sequence[str] | None = None) -> dict:
+        """The summary and every solution's images, rank and class."""
+        text = _Memo(str)
+        return {
+            **self.summary(names),
             "solutions": [
-                {"images": [str(im) for im in h.images], "rank": r, "class": c}
+                {"images": list(map(text.__getitem__, h.images)), "rank": r, "class": c}
                 for h, (r, c) in zip(self.solutions, self._ranks_and_classes)
             ],
         }
 
     def csv_rows(self) -> list[tuple[str, int, int]]:
         """Rows (length type, rank, class id) for every solution."""
+        text = _Memo(lambda lt: " ".join(map(str, lt)))
         return [
-            (" ".join(str(v) for v in h.length_type()), r, c)
+            (text[tuple(map(len, h.images))], r, c)
             for h, (r, c) in zip(self.solutions, self._ranks_and_classes)
         ]
 
@@ -178,17 +199,16 @@ def _feasible_length_types(T: EqSystem, cfg: SearchConfig) -> list[tuple[int, ..
     return out
 
 
-def _solutions_for_length_type(
-    args: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int, tuple[int, ...]],
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Images of every solution of one length type, in lexicographic order.
+def _position_templates(
+    sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], lt: tuple[int, ...]
+) -> tuple[int, list[list[int]]]:
+    """Position classes of one length type: their number, and for each
+    image the class of each of its cells.
 
     Image j holds the cells ``starts[j] .. starts[j + 1] - 1`` of one cell
     vector, and each equation identifies cell i of ``h(u)`` with cell i of
-    ``h(v)``. The solutions are the letter assignments to the resulting
-    position classes, which are numbered by their first cell.
+    ``h(v)``. The classes are numbered by their first cell.
     """
-    sides, k, lt = args
     starts = [0]
     for l in lt:
         starts.append(starts[-1] + l)
@@ -209,10 +229,19 @@ def _solutions_for_length_type(
             parent[find(a)] = find(b)
     number: dict[int, int] = {}
     of_cell = [number.setdefault(find(c), len(number)) for c in range(starts[-1])]
-    templates = [of_cell[starts[j] : starts[j + 1]] for j in range(len(lt))]
+    return len(number), [of_cell[starts[j] : starts[j + 1]] for j in range(len(lt))]
+
+
+def _solutions_for_length_type(
+    args: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int, tuple[int, ...]],
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Images of every solution of one length type, one per letter
+    assignment to its position classes, in lexicographic order."""
+    sides, k, lt = args
+    classes, templates = _position_templates(sides, lt)
     return [
-        tuple(tuple(letters[c] for c in t) for t in templates)
-        for letters in product(range(k), repeat=len(number))
+        tuple([tuple([letters[c] for c in t]) for t in templates])
+        for letters in product(range(k), repeat=classes)
     ]
 
 
@@ -222,57 +251,69 @@ def enumerate_solutions(
     """Catalog every solution of ``T`` within the configured space.
 
     The solutions of a length type are the letter assignments to its
-    position classes, taken in lexicographic order: two assignments first
-    differ on some class, and the first cell of that class is the first
-    cell where their images differ, so the images come out in
-    lexicographic order too. Rank and hyperplane normal depend only on the
-    occurrence-count matrix, so each distinct matrix is classified once.
+    position classes (``_position_templates``), taken in lexicographic
+    order: two assignments first differ on some class, and the first cell
+    of that class is the first cell where their images differ, so the
+    images come out in lexicographic order too. Each distinct image is
+    built and checked as a ``Word`` once per call and shared by every
+    solution that uses it.
+
+    Rank and hyperplane normal depend only on the occurrence-count matrix
+    up to the order of its rows and its zero rows, so they are memoized by
+    the sorted nonzero rows: one row per letter that occurs. A listed
+    solution's cost depends on n, L and the letters it uses, not on the
+    alphabet size, and ``x = x`` at length budget 2 needs 4 eliminations
+    at any k. Each solution's rank and class are recorded as it is
+    classified, so rendering the catalog hashes no morphism.
 
     With ``workers > 1`` length types are enumerated in parallel processes
     and merged back in the serial order, so the catalog is identical.
     """
     system = as_system(T)
-    n = system.n
+    n, k = system.n, cfg.alphabet_size
     # stop summing as soon as the budget is passed
     if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
         raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
     sides = tuple((e.left, e.right) for e in system)
     lts = _feasible_length_types(system, cfg)
-    tasks = [(sides, cfg.alphabet_size, lt) for lt in lts]
+    tasks = [(sides, k, lt) for lt in lts]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solutions_for_length_type, tasks))
+            found = list(chain.from_iterable(pool.map(_solutions_for_length_type, tasks)))
     else:
-        results = [_solutions_for_length_type(t) for t in tasks]
+        found = chain.from_iterable(map(_solutions_for_length_type, tasks))
 
+    words = _Memo(Word)
     solutions: list[Morphism] = []
+    kinds: list[tuple[int, tuple[int, ...] | None]] = []
     by_rank: dict[int, list[Morphism]] = {}
     classes: dict[tuple[int, ...], list[Morphism]] = {}
-    kinds: dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...] | None]] = {}
-    for images_list in results:
-        for images in images_list:
-            h = Morphism(tuple(Word(im) for im in images), cfg.alphabet_size)
-            solutions.append(h)
-            counts = gamma_matrix(h)
-            kind = kinds.get(counts)
-            if kind is None:
-                kind = kinds[counts] = _rank_and_normal(counts, n)
-            r, normal = kind
-            by_rank.setdefault(r, []).append(h)
-            if normal is not None:
-                classes.setdefault(normal, []).append(h)
-    return SolutionCatalog(
+    kind_of = _Memo(lambda rows: _rank_and_normal(rows, n))
+    for images in found:
+        h = Morphism(tuple(map(words.__getitem__, images)), k)
+        solutions.append(h)
+        rows = sorted([tuple([im.count(a) for im in images]) for a in set().union(*images)])
+        kinds.append(kind_of[tuple(rows)])
+        r, normal = kinds[-1]
+        by_rank.setdefault(r, []).append(h)
+        if normal is not None:
+            classes.setdefault(normal, []).append(h)
+    normals = sorted(classes)
+    index = {normal: i for i, normal in enumerate(normals)}
+    catalog = SolutionCatalog(
         n=n,
         config=cfg,
         solutions=tuple(solutions),
         by_rank={r: tuple(ms) for r, ms in by_rank.items()},
-        classes=tuple(
-            SolutionClass(LambdaVector(entries), tuple(ms))
-            for entries, ms in sorted(classes.items())
-        ),
+        classes=tuple(SolutionClass(LambdaVector(e), tuple(classes[e])) for e in normals),
     )
+    # fill the cache that a catalog built any other way derives from its fields
+    catalog.__dict__["_ranks_and_classes"] = [
+        (r, -1 if normal is None else index[normal]) for r, normal in kinds
+    ]
+    return catalog
 
 
 @dataclass(frozen=True)

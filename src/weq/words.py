@@ -165,7 +165,7 @@ class Morphism:
         if not isinstance(self.images, tuple):
             object.__setattr__(self, "images", tuple(self.images))
         for im in self.images:
-            if any(s >= self.target_alphabet_size for s in im):
+            if im and max(im) >= self.target_alphabet_size:
                 raise ValueError(
                     f"image {tuple(im)!r} uses letters outside alphabet of size "
                     f"{self.target_alphabet_size}"

@@ -78,6 +78,7 @@ def reference_catalog(system: EqSystem, cfg: SearchConfig):
 def assert_matches_reference(system: EqSystem, cfg: SearchConfig) -> None:
     catalog = enumerate_solutions(system, cfg)
     solutions, by_rank, classes = reference_catalog(system, cfg)
+    assert all(type(im) is Word for h in catalog.solutions for im in h.images)
     assert catalog.solutions == solutions
     assert catalog.by_rank == by_rank
     assert catalog.classes == classes
@@ -85,13 +86,14 @@ def assert_matches_reference(system: EqSystem, cfg: SearchConfig) -> None:
 
 @st.composite
 def small_searches(draw):
-    """Systems of 1-3 equations over 1-4 unknowns, searched over 1-3
-    letters up to total image length 6."""
+    """Systems of 1-3 equations over 1-4 unknowns, searched over 1-4
+    letters up to total image length 6, or 5 over 4 letters, which keeps
+    the largest product scan below that of 3 letters at length 6."""
     n = draw(st.integers(1, 4))
     word = st.lists(st.integers(0, n - 1), max_size=5).map(lambda s: Word(tuple(s)))
     equations = draw(st.lists(st.builds(Equation, word, word, st.just(n)), min_size=1, max_size=3))
-    k = draw(st.integers(1, 3))
-    cfg = SearchConfig(draw(st.integers(0, 6)), k, allow_erasing=draw(st.booleans()))
+    k = draw(st.integers(1, 4))
+    cfg = SearchConfig(draw(st.integers(0, 6 if k < 4 else 5)), k, allow_erasing=draw(st.booleans()))
     return EqSystem(tuple(equations)), cfg
 
 
@@ -138,6 +140,25 @@ class TestEnumeration:
             assert serial.to_json() == parallel.to_json()
             assert serial.csv_rows() == parallel.csv_rows()
 
+    def test_large_alphabet_needs_few_eliminations(self, monkeypatch):
+        # the memo key is the sorted nonzero count rows, so the letters of
+        # a solution do not matter, only how often each occurs
+        from weq import search
+
+        calls = []
+        rank_and_normal = search._rank_and_normal
+        monkeypatch.setattr(
+            search, "_rank_and_normal", lambda rows, n: calls.append(rows) or rank_and_normal(rows, n)
+        )
+        catalog = enumerate_solutions(EqSystem((eq("x", "x"),)), SearchConfig(2, 100))
+        assert len(catalog.solutions) == 1 + 100 + 100**2
+        assert len(calls) <= 4
+
+    def test_each_distinct_image_is_one_word(self):
+        catalog = enumerate_solutions(PAIR, SearchConfig(8, 2))
+        images = [im for h in catalog.solutions for im in h.images]
+        assert len({id(im) for im in images}) == len(set(images))
+
     def test_space_guard(self):
         with pytest.raises(SearchSpaceError):
             enumerate_solutions(CONJ, SearchConfig(30, 3))
@@ -162,6 +183,8 @@ class TestAgainstProductScan:
     @example((EqSystem((Equation(Word((0, 1)), Word(), 3),)), SearchConfig(4, 2)))
     @example((EqSystem((eq("xz", "zy"), Equation(Word((0,)), Word((0,)), 3))), SearchConfig(5, 3)))
     @example((EqSystem((Equation(Word((0, 0)), Word((1,)), 4),)), SearchConfig(6, 2, allow_erasing=False)))
+    # xx = yy forces x = y, so no solution uses more than 3 of the 4 letters
+    @example((EqSystem((Equation(Word((0, 0)), Word((1, 1)), 2),)), SearchConfig(6, 4)))
     def test_catalog_matches_reference(self, search):
         assert_matches_reference(*search)
 
@@ -208,6 +231,13 @@ class TestCatalogInvariants:
 
             for h in cls.members:
                 assert gamma_normal(h) == cls.normal
+
+    def test_json_is_summary_and_solutions(self):
+        catalog = enumerate_solutions(PAIR, SearchConfig(8, 2))
+        summary, payload = catalog.summary(("u", "v", "w")), catalog.to_json(("u", "v", "w"))
+        assert list(payload) == [*summary, "solutions"]
+        assert {key: payload[key] for key in summary} == summary
+        assert "u" in summary["classes"][0]["constraint"]
 
     def test_json_and_csv_shapes(self):
         catalog = enumerate_solutions(CONJ, SearchConfig(4, 2))
