@@ -10,7 +10,8 @@ determinant yield size bounds on the number of classes.
 
 One :class:`PairAnalysis` holds one pair and computes each of these
 results once, when it is first read; ``solution_hyperplanes``,
-``bounds``, ``cofactor_3vars`` and ``pair_report_json`` are views of it.
+``bounds``, ``system_size_bound``, ``cofactor_3vars`` and
+``pair_report_json`` are views of it.
 """
 
 from __future__ import annotations
@@ -150,6 +151,12 @@ class PairAnalysis:
             raise InternalError("inconsistent cofactors across the determinant triple")
         return quotients[0]
 
+    def system_size_bound(self, has_rank_n1_solution: bool = False) -> int:
+        """Size bound for a system whose first two equations are this pair,
+        assumed, not checked, to be strongly independent: ``best`` plus 2,
+        or plus 1 when the system is declared to have a rank-(n-1) solution."""
+        return self.best + (1 if has_rank_n1_solution else 2)
+
     def bounds_json(self) -> dict:
         """The bounds as JSON, with 1-based index pairs."""
         return {
@@ -193,13 +200,11 @@ def bounds(E: Equation, Ep: Equation) -> PairAnalysis:
 
 def system_size_bound(T: EqSystem, *, has_rank_n1_solution: bool = False) -> int:
     """Size bound for a system assumed, not checked, to be strongly
-    independent: the best bound of its first two equations plus 2, or plus
-    1 when the system is declared to have a rank-(n-1) solution. Only the
+    independent; see :meth:`PairAnalysis.system_size_bound`. Only the
     first two equations are read."""
     if len(T) < 2:
         raise ValueError("system bounds need at least two equations")
-    slack = 1 if has_rank_n1_solution else 2
-    return PairAnalysis(T.equations[0], T.equations[1]).best + slack
+    return PairAnalysis(T.equations[0], T.equations[1]).system_size_bound(has_rank_n1_solution)
 
 
 def cofactor_3vars(E1: Equation, E2: Equation) -> MultiPoly:

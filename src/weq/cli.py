@@ -40,15 +40,15 @@ def _read_text(arg: str) -> str:
     return arg
 
 
-def _read_pair_system(arg: str, too_few_equations: str):
+def _read_pair(arg: str, too_few_equations: str):
     """Read a system for the determinant commands, which need two
-    equations and two unknowns."""
+    equations and two unknowns, and the analysis of its first pair."""
     system, names = parse_system(_read_text(arg))
     if len(system) < 2:
         raise ParseError(too_few_equations)
     if system.n < 2:
         raise ParseError("determinants need two unknowns")
-    return system, names
+    return system, analysis.PairAnalysis(system.equations[0], system.equations[1], names)
 
 
 def _factorization_text(fac: dict) -> str:
@@ -92,9 +92,8 @@ def cmd_encode(args):
 
 
 def cmd_det(args):
-    system, names = _read_pair_system(args.input, "determinants need two equations")
-    grid = analysis.PairAnalysis(system.equations[0], system.equations[1]).grid
-    rows = [{"pair": [j + 1, k + 1], "determinant": format_poly(det)} for (j, k), det in grid.items()]
+    _, pa = _read_pair(args.input, "determinants need two equations")
+    rows = [{"pair": [j + 1, k + 1], "determinant": format_poly(det)} for (j, k), det in pa.grid.items()]
     return 0, rows, lambda rows: (f"t{r['pair'][0]}{r['pair'][1]} = {r['determinant']}" for r in rows)
 
 
@@ -166,8 +165,7 @@ def cmd_principal(args):
 
 
 def cmd_hyperplanes(args):
-    system, names = _read_pair_system(args.input, "hyperplane analysis needs two equations")
-    pa = analysis.PairAnalysis(system.equations[0], system.equations[1], names)
+    _, pa = _read_pair(args.input, "hyperplane analysis needs two equations")
 
     def render(p):
         yield f"status: {p['status']}"
@@ -181,13 +179,10 @@ def cmd_hyperplanes(args):
 
 
 def cmd_bounds(args):
-    system, names = _read_pair_system(args.input, "bounds need at least two equations")
-    pa = analysis.PairAnalysis(system.equations[0], system.equations[1])
+    system, pa = _read_pair(args.input, "bounds need at least two equations")
     payload = {"status": pa.status, **pa.bounds_json()}
     if len(system) > 2 or args.assume_rank_solution:
-        payload["system_size_bound"] = analysis.system_size_bound(
-            system, has_rank_n1_solution=args.assume_rank_solution
-        )
+        payload["system_size_bound"] = pa.system_size_bound(args.assume_rank_solution)
 
     def render(p):
         yield f"status: {p['status']}"
@@ -200,23 +195,69 @@ def cmd_bounds(args):
     return 0, payload, render
 
 
+_VERIFY_ENCODING, _VERIFY_BOUNDS, _CATALOG = "--verify-encoding", "--verify-bounds", "a catalog search"
+_SEARCHES = {_VERIFY_BOUNDS, _CATALOG}
+
+# One row per ``search`` option: its flag, its argparse keywords, the value
+# it takes when not given (None: no value) and the modes that read it.
+_SEARCH_OPTIONS = (
+    ("--max-len", dict(type=int, help="total image length budget"), 6, _SEARCHES),
+    ("--alphabet", dict(type=int, help="target alphabet size"), 2, _SEARCHES),
+    ("--no-erasing", dict(action="store_true", help="skip erasing morphisms"), None, _SEARCHES),
+    ("--csv", dict(help="also write (length type, rank, class) rows"), None, {_CATALOG}),
+    (
+        "--verify-bounds",
+        dict(action="store_true", help="check the class-count bounds for the first two equations"),
+        None,
+        {_VERIFY_BOUNDS},
+    ),
+    (
+        "--verify-encoding",
+        dict(type=int, metavar="CASES", help="fuzz the polynomial encoding against the word-level check"),
+        None,
+        {_VERIFY_ENCODING},
+    ),
+    ("--seed", dict(type=int, help="seed for --verify-encoding"), 0, {_VERIFY_ENCODING}),
+)
+
+
+def _search_to_csv(path: str, system, cfg) -> search.SolutionCatalog:
+    """Run the catalog search and write its rows to ``path``. Opening the
+    path for appending before the search makes an unwritable one fail first
+    and changes no file; a search that does not finish removes a file that
+    open created and leaves an existing one as it was."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+        try:
+            catalog = search.enumerate_solutions(system, cfg)
+        except BaseException:
+            if not existed:
+                os.remove(path)
+            raise
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("length_type,rank,class\n")
+            fh.writelines(f"{lt},{r},{cid}\n" for lt, r, cid in catalog.csv_rows())
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
+    return catalog
+
+
 def cmd_search(args):
     if args.verify_encoding is not None:
-        mode = "--verify-encoding"
+        mode = _VERIFY_ENCODING
         if args.input is not None:
             raise ParseError("--verify-encoding takes no equations")
     else:
-        mode = "--verify-bounds" if args.verify_bounds else "a catalog search"
-    reads = {
-        "--verify-encoding": {"seed"},
-        "--verify-bounds": {"max_len", "alphabet", "no_erasing", "verify_bounds"},
-        "a catalog search": {"max_len", "alphabet", "no_erasing", "csv"},
-    }[mode]
-    for dest in ("max_len", "alphabet", "no_erasing", "csv", "verify_bounds", "seed"):
-        if dest not in reads and getattr(args, dest) is not None:
-            raise ParseError(f"--{dest.replace('_', '-')} is not used by {mode}")
-    if mode == "--verify-encoding":
-        report = search.verify_encoding(args.verify_encoding, args.seed or 0)
+        mode = _VERIFY_BOUNDS if args.verify_bounds else _CATALOG
+    for flag, _, default, modes in _SEARCH_OPTIONS:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif mode not in modes:
+            raise ParseError(f"{flag} is not used by {mode}")
+    if mode == _VERIFY_ENCODING:
+        report = search.verify_encoding(args.verify_encoding, args.seed)
         payload = {
             "cases": report.cases,
             "positives": report.positives,
@@ -235,12 +276,8 @@ def cmd_search(args):
     if args.input is None:
         raise ParseError("search needs equations (or --verify-encoding N)")
     system, names = parse_system(_read_text(args.input))
-    cfg = search.SearchConfig(
-        max_total_image_length=6 if args.max_len is None else args.max_len,
-        alphabet_size=2 if args.alphabet is None else args.alphabet,
-        allow_erasing=not args.no_erasing,
-    )
-    if args.verify_bounds:
+    cfg = search.SearchConfig(args.max_len, args.alphabet, allow_erasing=not args.no_erasing)
+    if mode == _VERIFY_BOUNDS:
         if len(system) < 2:
             raise ParseError("--verify-bounds needs two equations")
         report = search.verify_bounds(system.equations[0], system.equations[1], cfg)
@@ -259,18 +296,7 @@ def cmd_search(args):
 
         return 0 if report.ok else 1, payload, render
 
-    if not args.csv:
-        catalog = search.enumerate_solutions(system, cfg)
-    else:
-        # Open the file first, so that an unwritable path fails before the search.
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                catalog = search.enumerate_solutions(system, cfg)
-                fh.write("length_type,rank,class\n")
-                for lt, r, cid in catalog.csv_rows():
-                    fh.write(f"{lt},{r},{cid}\n")
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.csv}: {exc.strerror}") from None
+    catalog = _search_to_csv(args.csv, system, cfg) if args.csv else search.enumerate_solutions(system, cfg)
 
     def render(p):
         yield f"solutions within budget: {p['solution_count']}"
@@ -338,84 +364,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
+    def command(name, func, help, *positionals):
+        """Add one subcommand; a positional is a name or (name, argparse keywords)."""
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            arg, kwargs = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("encode", help="print the coefficient vector of each equation")
-    p.add_argument("input", help="equations (file or literal)")
-    add_json(p)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("det", help="print the determinant grid of the first two equations")
-    p.add_argument("input")
-    add_json(p)
-    p.set_defaults(func=cmd_det)
-
-    p = sub.add_parser("factor", help="binomial factorization of a polynomial")
-    p.add_argument("poly", help="polynomial (file or literal)")
-    p.add_argument("--nvars", type=int, default=None, help="number of ring variables")
-    add_json(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("balanced", help="balancedness test per equation")
-    p.add_argument("input")
-    add_json(p)
-    p.set_defaults(func=cmd_balanced)
-
-    p = sub.add_parser("check", help="word-level vs polynomial-level solution check")
-    p.add_argument("equations")
-    p.add_argument("morphism")
-    add_json(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("principal", help="principal decomposition of a solution")
-    p.add_argument("equations")
-    p.add_argument("morphism")
-    add_json(p)
-    p.set_defaults(func=cmd_principal)
-
-    p = sub.add_parser("hyperplanes", help="hyperplane classification for an equation pair")
-    p.add_argument("input")
-    add_json(p)
-    p.set_defaults(func=cmd_hyperplanes)
-
-    p = sub.add_parser("bounds", help="class-count bounds for a pair or a system")
-    p.add_argument("input")
-    p.add_argument(
+    equations_arg = ("input", {"help": "equations (file or literal)"})
+    poly_arg = ("poly", {"help": "polynomial (file or literal)"})
+    command("encode", cmd_encode, "print the coefficient vector of each equation", equations_arg)
+    command("det", cmd_det, "print the determinant grid of the first two equations", "input")
+    command("factor", cmd_factor, "binomial factorization of a polynomial", poly_arg).add_argument(
+        "--nvars", type=int, help="number of ring variables"
+    )
+    command("balanced", cmd_balanced, "balancedness test per equation", "input")
+    command("check", cmd_check, "word-level vs polynomial-level solution check", "equations", "morphism")
+    command("principal", cmd_principal, "principal decomposition of a solution", "equations", "morphism")
+    command("hyperplanes", cmd_hyperplanes, "hyperplane classification for an equation pair", "input")
+    command("bounds", cmd_bounds, "class-count bounds for a pair or a system", "input").add_argument(
         "--assume-rank-solution",
         action="store_true",
         help="assume, without checking, a strongly independent system with a rank-(n-1) "
         "solution; the system size bound reads only the first two equations",
     )
-    add_json(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("search", help="exhaustive solution search and verifications")
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--max-len", type=int, help="total image length budget (default 6)")
-    p.add_argument("--alphabet", type=int, help="target alphabet size (default 2)")
-    p.add_argument("--no-erasing", action="store_true", default=None, help="skip erasing morphisms")
-    p.add_argument("--csv", default=None, help="also write (length type, rank, class) rows")
-    p.add_argument(
-        "--verify-bounds",
-        action="store_true",
-        default=None,
-        help="check the class-count bounds for the first two equations",
+    p = command(
+        "search", cmd_search, "exhaustive solution search and verifications", ("input", {"nargs": "?"})
     )
-    p.add_argument(
-        "--verify-encoding",
-        type=int,
-        metavar="CASES",
-        help="fuzz the polynomial encoding against the word-level check",
-    )
-    p.add_argument("--seed", type=int, help="seed for --verify-encoding (default 0)")
-    add_json(p)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("paper-example", help="reproduce the built-in worked example")
-    add_json(p)
-    p.set_defaults(func=cmd_paper_example)
-
+    for flag, kwargs, default, _ in _SEARCH_OPTIONS:
+        # every option parses to None when not given; cmd_search fills in the default
+        suffix = "" if default is None else f" (default {default})"
+        p.add_argument(flag, **{**kwargs, "default": None, "help": kwargs["help"] + suffix})
+    command("paper-example", cmd_paper_example, "reproduce the built-in worked example")
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit JSON")
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -28,7 +29,7 @@ from weq import (
     render_equation,
     render_morphism,
 )
-from weq.cli import main
+from weq.cli import build_parser, main
 from weq.textio import MAX_VARS, ParseError
 
 from conftest import morph
@@ -489,12 +490,139 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
+JSON_FLAG = (("--json",), "json", False, None, 0, None, "emit JSON")
+
+# Every subcommand in --help order: its help line and, per argument in
+# declaration order, (option strings, dest, default, type, nargs, metavar, help).
+DECLARED_INTERFACE = {
+    "encode": (
+        "print the coefficient vector of each equation",
+        [((), "input", None, None, None, None, "equations (file or literal)"), JSON_FLAG],
+    ),
+    "det": (
+        "print the determinant grid of the first two equations",
+        [((), "input", None, None, None, None, None), JSON_FLAG],
+    ),
+    "factor": (
+        "binomial factorization of a polynomial",
+        [
+            ((), "poly", None, None, None, None, "polynomial (file or literal)"),
+            (("--nvars",), "nvars", None, int, None, None, "number of ring variables"),
+            JSON_FLAG,
+        ],
+    ),
+    "balanced": ("balancedness test per equation", [((), "input", None, None, None, None, None), JSON_FLAG]),
+    "check": (
+        "word-level vs polynomial-level solution check",
+        [
+            ((), "equations", None, None, None, None, None),
+            ((), "morphism", None, None, None, None, None),
+            JSON_FLAG,
+        ],
+    ),
+    "principal": (
+        "principal decomposition of a solution",
+        [
+            ((), "equations", None, None, None, None, None),
+            ((), "morphism", None, None, None, None, None),
+            JSON_FLAG,
+        ],
+    ),
+    "hyperplanes": (
+        "hyperplane classification for an equation pair",
+        [((), "input", None, None, None, None, None), JSON_FLAG],
+    ),
+    "bounds": (
+        "class-count bounds for a pair or a system",
+        [
+            ((), "input", None, None, None, None, None),
+            (
+                ("--assume-rank-solution",),
+                "assume_rank_solution",
+                False,
+                None,
+                0,
+                None,
+                "assume, without checking, a strongly independent system with a rank-(n-1) solution; "
+                "the system size bound reads only the first two equations",
+            ),
+            JSON_FLAG,
+        ],
+    ),
+    "search": (
+        "exhaustive solution search and verifications",
+        [
+            ((), "input", None, None, "?", None, None),
+            (("--max-len",), "max_len", None, int, None, None, "total image length budget (default 6)"),
+            (("--alphabet",), "alphabet", None, int, None, None, "target alphabet size (default 2)"),
+            (("--no-erasing",), "no_erasing", None, None, 0, None, "skip erasing morphisms"),
+            (("--csv",), "csv", None, None, None, None, "also write (length type, rank, class) rows"),
+            (
+                ("--verify-bounds",),
+                "verify_bounds",
+                None,
+                None,
+                0,
+                None,
+                "check the class-count bounds for the first two equations",
+            ),
+            (
+                ("--verify-encoding",),
+                "verify_encoding",
+                None,
+                int,
+                None,
+                "CASES",
+                "fuzz the polynomial encoding against the word-level check",
+            ),
+            (("--seed",), "seed", None, int, None, None, "seed for --verify-encoding (default 0)"),
+            JSON_FLAG,
+        ],
+    ),
+    "paper-example": ("reproduce the built-in worked example", [JSON_FLAG]),
+}
+
+
+def _subcommands():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return sub.choices, helps
+
+
+class TestDeclaredInterface:
+    """The commands, their arguments and their defaults, as the parser declares them."""
+
+    def test_commands_in_order(self):
+        parsers, helps = _subcommands()
+        assert list(parsers) == list(DECLARED_INTERFACE)
+        assert helps == {name: help for name, (help, _) in DECLARED_INTERFACE.items()}
+
+    @pytest.mark.parametrize("command", list(DECLARED_INTERFACE))
+    def test_arguments(self, command):
+        parser = _subcommands()[0][command]
+        declared = [
+            (tuple(a.option_strings), a.dest, a.default, a.type, a.nargs, a.metavar, a.help)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert declared == DECLARED_INTERFACE[command][1]
+        assert parser.get_default("func").__name__ == "cmd_" + command.replace("-", "_")
+
+    @pytest.mark.parametrize("command", list(DECLARED_INTERFACE))
+    def test_every_command_accepts_json(self, command):
+        positionals = {"check": ["x = x", "x = a"], "principal": ["x = x", "x = a"], "paper-example": []}
+        args = build_parser().parse_args([command, *positionals.get(command, ["x"]), "--json"])
+        assert args.json is True
+
+
 class TestComputeOnce:
     @pytest.mark.parametrize(
         "argv,expected",
         [
             (["hyperplanes", PAIR_TEXT], {"s_vector": 2, "s_poly": 0, "binomial_factors": 1}),
             (["paper-example"], {"s_vector": 2, "s_poly": 0, "binomial_factors": 3}),
+            (["bounds", PAIR_TEXT + "xy = yx\n"], {"s_vector": 2}),
+            (["bounds", PAIR_TEXT, "--assume-rank-solution"], {"s_vector": 2}),
         ],
     )
     def test_call_counts(self, monkeypatch, capsys, argv, expected):
@@ -563,28 +691,56 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {path}: {reason}\n"
 
+    @pytest.mark.parametrize("existing", [b"old rows\n", None])
+    def test_unfinished_search_leaves_the_csv_path_as_it_was(self, capsys, monkeypatch, tmp_path, existing):
+        path = tmp_path / "keep.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+
+        def unchanged():
+            return path.read_bytes() == existing if existing is not None else not path.exists()
+
+        # refused: the search space is over the budget
+        assert main(["search", "xy = yx", "--max-len", "100", "--csv", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert unchanged()
+
+        def broken(*args, **kwargs):
+            raise InternalError("broken search")
+
+        monkeypatch.setattr(weq.search, "enumerate_solutions", broken)
+        assert main(["search", "xy = yx", "--max-len", "2", "--csv", str(path)]) == 3
+        assert capsys.readouterr().err == "internal error: broken search\n"
+        assert unchanged()
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            [PAIR_TEXT, "--verify-bounds", "--csv", "<csv>"],
-            ["xy = yx", "--verify-encoding", "3"],
-            ["--verify-encoding", "3", "--verify-bounds"],
-            ["--verify-encoding", "3", "--csv", "<csv>"],
-            ["--verify-encoding", "3", "--max-len", "99", "--alphabet", "7", "--no-erasing"],
-            ["--verify-encoding", "3", "--alphabet", "7"],
-            ["--verify-encoding", "3", "--no-erasing"],
-            ["xy = yx", "--seed", "5", "--max-len", "2"],
-            ["xy = yx", "--seed", "0"],
-            [PAIR_TEXT, "--verify-bounds", "--seed", "5"],
-            ["xy = yx", "--verify-encoding", "0", "--max-len", "2"],
+            ([PAIR_TEXT, "--verify-bounds", "--csv", "<csv>"], "--csv is not used by --verify-bounds"),
+            (["xy = yx", "--verify-encoding", "3"], "--verify-encoding takes no equations"),
+            (
+                ["--verify-encoding", "3", "--verify-bounds"],
+                "--verify-bounds is not used by --verify-encoding",
+            ),
+            (["--verify-encoding", "3", "--csv", "<csv>"], "--csv is not used by --verify-encoding"),
+            (
+                ["--verify-encoding", "3", "--max-len", "99", "--alphabet", "7", "--no-erasing"],
+                "--max-len is not used by --verify-encoding",
+            ),
+            (["--verify-encoding", "3", "--alphabet", "7"], "--alphabet is not used by --verify-encoding"),
+            (["--verify-encoding", "3", "--no-erasing"], "--no-erasing is not used by --verify-encoding"),
+            (["xy = yx", "--seed", "5", "--max-len", "2"], "--seed is not used by a catalog search"),
+            (["xy = yx", "--seed", "0"], "--seed is not used by a catalog search"),
+            ([PAIR_TEXT, "--verify-bounds", "--seed", "5"], "--seed is not used by --verify-bounds"),
+            (["xy = yx", "--verify-encoding", "0", "--max-len", "2"], "--verify-encoding takes no equations"),
         ],
     )
-    def test_search_modes_that_ignore_an_input_exit_2(self, capsys, tmp_path, argv):
+    def test_search_modes_that_ignore_an_input_exit_2(self, capsys, tmp_path, argv, message):
         csv = tmp_path / "out.csv"
         assert main(["search", *(str(csv) if a == "<csv>" else a for a in argv)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+        assert captured.err == f"error: {message}\n"
         assert not csv.exists()
 
     @pytest.mark.parametrize(
