@@ -734,6 +734,7 @@ class TestRejectedInput:
             ([PAIR_TEXT, "--verify-bounds", "--seed", "5"], "--seed is not used by --verify-bounds"),
             (["xy = yx", "--verify-encoding", "0", "--max-len", "2"], "--verify-encoding takes no equations"),
         ],
+        ids=[f"argv{i}" for i in range(11)],
     )
     def test_search_modes_that_ignore_an_input_exit_2(self, capsys, tmp_path, argv, message):
         csv = tmp_path / "out.csv"
