@@ -280,13 +280,16 @@ def cmd_search(args):
     if mode == _VERIFY_BOUNDS:
         if len(system) < 2:
             raise ParseError("--verify-bounds needs two equations")
-        report = search.verify_bounds(system.equations[0], system.equations[1], cfg)
+        report = search.verify_bounds(*system.equations[:2], cfg)
+        # verify_bounds names the unknowns x, y, z, ...; the input may use other letters
+        equations = [render_equation(E, names) for E in system.equations[:2]]
+        counterexample = report.counterexample and {**report.counterexample, "equations": equations}
         payload = {
             "status": report.status,
             "ok": report.ok,
             "classes": report.class_count,
             "erasing_classes": report.erasing_class_count,
-            "counterexample": report.counterexample,
+            "counterexample": counterexample,
         }
 
         def render(p):

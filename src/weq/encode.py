@@ -11,6 +11,8 @@ solutions with that length type.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .poly import MultiPoly, word_poly
 from .words import Equation, Morphism, Word
 
@@ -23,19 +25,7 @@ def s_poly(E: Equation, j: int) -> MultiPoly:
     right side negative; the empty prefix contributes 1)."""
     if not 0 <= j < E.n:
         raise IndexError(f"unknown index {j} out of range for n={E.n}")
-    terms: dict[tuple[int, ...], int] = {}
-    for side, sign in ((E.left, 1), (E.right, -1)):
-        prefix = [0] * E.n
-        for sym in side:
-            if sym == j:
-                key = tuple(prefix)
-                nc = terms.get(key, 0) + sign
-                if nc:
-                    terms[key] = nc
-                else:
-                    del terms[key]
-            prefix[sym] += 1
-    return MultiPoly(E.n, terms)
+    return s_vector(E)[j]
 
 
 def s_vector(E: Equation) -> SVector:
@@ -84,10 +74,7 @@ def check_solution_poly(E: Equation, h: Morphism) -> bool:
     polynomials of ``h`` must vanish in Z[x]."""
     if h.domain_size != E.n:
         raise ValueError(f"morphism has {h.domain_size} images, equation has {E.n} unknowns")
-    total = MultiPoly.zero(1)
-    for s, im in zip(s_vector_eval(E, h.length_type()), h.images):
-        total = total + s * word_poly(im)
-    return not total
+    return not sum(map(mul, s_vector_eval(E, h.length_type()), p_vector(h)), MultiPoly.zero(1))
 
 
 def t_det(E: Equation, Ep: Equation, j: int, k: int) -> MultiPoly:
@@ -108,11 +95,8 @@ def balanced_residual(E: Equation) -> MultiPoly:
     Telescoping leaves the difference of the two full side prefix
     products, so the result is zero exactly for balanced equations.
     """
-    n = E.n
-    out = MultiPoly.zero(n)
-    for j, s in enumerate(s_vector(E)):
-        out = out + s * (MultiPoly.variable(n, j) - MultiPoly.one(n))
-    return out
+    shifts = (MultiPoly.variable(E.n, j) - 1 for j in range(E.n))
+    return sum(map(mul, s_vector(E), shifts), MultiPoly.zero(E.n))
 
 
 def is_balanced(E: Equation) -> bool:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from operator import add, le, mul
 from typing import Mapping, Sequence
 
-from .words import InternalError, LambdaVector, Word, _canonical_entries
+from .words import InternalError, LambdaVector, Word, _canonical_entries, unknown_names
 
 # The most terms a quotient by a pure difference may have. A determinant of
 # equations of total length m has degree at most m, so it never comes near.
@@ -62,7 +62,7 @@ MAX_QUOTIENT_TERMS = 100_000
 
 def poly_var_names(n: int) -> list[str]:
     """Display names X, Y, Z, X4, X5, ... for ``n`` ring variables."""
-    return ["X", "Y", "Z"][:n] + [f"X{i}" for i in range(4, n + 1)]
+    return [nm.upper() for nm in unknown_names(n)]
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

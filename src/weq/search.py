@@ -354,13 +354,7 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
         counterexample = {
             "equations": [str(E), str(Ep)],
             "limit": limit,
-            "classes": [
-                {
-                    "normal": list(cls.normal.entries),
-                    "example": [str(im) for im in cls.members[0].images],
-                }
-                for cls in catalog.classes
-            ],
+            "classes": [{"normal": c["normal"], "example": c["example"]} for c in catalog.summary()["classes"]],
         }
     return BoundCheckReport(STATUS_OK, ok, m, erasing, pa, counterexample)
 

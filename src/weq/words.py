@@ -1,11 +1,13 @@
 """Words over indexed alphabets, morphisms between them, and equations.
 
-Letters are small non-negative integers indexing an alphabet; display
-names exist only at the text-format boundary. A ``Word`` is the tuple of
-its letters: it equals and hashes as the plain tuple, and a slice of it
-is a plain tuple. Everything in this module is an immutable value and
-every operation is a pure function, so instances can be shared freely
-across threads.
+Letters are small non-negative integers indexing an alphabet. The
+default display names live here too: ``str`` and ``constraint_text``
+name unknowns by ``unknown_names`` (x, y, z, x4, ...), the latter unless
+given other names, and ``str`` of a ``Word`` spells letters a, b, c.
+A ``Word`` is the tuple of its letters: it equals and hashes as the
+plain tuple, and a slice of it is a plain tuple. Everything in this
+module is an immutable value and every operation is a pure function, so
+instances can be shared freely across threads.
 
 Letter-count linear algebra (the occurrence-count rows of a morphism,
 their rank over the rationals, hyperplane normals) is exact: one
@@ -184,10 +186,10 @@ class Morphism:
         return len(self.images)
 
     def apply(self, w: Word) -> Word:
+        if w and max(w) >= self.domain_size:
+            raise ValueError(f"letter {max(w)} outside domain of size {self.domain_size}")
         out: list[int] = []
         for s in w:
-            if s >= self.domain_size:
-                raise ValueError(f"letter {s} outside domain of size {self.domain_size}")
             out.extend(self.images[s])
         return Word(out)
 
@@ -271,11 +273,6 @@ def _eliminate(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[l
     return pivots, m[: len(pivots)]
 
 
-def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals: the number of pivots of ``_eliminate``."""
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
-
-
 def _rank_and_normal(
     counts: Sequence[Sequence[int]], n: int
 ) -> tuple[int, tuple[int, ...] | None]:
@@ -305,17 +302,15 @@ def _rank_and_normal(
 
 def rank(h: Morphism) -> int:
     """Dimension over Q of the row space of the occurrence-count matrix."""
-    return _integer_rank(gamma_matrix(h))
+    return len(_eliminate(gamma_matrix(h), h.domain_size)[0])
 
 
 def linear_equivalent(h: Morphism, g: Morphism) -> bool:
     """Whether the two occurrence-count row spaces coincide over Q."""
     if h.domain_size != g.domain_size:
         raise ValueError("morphisms must share the number of domain letters")
-    a = gamma_matrix(h)
-    b = gamma_matrix(g)
-    ra, rb = _integer_rank(a), _integer_rank(b)
-    return ra == rb == _integer_rank(a + b)
+    joint = len(_eliminate(gamma_matrix(h) + gamma_matrix(g), h.domain_size)[0])
+    return rank(h) == rank(g) == joint
 
 
 def _canonical_entries(vec: tuple[int, ...]) -> tuple[int, ...]:

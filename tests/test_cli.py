@@ -21,6 +21,7 @@ from weq import (
     InternalError,
     Morphism,
     MultiPoly,
+    PairAnalysis,
     Word,
     format_poly,
     parse_morphism,
@@ -859,6 +860,25 @@ class TestBoundsAssumption:
         assert "best: 8" in out and "system size bound: 9" in out
         assert main(["bounds", PAIR_TEXT, "--assume-rank-solution", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["system_size_bound"] == 9
+
+
+class TestBoundViolation:
+    # no pair breaks a proved bound, so each test forces a limit of 0 classes
+    def test_exit_1_with_counterexample(self, monkeypatch, capsys):
+        monkeypatch.setattr(PairAnalysis, "best", 0)
+        assert main(["search", PAIR_TEXT, "--verify-bounds", "--max-len", "8"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "status: ok ok: False classes: 1",
+            "counterexample: {'equations': ['xyxz = zxyx', 'xyxxz = zxxyx'], 'limit': 0, "
+            "'classes': [{'normal': [2, 1, -1], 'example': ['a', 'b', 'aba']}]}",
+        ]
+
+    def test_counterexample_names_the_input_unknowns(self, monkeypatch, capsys):
+        monkeypatch.setattr(PairAnalysis, "best", 0)
+        argv = ["search", "uvuw = wuvu\nuvuuw = wuuvu\n", "--verify-bounds", "--max-len", "8", "--json"]
+        assert main(argv) == 1
+        counterexample = json.loads(capsys.readouterr().out)["counterexample"]
+        assert counterexample["equations"] == ["uvuw = wuvu", "uvuuw = wuuvu"]
 
 
 class TestInternalError:

@@ -18,7 +18,7 @@ from weq import (
 from weq.poly import MAX_QUOTIENT_TERMS, BinomialFactorization
 from weq.search import random_equation_solved_by, random_morphism
 from weq.textio import parse_system
-from weq.words import _integer_rank
+from weq.words import _eliminate
 
 
 def P(n, terms):
@@ -177,7 +177,7 @@ def nonneg_kernel_basis(lam: LambdaVector) -> list[tuple[int, ...]]:
     c = 1 + max(abs(x) for vec in raw for x in vec)
     while True:
         basis = [tuple(x + c * vi for x, vi in zip(vec, v)) for vec in raw]
-        if all(x >= 0 for b in basis for x in b) and _integer_rank(basis) == n - 1:
+        if all(x >= 0 for b in basis for x in b) and len(_eliminate(basis, n)[0]) == n - 1:
             return basis
         c += 1
 

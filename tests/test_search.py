@@ -10,6 +10,7 @@ from weq import (
     Equation,
     LambdaVector,
     Morphism,
+    PairAnalysis,
     SearchConfig,
     SearchSpaceError,
     SolutionClass,
@@ -289,6 +290,17 @@ class TestVerifyBounds:
         assert report.class_count == 1
         limit = min(report.bound_report.sum_bound, report.bound_report.best)
         assert report.class_count <= limit == 8
+
+    def test_violation_reports_counterexample(self, monkeypatch):
+        # no pair breaks a proved bound, so force one: a limit of 0 classes
+        monkeypatch.setattr(PairAnalysis, "best", 0)
+        report = verify_bounds(PAIR.equations[0], PAIR.equations[1], SearchConfig(8, 2))
+        assert report.status == "ok" and not report.ok
+        assert report.counterexample == {
+            "equations": ["xyxz = zxyx", "xyxxz = zxxyx"],
+            "limit": 0,
+            "classes": [{"normal": [2, 1, -1], "example": ["a", "b", "aba"]}],
+        }
 
     def test_identical_pair_skipped(self):
         E = PAIR.equations[0]
