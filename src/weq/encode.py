@@ -6,7 +6,8 @@ side, one prefix-product monomial for every occurrence of that unknown.
 Substituting a length type beta (via ``X_i -> x^(beta_i)``) yields a
 homogeneous linear condition over Z[x], the one-variable case of the
 same ring, whose solutions are exactly the digit polynomials of the
-solutions with that length type.
+solutions with that length type. The solution test evaluates that
+condition exactly at x = 2^w, with plain integers in place of Z[x].
 """
 
 from __future__ import annotations
@@ -71,10 +72,40 @@ def p_vector(h: Morphism) -> SVector:
 def check_solution_poly(E: Equation, h: Morphism) -> bool:
     """Solution test through the encoding: the dot product of the
     coefficient vector at the length type of ``h`` with the digit
-    polynomials of ``h`` must vanish in Z[x]."""
+    polynomials of ``h`` must vanish in Z[x].
+
+    The dot product is evaluated at x = B = 2^w (Kronecker substitution)
+    in one scan of each side, as in ``s_vector_eval``: an occurrence of
+    unknown j after a prefix of length d adds ``P_j(B) << w*d`` to its
+    side, and the dot product is the left sum minus the right one.
+
+    This is exact. Each occurrence adds +-x^d times a digit polynomial
+    whose coefficients lie in 1..k, k = ``h.target_alphabet_size``,
+    because ``Morphism`` keeps every letter below k. So every coefficient
+    of the dot product is at most C = k(|u| + |v|) in absolute value, and
+    w is the least with 2^w > C. A nonzero integer polynomial with that
+    bound is nonzero at any integer B > C: its leading term has absolute
+    value at least B^m, and the others sum to at most
+    C(B^m - 1)/(B - 1) < B^m.
+    """
     if h.domain_size != E.n:
         raise ValueError(f"morphism has {h.domain_size} images, equation has {E.n} unknowns")
-    return not sum(map(mul, s_vector_eval(E, h.length_type()), p_vector(h)), MultiPoly.zero(1))
+    w = (h.target_alphabet_size * (len(E.left) + len(E.right))).bit_length()
+    digits, shifts = [], []
+    for im in h.images:
+        value = 0
+        for s in reversed(im):
+            value = (value << w) + s + 1
+        digits.append(value)
+        shifts.append(w * len(im))
+    sides = []
+    for side in (E.left, E.right):
+        value = d = 0
+        for sym in side:
+            value += digits[sym] << d
+            d += shifts[sym]
+        sides.append(value)
+    return sides[0] == sides[1]
 
 
 def t_det(E: Equation, Ep: Equation, j: int, k: int) -> MultiPoly:

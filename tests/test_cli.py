@@ -631,6 +631,25 @@ class TestComputeOnce:
         assert main(argv) == 0
         assert {name: counts[name] for name in expected} == expected
 
+    def test_check_builds_no_polynomial(self, monkeypatch, capsys):
+        # the solution check evaluates the encoding at an integer, never in Z[x]
+        built = []
+        init, from_terms = MultiPoly.__init__, MultiPoly._from_terms.__func__
+
+        def counted_init(self, *args, **kwargs):
+            built.append("__init__")
+            init(self, *args, **kwargs)
+
+        def counted_from_terms(cls, *args):
+            built.append("_from_terms")
+            return from_terms(cls, *args)
+
+        monkeypatch.setattr(MultiPoly, "__init__", counted_init)
+        monkeypatch.setattr(MultiPoly, "_from_terms", classmethod(counted_from_terms))
+        assert main(["check", PAIR_TEXT, "x = a\ny = b\nz = aba"]) == 0
+        assert capsys.readouterr().out.count("agree=True") == 2
+        assert built == []
+
 
 class TestRejectedInput:
     @pytest.mark.parametrize(

@@ -1,9 +1,14 @@
 from itertools import product
+from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weq import (
+    Equation,
     EqSystem,
+    Morphism,
     MultiPoly,
     Word,
     balanced_residual,
@@ -19,9 +24,16 @@ from weq import (
     s_vector_eval,
     t_det,
 )
-from weq.search import random_equation, random_morphism, random_solution_instance
+from weq import search
+from weq.search import (
+    random_equation,
+    random_equation_solved_by,
+    random_morphism,
+    random_solution_instance,
+    verify_encoding,
+)
 
-from conftest import eq, morph
+from conftest import eq, eq_n, morph
 
 E1 = eq("xyxz", "zxyx")
 E2 = eq("xyxxz", "zxxyx")
@@ -149,6 +161,44 @@ class TestPVector:
         assert p_vector(morph("a", "b")) == (MultiPoly.constant(1, 1), MultiPoly.constant(1, 2))
 
 
+def reference_check_solution_poly(E, h):
+    """The encoding's solution test in Z[x]: the dot product of the coefficient
+    vector at the length type of ``h`` with its digit polynomials vanishes."""
+    return not sum(map(mul, s_vector_eval(E, h.length_type()), p_vector(h)), MultiPoly.zero(1))
+
+
+@st.composite
+def check_cases(draw):
+    """(E, h) over 1-4 unknowns and 1-30 letters, so the base 2^w of the
+    check varies, with erasing images allowed and sides of up to about 12
+    letters. Besides random pairs it draws solutions, solutions with one
+    letter of one image changed (a non-solution of the same length type),
+    and equations with an empty side."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 30))
+    image = st.lists(st.integers(0, k - 1), max_size=5).map(Word)
+    h = Morphism(tuple(draw(st.lists(image, min_size=n, max_size=n))), k)
+    side = st.lists(st.integers(0, n - 1), max_size=12).map(Word)
+    kind = draw(st.sampled_from(["random", "empty side", "solution", "mutated"]))
+    if kind == "random":
+        return Equation(draw(side), draw(side), n), h
+    if kind == "empty side":
+        u = draw(side)
+        return (Equation(u, Word(()), n) if draw(st.booleans()) else Equation(Word(()), u, n)), h
+    E = random_equation_solved_by(draw(st.randoms(use_true_random=False)), h, 12)
+    if E is None:
+        u = draw(side)
+        E = Equation(u, u, n)
+    if kind == "mutated":
+        j = draw(st.integers(0, n - 1))
+        im = list(h.images[j])
+        if im and k > 1:
+            i = draw(st.integers(0, len(im) - 1))
+            im[i] = (im[i] + draw(st.integers(1, k - 1))) % k
+            h = Morphism(h.images[:j] + (Word(im),) + h.images[j + 1 :], k)
+    return E, h
+
+
 class TestCheckSolutionPoly:
     def test_conjugacy_positive(self):
         E = eq("xz", "zy")
@@ -161,6 +211,10 @@ class TestCheckSolutionPoly:
     def test_trivial_equation(self):
         assert check_solution_poly(eq("xy", "xy"), morph("abb", "ba"))
 
+    def test_domain_mismatch(self):
+        with pytest.raises(ValueError):
+            check_solution_poly(eq("xy", "yx"), morph("a", "b", "c"))
+
     def test_agrees_with_word_level(self, rng):
         for i in range(400):
             n = rng.randint(1, 4)
@@ -171,6 +225,32 @@ class TestCheckSolutionPoly:
             else:
                 E, h = random_solution_instance(rng, n, k, 6, 5)
             assert check_solution_poly(E, h) == is_solution(h, E)
+
+    @settings(max_examples=400)
+    @given(check_cases())
+    # the digit polynomials 1 + 2x and 1 + x of "ab" and "aa" equal the 3 of
+    # "c" at x = 1 and x = 2, so a base of at most k(|u| + |v|) can be fooled
+    @example((eq("x", "y"), morph("ab", "c")))
+    @example((eq("x", "y"), morph("aa", "c")))
+    @example((eq_n("", "", 1), morph("", k=1)))
+    @example((eq_n("xx", "", 2), morph("", "ab")))
+    @example((eq_n("", "xyx", 2), morph("", "b")))
+    def test_matches_polynomial_reference(self, case):
+        E, h = case
+        assert check_solution_poly(E, h) == reference_check_solution_poly(E, h) == is_solution(h, E)
+
+    def test_matches_reference_on_the_encoding_fuzz(self, monkeypatch):
+        compared = []
+
+        def both(E, h):
+            got = check_solution_poly(E, h)
+            compared.append(got == reference_check_solution_poly(E, h))
+            return got
+
+        monkeypatch.setattr(search, "check_solution_poly", both)
+        report = verify_encoding(10_000, seed=2024)
+        assert len(compared) == 10_000 and all(compared)
+        assert not report.discrepancies and 0 < report.positives < report.cases
 
 
 class TestDeterminants:
