@@ -48,6 +48,8 @@ from .search import (
     SearchSpaceError,
     SolutionCatalog,
     SolutionClass,
+    SolutionCounts,
+    count_solutions,
     enumerate_solutions,
     search_space_size,
     verify_bounds,

@@ -40,14 +40,20 @@ def _read_text(arg: str) -> str:
     return arg
 
 
-def _read_pair(arg: str, too_few_equations: str):
-    """Read a system for the determinant commands, which need two
-    equations and two unknowns, and the analysis of its first pair."""
-    system, names = parse_system(_read_text(arg))
+def _require_pair(system, too_few_equations: str) -> None:
+    """Refuse a system without the two equations and two unknowns that a
+    pair determinant needs."""
     if len(system) < 2:
         raise ParseError(too_few_equations)
     if system.n < 2:
         raise ParseError("determinants need two unknowns")
+
+
+def _read_pair(arg: str, too_few_equations: str):
+    """Read a system for the determinant commands, and the analysis of its
+    first pair."""
+    system, names = parse_system(_read_text(arg))
+    _require_pair(system, too_few_equations)
     return system, analysis.PairAnalysis(system.equations[0], system.equations[1], names)
 
 
@@ -278,8 +284,7 @@ def cmd_search(args):
     system, names = parse_system(_read_text(args.input))
     cfg = search.SearchConfig(args.max_len, args.alphabet, allow_erasing=not args.no_erasing)
     if mode == _VERIFY_BOUNDS:
-        if len(system) < 2:
-            raise ParseError("--verify-bounds needs two equations")
+        _require_pair(system, "--verify-bounds needs two equations")
         report = search.verify_bounds(*system.equations[:2], cfg)
         # verify_bounds names the unknowns x, y, z, ...; the input may use other letters
         equations = [render_equation(E, names) for E in system.equations[:2]]
@@ -299,7 +304,12 @@ def cmd_search(args):
 
         return 0 if report.ok else 1, payload, render
 
-    catalog = _search_to_csv(args.csv, system, cfg) if args.csv else search.enumerate_solutions(system, cfg)
+    if args.json or args.csv:
+        catalog = _search_to_csv(args.csv, system, cfg) if args.csv else search.enumerate_solutions(system, cfg)
+        payload = catalog.to_json(names) if args.json else catalog.summary(names)
+    else:
+        # the text names no solution, so the counts alone render it
+        payload = search.count_solutions(system, cfg).summary(names)
 
     def render(p):
         yield f"solutions within budget: {p['solution_count']}"
@@ -308,8 +318,7 @@ def cmd_search(args):
             normal = ", ".join(map(str, cls["normal"]))
             yield f"class {i}: normal ({normal}) ({cls['constraint']}), {cls['size']} members"
 
-    # the text names no solution, so it renders from the summary alone
-    return 0, catalog.to_json(names) if args.json else catalog.summary(names), render
+    return 0, payload, render
 
 
 _EXAMPLE_INPUT = "xyxz = zxyx\nxyxxz = zxxyx\n"

@@ -6,18 +6,25 @@ the images; the solutions of that type are exactly the letter
 assignments to the resulting position classes, so the search costs the
 size of its output rather than one word comparison per candidate. The
 catalog groups the solutions by rank and the rank-(n-1) ones into
-linear-equivalence classes via their hyperplane normals. Also hosts the
-seeded fuzz generators used to cross-check the polynomial encoding
-against the word-level definitions.
+linear-equivalence classes via their hyperplane normals.
+
+The counts alone (solutions, ranks, class sizes) come without listing
+from a dynamic program over count-row multisets: the letters are
+assigned to the position classes one class at a time, and the state is
+the multiset of nonzero rows of the partial occurrence-count matrix.
+Also hosts the seeded fuzz generators used to cross-check the polynomial
+encoding against the word-level definitions.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from math import comb
+from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 from .analysis import STATUS_OK, PairAnalysis
@@ -80,6 +87,33 @@ class SolutionClass:
 
 
 @dataclass(frozen=True)
+class SolutionCounts:
+    """How many solutions a search space holds, in all, by rank and by
+    class (keyed by the class normal's entries, in catalog order), without
+    the solutions themselves."""
+
+    n: int
+    config: SearchConfig
+    solution_count: int
+    rank_counts: dict[int, int]
+    class_sizes: dict[tuple[int, ...], int]
+
+    def summary(self, names: Sequence[str] | None = None) -> dict:
+        """The counts as JSON, with the unknowns of the constraints named ``names``."""
+        return {
+            "n": self.n,
+            "max_total_image_length": self.config.max_total_image_length,
+            "alphabet_size": self.config.alphabet_size,
+            "solution_count": self.solution_count,
+            "rank_counts": {str(r): c for r, c in self.rank_counts.items()},
+            "classes": [
+                {"normal": list(normal), "constraint": LambdaVector(normal).constraint_text(names), "size": size}
+                for normal, size in self.class_sizes.items()
+            ],
+        }
+
+
+@dataclass(frozen=True)
 class SolutionCatalog:
     """All solutions found within a search space, in enumeration order
     (total image length, then length type, then images lexicographically)."""
@@ -102,25 +136,22 @@ class SolutionCatalog:
         class_of = {h: i for i, cls in enumerate(self.classes) for h in cls.members}
         return [(rank_of[h], class_of.get(h, -1)) for h in self.solutions]
 
+    def counts(self) -> SolutionCounts:
+        return SolutionCounts(
+            self.n,
+            self.config,
+            len(self.solutions),
+            self.rank_counts(),
+            {cls.normal.entries: len(cls.members) for cls in self.classes},
+        )
+
     def summary(self, names: Sequence[str] | None = None) -> dict:
-        """The catalog as JSON without its per-solution list, with the
-        unknowns of the constraints named ``names``."""
-        return {
-            "n": self.n,
-            "max_total_image_length": self.config.max_total_image_length,
-            "alphabet_size": self.config.alphabet_size,
-            "solution_count": len(self.solutions),
-            "rank_counts": {str(r): c for r, c in self.rank_counts().items()},
-            "classes": [
-                {
-                    "normal": list(cls.normal.entries),
-                    "constraint": cls.normal.constraint_text(names),
-                    "size": len(cls.members),
-                    "example": [str(im) for im in cls.members[0].images],
-                }
-                for cls in self.classes
-            ],
-        }
+        """The counts' summary with each class's first member as its
+        example: the catalog as JSON without its per-solution list."""
+        out = self.counts().summary(names)
+        for entry, cls in zip(out["classes"], self.classes):
+            entry["example"] = [str(im) for im in cls.members[0].images]
+        return out
 
     def to_json(self, names: Sequence[str] | None = None) -> dict:
         """The summary and every solution's images, rank and class."""
@@ -183,19 +214,38 @@ def search_space_size(n: int, cfg: SearchConfig) -> int:
     return total
 
 
+def _refuse_oversized_space(n: int, cfg: SearchConfig) -> None:
+    # stop summing as soon as the budget is passed
+    if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
+        raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
+
+
 def _feasible_length_types(T: EqSystem, cfg: SearchConfig) -> list[tuple[int, ...]]:
     """Length types within budget whose images could balance every
-    equation's side lengths."""
-    n = T.n
-    diffs = [
-        tuple(e.left.count(j) - e.right.count(j) for j in range(n)) for e in T
-    ]
+    equation's side lengths, by total length and then lexicographically.
+
+    Each balance condition is linear in the length type, so once the first
+    n-1 lengths are fixed it leaves the last one free or fixes it to at
+    most one value.
+    """
+    n, L = T.n, cfg.max_total_image_length
+    if n == 0:
+        return [()]
+    diffs = {tuple(e.left.count(j) - e.right.count(j) for j in range(n)) for e in T}
     minimum = 0 if cfg.allow_erasing else 1
     out = []
-    for s in range(cfg.max_total_image_length + 1):
-        for lt in _compositions(s, n, minimum):
-            if all(sum(d * l for d, l in zip(diff, lt)) == 0 for diff in diffs):
-                out.append(lt)
+    for t in range(minimum * (n - 1), L - minimum + 1):
+        for head in _compositions(t, n - 1, minimum):
+            lasts = range(minimum, L - t + 1)
+            for *d, d_last in diffs:
+                dot = sum(map(mul, d, head))
+                if d_last:
+                    last, rest = divmod(-dot, d_last)
+                    lasts = range(last, last + 1) if not rest and last in lasts else range(0)
+                elif dot:
+                    lasts = range(0)
+            out.extend(head + (last,) for last in lasts)
+    out.sort(key=lambda lt: (sum(lt), lt))
     return out
 
 
@@ -271,9 +321,7 @@ def enumerate_solutions(
     """
     system = as_system(T)
     n, k = system.n, cfg.alphabet_size
-    # stop summing as soon as the budget is passed
-    if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
-        raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
+    _refuse_oversized_space(n, cfg)
     sides = tuple((e.left, e.right) for e in system)
     lts = _feasible_length_types(system, cfg)
     tasks = [(sides, k, lt) for lt in lts]
@@ -316,6 +364,76 @@ def enumerate_solutions(
     return catalog
 
 
+def _assign_class(
+    states: dict[tuple[tuple[int, ...], ...], int], occurrences: tuple[int, ...], k: int
+) -> dict[tuple[tuple[int, ...], ...], int]:
+    """The states after one more position class, with ``occurrences``
+    cells in each image, takes each of the ``k`` letters.
+
+    A state is the sorted tuple of the nonzero count rows, one per letter
+    used so far, and its value the number of letter assignments that reach
+    it. The class goes to one of the ``k - len(state)`` unused letters, or
+    adds its occurrences to a used letter's row, once for each letter that
+    has that row.
+    """
+    out: dict[tuple[tuple[int, ...], ...], int] = {}
+    for state, ways in states.items():
+        if len(state) < k:
+            key = tuple(sorted(state + (occurrences,)))
+            out[key] = out.get(key, 0) + ways * (k - len(state))
+        for i, row in enumerate(state):
+            if i and row == state[i - 1]:
+                continue
+            grown = state[:i] + (tuple(map(add, row, occurrences)),) + state[i + 1 :]
+            key = tuple(sorted(grown))
+            out[key] = out.get(key, 0) + ways * state.count(row)
+    return out
+
+
+def count_solutions(T: SystemLike, cfg: SearchConfig) -> SolutionCounts:
+    """The solution count, the rank counts and the size of each class of
+    ``T`` within the configured space, as ``enumerate_solutions`` would
+    catalog them, built without a ``Morphism``, ``Word`` or image.
+
+    Each length type's position classes (``_position_templates``) are
+    assigned letters one class at a time by ``_assign_class``, so a final
+    state is the sorted nonzero count rows of a solution: the key that
+    ``enumerate_solutions`` classifies by. Permuting the letters permutes
+    those rows, which leaves the rank and the normal unchanged, so counting
+    the assignments up to that permutation is exact. Each distinct final
+    state is classified once. The candidate budget of
+    ``enumerate_solutions`` applies, with the same ``SearchSpaceError``.
+    """
+    system = as_system(T)
+    n, k = system.n, cfg.alphabet_size
+    _refuse_oversized_space(n, cfg)
+    sides = tuple((e.left, e.right) for e in system)
+    finals: Counter = Counter()
+    for lt in _feasible_length_types(system, cfg):
+        if k == 1:
+            # the one assignment gives every cell the one letter, whose count row is the length type
+            finals[(lt,) if any(lt) else ()] += 1
+            continue
+        classes, templates = _position_templates(sides, lt)
+        occurrences = [[0] * n for _ in range(classes)]
+        for j, template in enumerate(templates):
+            for c in template:
+                occurrences[c][j] += 1
+        states = {(): 1}
+        for row in occurrences:
+            states = _assign_class(states, tuple(row), k)
+        finals.update(states)
+    rank_counts: Counter = Counter()
+    class_sizes: Counter = Counter()
+    for state, ways in finals.items():
+        r, normal = _rank_and_normal(state, n)
+        rank_counts[r] += ways
+        if normal is not None:
+            class_sizes[normal] += ways
+    ranks, normals = dict(sorted(rank_counts.items())), dict(sorted(class_sizes.items()))
+    return SolutionCounts(n, cfg, sum(finals.values()), ranks, normals)
+
+
 @dataclass(frozen=True)
 class BoundCheckReport:
     """Outcome of checking the class-count bounds on one equation pair."""
@@ -329,34 +447,40 @@ class BoundCheckReport:
 
 
 def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckReport:
-    """Exhaustively count linear-equivalence classes of rank-(n-1) common
-    solutions and compare against the proved bounds.
+    """Count the linear-equivalence classes of rank-(n-1) common solutions
+    within the configured space and compare against the proved bounds.
 
-    Pairs that cannot be independent are skipped with a status: identical
-    equations, pairs with no nonzero determinant, and pairs whose search
-    finds two or more erasing classes (that forces both equations to be
-    equivalent to the commutation equation).
+    The classes are counted by ``count_solutions``; the solutions are
+    listed only when the count passes the bound, to build the
+    counterexample from each class's first member. Pairs that cannot be
+    independent are skipped with a status: identical equations, pairs with
+    no nonzero determinant, and pairs whose search finds two or more
+    erasing classes (that forces both equations to be equivalent to the
+    commutation equation).
     """
     if E == Ep:
         return BoundCheckReport("identical-equations", True)
     pa = PairAnalysis(E, Ep)
     if pa.status != STATUS_OK:
         return BoundCheckReport("no-nonzero-determinant", True, bound_report=pa)
-    catalog = enumerate_solutions(EqSystem((E, Ep)), cfg)
-    erasing = sum(1 for cls in catalog.classes if cls.normal.is_erasing_constraint())
+    system = EqSystem((E, Ep))
+    normals = count_solutions(system, cfg).class_sizes
+    m = len(normals)
+    erasing = sum(1 for normal in normals if LambdaVector(normal).is_erasing_constraint())
     if erasing >= 2:
-        return BoundCheckReport("commutation-like", True, len(catalog.classes), erasing, pa)
-    m = len(catalog.classes)
+        return BoundCheckReport("commutation-like", True, m, erasing, pa)
     limit = pa.best
-    ok = m <= limit
-    counterexample = None
-    if not ok:
-        counterexample = {
-            "equations": [str(E), str(Ep)],
-            "limit": limit,
-            "classes": [{"normal": c["normal"], "example": c["example"]} for c in catalog.summary()["classes"]],
-        }
-    return BoundCheckReport(STATUS_OK, ok, m, erasing, pa, counterexample)
+    if m <= limit:
+        return BoundCheckReport(STATUS_OK, True, m, erasing, pa)
+    counterexample = {
+        "equations": [str(E), str(Ep)],
+        "limit": limit,
+        "classes": [
+            {"normal": c["normal"], "example": c["example"]}
+            for c in enumerate_solutions(system, cfg).summary()["classes"]
+        ],
+    }
+    return BoundCheckReport(STATUS_OK, False, m, erasing, pa, counterexample)
 
 
 # ---------------------------------------------------------------------------

@@ -651,6 +651,39 @@ class TestComputeOnce:
         assert built == []
 
 
+class TestCountsWithoutListing:
+    """Text-mode search and a passing ``--verify-bounds`` read only the
+    counts; ``--json``, ``--csv`` and a failing ``--verify-bounds`` list."""
+
+    @pytest.fixture(autouse=True)
+    def no_listing(self, monkeypatch):
+        def listing(*args, **kwargs):
+            raise InternalError("the solutions were listed")
+
+        monkeypatch.setattr(weq.search, "enumerate_solutions", listing)
+
+    @pytest.mark.parametrize("name", ["search_named_unknowns", "search_no_erasing", "search_verify_bounds"])
+    def test_golden_output_without_listing(self, tmp_path, name):
+        from test_golden import CASES, GOLDEN, run
+
+        assert run(CASES[name], tmp_path / "out.csv") == (0, (GOLDEN / f"{name}.stdout").read_bytes(), None)
+
+    # a limit of 0 classes makes --verify-bounds fail and build its counterexample
+    @pytest.mark.parametrize("extra, best", [(["--json"], None), (["--csv", "<csv>"], None), (["--verify-bounds"], 0)])
+    def test_listing_modes_list(self, capsys, monkeypatch, tmp_path, extra, best):
+        if best is not None:
+            monkeypatch.setattr(PairAnalysis, "best", best)
+        csv = str(tmp_path / "out.csv")
+        assert main(["search", PAIR_TEXT, "--max-len", "6", *(csv if a == "<csv>" else a for a in extra)]) == 3
+        assert capsys.readouterr().err == "internal error: the solutions were listed\n"
+
+    def test_oversized_count_exits_2(self, capsys):
+        assert main(["search", "xy = yx", "--max-len", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the search space exceeds the budget of 100000000 candidate morphisms\n"
+
+
 class TestRejectedInput:
     @pytest.mark.parametrize(
         "extra",
@@ -669,10 +702,10 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == "error: the case count must be non-negative, got -5\n"
 
-    @pytest.mark.parametrize("command", ["det", "hyperplanes", "bounds"])
+    @pytest.mark.parametrize("command", ["det", "hyperplanes", "bounds", "search --verify-bounds"])
     @pytest.mark.parametrize("flag", ["", "--json"])
     def test_determinants_need_two_unknowns(self, capsys, command, flag):
-        assert main([command, "x = x\nxx = xx", *filter(None, [flag])]) == 2
+        assert main([*command.split(), "x = x\nxx = xx", *filter(None, [flag])]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: determinants need two unknowns\n"

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weq import (
+    BoundCheckReport,
     EqSystem,
     Equation,
     LambdaVector,
@@ -17,6 +18,7 @@ from weq import (
     Word,
     check_solution_poly,
     compose,
+    count_solutions,
     enumerate_solutions,
     gamma_matrix,
     is_solution,
@@ -49,6 +51,20 @@ def reference_length_type(sides, k: int, lt) -> list[tuple[tuple[int, ...], ...]
         if all(b"".join(images[s] for s in u) == b"".join(images[s] for s in v) for u, v in sides):
             found.append(tuple(tuple(b) for b in images))
     return found
+
+
+def reference_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[int, ...]]:
+    """Every length type within budget that balances each equation's side
+    lengths, by a filter over all of them, by total and then lexicographically."""
+    n, L = system.n, cfg.max_total_image_length
+    minimum = 0 if cfg.allow_erasing else 1
+    lts = [
+        lt
+        for lt in product(range(minimum, L + 1), repeat=n)
+        if sum(lt) <= L
+        and all(sum(l * (e.left.count(j) - e.right.count(j)) for j, l in enumerate(lt)) == 0 for e in system)
+    ]
+    return sorted(lts, key=lambda lt: (sum(lt), lt))
 
 
 def reference_catalog(system: EqSystem, cfg: SearchConfig):
@@ -189,6 +205,14 @@ class TestAgainstProductScan:
     def test_catalog_matches_reference(self, search):
         assert_matches_reference(*search)
 
+    @given(small_searches())
+    @example((PAIR, SearchConfig(10, 2)))
+    @example((EqSystem((Equation(Word(), Word(), 0),)), SearchConfig(3, 2)))
+    # x = yy: with |h(x)| = 1 the balance 1 = 2|h(y)| has no integer solution
+    @example((EqSystem((eq("x", "yy"),)), SearchConfig(4, 2)))
+    def test_length_types_match_reference(self, search):
+        assert _feasible_length_types(*search) == reference_length_types(*search)
+
     def test_paper_pair_every_length_type(self):
         cfg = SearchConfig(10, 2)
         sides = tuple((e.left.symbols, e.right.symbols) for e in PAIR)
@@ -197,6 +221,58 @@ class TestAgainstProductScan:
         for lt in lts:
             assert _solutions_for_length_type((sides, 2, lt)) == reference_length_type(sides, 2, lt), lt
         assert_matches_reference(PAIR, cfg)
+
+
+class TestCounting:
+    """``count_solutions`` against the catalog of ``enumerate_solutions``."""
+
+    @given(small_searches())
+    @example((EqSystem((eq("x", "x"),)), SearchConfig(2, 100)))
+    @example((PAIR, SearchConfig(10, 2)))
+    @example((CONJ, SearchConfig(6, 1)))
+    @example((EqSystem((eq("xy", "yx"),)), SearchConfig(5, 1, allow_erasing=False)))
+    def test_counts_match_the_catalog(self, search):
+        catalog = enumerate_solutions(*search)
+        counts = count_solutions(*search)
+        assert counts.solution_count == len(catalog.solutions)
+        assert counts.rank_counts == catalog.rank_counts()
+        assert counts.class_sizes == {cls.normal.entries: len(cls.members) for cls in catalog.classes}
+        assert list(counts.class_sizes) == [cls.normal.entries for cls in catalog.classes]
+
+    def test_summary_is_the_catalog_summary_without_examples(self):
+        catalog = enumerate_solutions(PAIR, SearchConfig(8, 2))
+        summary = catalog.summary(("u", "v", "w"))
+        for cls in summary["classes"]:
+            assert cls.pop("example")
+        assert count_solutions(PAIR, SearchConfig(8, 2)).summary(("u", "v", "w")) == summary
+
+    def test_builds_no_morphism_or_word(self, monkeypatch):
+        from weq import search
+
+        expected = enumerate_solutions(PAIR, SearchConfig(10, 2)).counts()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_solutions built a morphism or a word")
+
+        monkeypatch.setattr(search, "Morphism", refuse)
+        monkeypatch.setattr(search, "Word", refuse)
+        assert count_solutions(PAIR, SearchConfig(10, 2)) == expected
+
+    def test_large_alphabet_needs_few_eliminations(self, monkeypatch):
+        from weq import search
+
+        calls = []
+        rank_and_normal = search._rank_and_normal
+        monkeypatch.setattr(
+            search, "_rank_and_normal", lambda rows, n: calls.append(rows) or rank_and_normal(rows, n)
+        )
+        counts = count_solutions(EqSystem((eq("x", "x"),)), SearchConfig(2, 100))
+        assert counts.solution_count == 1 + 100 + 100**2
+        assert len(calls) == len(set(calls)) <= 4
+
+    def test_space_guard(self):
+        with pytest.raises(SearchSpaceError):
+            count_solutions(CONJ, SearchConfig(30, 3))
 
 
 class TestCatalogInvariants:
@@ -282,6 +358,32 @@ class TestSearchConfig:
         assert search_space_size(2, SearchConfig(0, 1)) == 1
 
 
+def reference_verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckReport:
+    """The bound check read off the full catalog: its classes are counted,
+    and past the bound each class's first member is the example."""
+    if E == Ep:
+        return BoundCheckReport("identical-equations", True)
+    pa = PairAnalysis(E, Ep)
+    if pa.status != "ok":
+        return BoundCheckReport("no-nonzero-determinant", True, bound_report=pa)
+    classes = enumerate_solutions(EqSystem((E, Ep)), cfg).classes
+    m = len(classes)
+    erasing = sum(cls.normal.is_erasing_constraint() for cls in classes)
+    if erasing >= 2:
+        return BoundCheckReport("commutation-like", True, m, erasing, pa)
+    if m <= pa.best:
+        return BoundCheckReport("ok", True, m, erasing, pa)
+    counterexample = {
+        "equations": [str(E), str(Ep)],
+        "limit": pa.best,
+        "classes": [
+            {"normal": list(cls.normal.entries), "example": [str(im) for im in cls.members[0].images]}
+            for cls in classes
+        ],
+    }
+    return BoundCheckReport("ok", False, m, erasing, pa, counterexample)
+
+
 class TestVerifyBounds:
     def test_worked_pair_ok(self):
         report = verify_bounds(PAIR.equations[0], PAIR.equations[1], SearchConfig(10, 2))
@@ -326,6 +428,30 @@ class TestVerifyBounds:
         assert report.erasing_class_count == 1
         catalog = enumerate_solutions(EqSystem((A, B)), SearchConfig(8, 2))
         assert [c.normal.entries for c in catalog.classes] == [(1, 0, 0)]
+
+    @pytest.mark.parametrize("best", [None, 0, 1])
+    def test_matches_reference(self, monkeypatch, rng, best):
+        # with best = 0 every pair with a class fails, so the counterexamples
+        # are compared too; best = 1 puts the one-class pairs on the bound
+        from conftest import eq_n
+
+        if best is not None:
+            monkeypatch.setattr(PairAnalysis, "best", best)
+        pairs = [
+            PAIR.equations,
+            (eq("xy", "yx"), eq("yx", "xy")),
+            (eq("xyz", "zyx"), eq("xzy", "yzx")),
+            (eq_n("xy", "yx", 3), eq_n("xz", "zx", 3)),
+            *((random_equation(rng, 3, 8), random_equation(rng, 3, 8)) for _ in range(40)),
+        ]
+        statuses = set()
+        for A, B in pairs:
+            for cfg in (SearchConfig(6, 2), SearchConfig(5, 3, allow_erasing=False)):
+                report = verify_bounds(A, B, cfg)
+                assert report == reference_verify_bounds(A, B, cfg), (A, B, cfg)
+                statuses.add((report.status, report.ok))
+        expected = {("no-nonzero-determinant", True), ("ok", best != 0)}
+        assert expected <= statuses
 
     def test_fuzz_random_pairs(self, rng):
         checked = 0
