@@ -15,7 +15,6 @@ from .analysis import (
     minimal_count_bounds,
     pair_report_json,
     solution_hyperplanes,
-    system_size_bound,
 )
 from .encode import (
     balanced_residual,
@@ -47,7 +46,6 @@ from .search import (
     SearchConfig,
     SearchSpaceError,
     SolutionCatalog,
-    SolutionClass,
     SolutionCounts,
     count_solutions,
     enumerate_solutions,

@@ -10,8 +10,7 @@ determinant yield size bounds on the number of classes.
 
 One :class:`PairAnalysis` holds one pair and computes each of these
 results once, when it is first read; ``solution_hyperplanes``,
-``bounds``, ``system_size_bound``, ``cofactor_3vars`` and
-``pair_report_json`` are views of it.
+``bounds``, ``cofactor_3vars`` and ``pair_report_json`` are views of it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .poly import (
     pure_difference,
     pure_difference_divisors,
 )
-from .words import EqSystem, Equation, InternalError, LambdaVector, unknown_names
+from .words import Equation, InternalError, LambdaVector, unknown_names
 
 STATUS_OK = "ok"
 STATUS_ALL_ZERO = "all-determinants-zero"
@@ -196,15 +195,6 @@ def bounds(E: Equation, Ep: Equation) -> PairAnalysis:
     pa = PairAnalysis(E, Ep)
     _ = pa.status, pa.best
     return pa
-
-
-def system_size_bound(T: EqSystem, *, has_rank_n1_solution: bool = False) -> int:
-    """Size bound for a system assumed, not checked, to be strongly
-    independent; see :meth:`PairAnalysis.system_size_bound`. Only the
-    first two equations are read."""
-    if len(T) < 2:
-        raise ValueError("system bounds need at least two equations")
-    return PairAnalysis(T.equations[0], T.equations[1]).system_size_bound(has_rank_n1_solution)
 
 
 def cofactor_3vars(E1: Equation, E2: Equation) -> MultiPoly:

@@ -4,14 +4,18 @@ Lists every solution within a total-image-length budget, one length type
 at a time. For a fixed length type the equations identify positions of
 the images; the solutions of that type are exactly the letter
 assignments to the resulting position classes, so the search costs the
-size of its output rather than one word comparison per candidate. The
-catalog groups the solutions by rank and the rank-(n-1) ones into
-linear-equivalence classes via their hyperplane normals.
+size of its output rather than one word comparison per candidate. A
+catalog is its counts (solutions, rank counts, and the sizes of the
+linear-equivalence classes of rank-(n-1) solutions, keyed by their
+hyperplane normals), its solutions, and each solution's kind: its rank
+and its class index.
 
-The counts alone (solutions, ranks, class sizes) come without listing
-from a dynamic program over count-row multisets: the letters are
-assigned to the position classes one class at a time, and the state is
-the multiset of nonzero rows of the partial occurrence-count matrix.
+The counts alone come without listing from a dynamic program over
+count-row multisets: the letters are assigned to the position classes
+one class at a time, and the state is the multiset of nonzero rows of
+the partial occurrence-count matrix. Both paths reduce their solutions
+to these sorted nonzero count rows and count ranks and classes from
+them in one function, ``_tally``.
 Also hosts the seeded fuzz generators used to cross-check the polynomial
 encoding against the word-level definitions.
 """
@@ -21,7 +25,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, product
 from math import comb
 from operator import add, mul
@@ -79,14 +82,6 @@ class _Memo(dict):
 
 
 @dataclass(frozen=True)
-class SolutionClass:
-    """One linear-equivalence class of rank-(n-1) solutions."""
-
-    normal: LambdaVector
-    members: tuple[Morphism, ...]
-
-
-@dataclass(frozen=True)
 class SolutionCounts:
     """How many solutions a search space holds, in all, by rank and by
     class (keyed by the class normal's entries, in catalog order), without
@@ -116,41 +111,22 @@ class SolutionCounts:
 @dataclass(frozen=True)
 class SolutionCatalog:
     """All solutions found within a search space, in enumeration order
-    (total image length, then length type, then images lexicographically)."""
+    (total image length, then length type, then images lexicographically),
+    their counts, and each solution's kind: its rank and its class index,
+    -1 below rank n-1, with the classes numbered in the order of
+    ``counts.class_sizes``."""
 
-    n: int
-    config: SearchConfig
+    counts: SolutionCounts
     solutions: tuple[Morphism, ...]
-    by_rank: dict[int, tuple[Morphism, ...]]
-    classes: tuple[SolutionClass, ...]
-
-    def rank_counts(self) -> dict[int, int]:
-        return {r: len(ms) for r, ms in sorted(self.by_rank.items())}
-
-    @cached_property
-    def _ranks_and_classes(self) -> list[tuple[int, int]]:
-        """Rank and class index (-1 below rank n-1) of every solution.
-        ``enumerate_solutions`` records it while classifying; a catalog
-        built any other way reads it off ``by_rank`` and ``classes``."""
-        rank_of = {h: r for r, ms in self.by_rank.items() for h in ms}
-        class_of = {h: i for i, cls in enumerate(self.classes) for h in cls.members}
-        return [(rank_of[h], class_of.get(h, -1)) for h in self.solutions]
-
-    def counts(self) -> SolutionCounts:
-        return SolutionCounts(
-            self.n,
-            self.config,
-            len(self.solutions),
-            self.rank_counts(),
-            {cls.normal.entries: len(cls.members) for cls in self.classes},
-        )
+    kinds: tuple[tuple[int, int], ...]
 
     def summary(self, names: Sequence[str] | None = None) -> dict:
         """The counts' summary with each class's first member as its
         example: the catalog as JSON without its per-solution list."""
-        out = self.counts().summary(names)
-        for entry, cls in zip(out["classes"], self.classes):
-            entry["example"] = [str(im) for im in cls.members[0].images]
+        out = self.counts.summary(names)
+        for i, entry in enumerate(out["classes"]):
+            first = self.solutions[self.kinds.index((self.counts.n - 1, i))]
+            entry["example"] = [str(im) for im in first.images]
         return out
 
     def to_json(self, names: Sequence[str] | None = None) -> dict:
@@ -160,17 +136,14 @@ class SolutionCatalog:
             **self.summary(names),
             "solutions": [
                 {"images": list(map(text.__getitem__, h.images)), "rank": r, "class": c}
-                for h, (r, c) in zip(self.solutions, self._ranks_and_classes)
+                for h, (r, c) in zip(self.solutions, self.kinds)
             ],
         }
 
     def csv_rows(self) -> list[tuple[str, int, int]]:
         """Rows (length type, rank, class id) for every solution."""
         text = _Memo(lambda lt: " ".join(map(str, lt)))
-        return [
-            (text[tuple(map(len, h.images))], r, c)
-            for h, (r, c) in zip(self.solutions, self._ranks_and_classes)
-        ]
+        return [(text[tuple(map(len, h.images))], r, c) for h, (r, c) in zip(self.solutions, self.kinds)]
 
 
 def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
@@ -313,8 +286,8 @@ def enumerate_solutions(
     the sorted nonzero rows: one row per letter that occurs. A listed
     solution's cost depends on n, L and the letters it uses, not on the
     alphabet size, and ``x = x`` at length budget 2 needs 4 eliminations
-    at any k. Each solution's rank and class are recorded as it is
-    classified, so rendering the catalog hashes no morphism.
+    at any k. The counts are tallied from those keys, and each solution's
+    kind read off its key, so rendering the catalog hashes no morphism.
 
     With ``workers > 1`` length types are enumerated in parallel processes
     and merged back in the serial order, so the catalog is identical.
@@ -335,33 +308,35 @@ def enumerate_solutions(
 
     words = _Memo(Word)
     solutions: list[Morphism] = []
-    kinds: list[tuple[int, tuple[int, ...] | None]] = []
-    by_rank: dict[int, list[Morphism]] = {}
-    classes: dict[tuple[int, ...], list[Morphism]] = {}
-    kind_of = _Memo(lambda rows: _rank_and_normal(rows, n))
+    # keys are numbered in order of first appearance: a tuple kept per
+    # solution would make the collector run more often
+    ids: dict[tuple[tuple[int, ...], ...], int] = {}
+    keys: list[int] = []
     for images in found:
-        h = Morphism(tuple(map(words.__getitem__, images)), k)
-        solutions.append(h)
-        rows = sorted([tuple([im.count(a) for im in images]) for a in set().union(*images)])
-        kinds.append(kind_of[tuple(rows)])
-        r, normal = kinds[-1]
-        by_rank.setdefault(r, []).append(h)
+        solutions.append(Morphism(tuple(map(words.__getitem__, images)), k))
+        rows = tuple(sorted([tuple([im.count(a) for im in images]) for a in set().union(*images)]))
+        keys.append(ids.setdefault(rows, len(ids)))
+    ways = Counter(keys)
+    kind_of = {rows: _rank_and_normal(rows, n) for rows in ids}
+    counts = _tally(n, cfg, {rows: ways[i] for rows, i in ids.items()}, kind_of)
+    index = {normal: i for i, normal in enumerate(counts.class_sizes)}
+    kind = [(r, -1 if normal is None else index[normal]) for r, normal in kind_of.values()]
+    return SolutionCatalog(counts, tuple(solutions), tuple(map(kind.__getitem__, keys)))
+
+
+def _tally(n: int, cfg: SearchConfig, finals: dict, kind_of: dict) -> SolutionCounts:
+    """The counts of a search space from its solutions' sorted nonzero
+    count rows, each with its multiplicity in ``finals``; ``kind_of`` gives
+    each such state's rank and normal."""
+    rank_counts: Counter = Counter()
+    class_sizes: Counter = Counter()
+    for state, ways in finals.items():
+        r, normal = kind_of[state]
+        rank_counts[r] += ways
         if normal is not None:
-            classes.setdefault(normal, []).append(h)
-    normals = sorted(classes)
-    index = {normal: i for i, normal in enumerate(normals)}
-    catalog = SolutionCatalog(
-        n=n,
-        config=cfg,
-        solutions=tuple(solutions),
-        by_rank={r: tuple(ms) for r, ms in by_rank.items()},
-        classes=tuple(SolutionClass(LambdaVector(e), tuple(classes[e])) for e in normals),
-    )
-    # fill the cache that a catalog built any other way derives from its fields
-    catalog.__dict__["_ranks_and_classes"] = [
-        (r, -1 if normal is None else index[normal]) for r, normal in kinds
-    ]
-    return catalog
+            class_sizes[normal] += ways
+    ranks, normals = dict(sorted(rank_counts.items())), dict(sorted(class_sizes.items()))
+    return SolutionCounts(n, cfg, sum(finals.values()), ranks, normals)
 
 
 def _assign_class(
@@ -423,22 +398,14 @@ def count_solutions(T: SystemLike, cfg: SearchConfig) -> SolutionCounts:
         for row in occurrences:
             states = _assign_class(states, tuple(row), k)
         finals.update(states)
-    rank_counts: Counter = Counter()
-    class_sizes: Counter = Counter()
-    for state, ways in finals.items():
-        r, normal = _rank_and_normal(state, n)
-        rank_counts[r] += ways
-        if normal is not None:
-            class_sizes[normal] += ways
-    ranks, normals = dict(sorted(rank_counts.items())), dict(sorted(class_sizes.items()))
-    return SolutionCounts(n, cfg, sum(finals.values()), ranks, normals)
+    return _tally(n, cfg, finals, {state: _rank_and_normal(state, n) for state in finals})
 
 
 @dataclass(frozen=True)
 class BoundCheckReport:
     """Outcome of checking the class-count bounds on one equation pair."""
 
-    status: str  # ok | identical-equations | no-nonzero-determinant | commutation-like
+    status: str  # ok | identical-equations | no-nonzero-determinant
     ok: bool
     class_count: int | None = None
     erasing_class_count: int = 0
@@ -453,10 +420,8 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
     The classes are counted by ``count_solutions``; the solutions are
     listed only when the count passes the bound, to build the
     counterexample from each class's first member. Pairs that cannot be
-    independent are skipped with a status: identical equations, pairs with
-    no nonzero determinant, and pairs whose search finds two or more
-    erasing classes (that forces both equations to be equivalent to the
-    commutation equation).
+    independent are skipped with a status: identical equations and pairs
+    with no nonzero determinant.
     """
     if E == Ep:
         return BoundCheckReport("identical-equations", True)
@@ -467,8 +432,6 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
     normals = count_solutions(system, cfg).class_sizes
     m = len(normals)
     erasing = sum(1 for normal in normals if LambdaVector(normal).is_erasing_constraint())
-    if erasing >= 2:
-        return BoundCheckReport("commutation-like", True, m, erasing, pa)
     limit = pa.best
     if m <= limit:
         return BoundCheckReport(STATUS_OK, True, m, erasing, pa)

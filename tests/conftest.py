@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from weq import Equation, Morphism, Word, parse_system
+from weq import Equation, LambdaVector, Morphism, Word, parse_system
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -24,6 +24,17 @@ def eq_n(left: str, right: str, n: int) -> Equation:
 
 def morph(*images: str, k: int | None = None) -> Morphism:
     return Morphism.from_images(*images, alphabet_size=k)
+
+
+def classes_of(catalog) -> dict[LambdaVector, list[Morphism]]:
+    """The classes of a catalog in class order: each normal with its
+    members, read off the solutions' kinds."""
+    classes = {LambdaVector(normal): [] for normal in catalog.counts.class_sizes}
+    members = list(classes.values())
+    for h, (_, c) in zip(catalog.solutions, catalog.kinds):
+        if c >= 0:
+            members[c].append(h)
+    return classes
 
 
 @pytest.fixture

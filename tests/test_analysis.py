@@ -20,14 +20,13 @@ from weq import (
     pair_report_json,
     s_vector,
     solution_hyperplanes,
-    system_size_bound,
     t_det,
     unknown_names,
 )
 from weq.analysis import STATUS_ALL_ZERO, STATUS_OK
 from weq.search import random_equation
 
-from conftest import eq, eq_n
+from conftest import classes_of, eq, eq_n
 
 E1 = eq("xyxz", "zxyx")
 E2 = eq("xyxxz", "zxxyx")
@@ -56,7 +55,7 @@ class TestSolutionHyperplanes:
         report = solution_hyperplanes(A, B)
         assert report.status == STATUS_ALL_ZERO
         catalog = enumerate_solutions(EqSystem((A, B)), SearchConfig(6, 2))
-        assert len(catalog.classes) > 2
+        assert len(classes_of(catalog)) > 2
 
     def test_every_hyperplane_divides_primary_determinant(self, rng):
         seen = 0
@@ -87,8 +86,8 @@ class TestSolutionHyperplanes:
             reported = set(report.hyperplanes) | {
                 lam for lam, _ in report.primary.factorization.factors
             }
-            for cls in catalog.classes:
-                assert cls.normal in reported, (A, B, cls.normal)
+            for normal in classes_of(catalog):
+                assert normal in reported, (A, B, normal)
 
 
 class TestCofactor:
@@ -172,16 +171,10 @@ class TestBounds:
         assert report.best == report.sum_bound == 16
 
     def test_system_bounds_plus_two(self):
-        T = EqSystem((E1, E2))
-        assert system_size_bound(T) == bounds(E1, E2).best + 2 == 10
+        assert PairAnalysis(E1, E2).system_size_bound() == bounds(E1, E2).best + 2 == 10
 
     def test_system_bounds_with_solution_flag(self):
-        T = EqSystem((E1, E2))
-        assert system_size_bound(T, has_rank_n1_solution=True) == bounds(E1, E2).best + 1 == 9
-
-    def test_system_bounds_needs_two_equations(self):
-        with pytest.raises(ValueError):
-            system_size_bound(EqSystem((E1,)))
+        assert PairAnalysis(E1, E2).system_size_bound(has_rank_n1_solution=True) == bounds(E1, E2).best + 1 == 9
 
 
 def balanced_equation(rng, n, max_side):
@@ -294,13 +287,14 @@ class TestExclusiveSolutionSeparation:
         only_first = enumerate_solutions(EqSystem((E1,)), cfg)
         exclusive = [
             h
-            for cls in only_first.classes
-            for h in cls.members
+            for members in classes_of(only_first).values()
+            for h in members
             if not is_solution(h, E2)
         ]
-        assert common.classes and exclusive
-        for cls in common.classes:
-            for h in cls.members[:3]:
+        common_classes = classes_of(common)
+        assert common_classes and exclusive
+        for members in common_classes.values():
+            for h in members[:3]:
                 for hp in exclusive[:10]:
                     assert not linear_equivalent(h, hp)
 

@@ -710,6 +710,20 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == "error: determinants need two unknowns\n"
 
+    @pytest.mark.parametrize("command", ["det", "hyperplanes", "bounds", "search --verify-bounds"])
+    @pytest.mark.parametrize("flag", ["", "--json"])
+    def test_determinants_need_two_equations(self, capsys, command, flag):
+        message = {
+            "det": "determinants need two equations",
+            "hyperplanes": "hyperplane analysis needs two equations",
+            "bounds": "bounds need at least two equations",
+            "search --verify-bounds": "--verify-bounds needs two equations",
+        }[command]
+        assert main([*command.split(), "xy = yx", *filter(None, [flag])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag", ["", "--json"])
     def test_bounds_assumption_needs_two_unknowns(self, capsys, flag):
         argv = ["bounds", "x = x\nxx = xx\nxxx = xxx", "--assume-rank-solution"]
