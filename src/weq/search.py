@@ -8,7 +8,8 @@ size of its output rather than one word comparison per candidate. A
 catalog is its counts (solutions, rank counts, and the sizes of the
 linear-equivalence classes of rank-(n-1) solutions, keyed by their
 hyperplane normals), its solutions, and each solution's kind: its rank
-and its class index.
+and its class index. Its solutions grouped by rank and by class are
+views of the kinds.
 
 The counts alone come without listing from a dynamic program over
 count-row multisets: the letters are assigned to the position classes
@@ -109,24 +110,72 @@ class SolutionCounts:
 
 
 @dataclass(frozen=True)
+class SolutionClass:
+    """One class of rank-(n-1) solutions: its hyperplane normal and its
+    members in catalog order, as ``SolutionCatalog.classes`` reads them."""
+
+    normal: tuple[int, ...]
+    members: tuple[Morphism, ...]
+
+
+@dataclass(frozen=True, init=False)
 class SolutionCatalog:
     """All solutions found within a search space, in enumeration order
     (total image length, then length type, then images lexicographically),
     their counts, and each solution's kind: its rank and its class index,
     -1 below rank n-1, with the classes numbered in the order of
-    ``counts.class_sizes``."""
+    ``counts.class_sizes``.
+
+    ``by_rank`` and ``classes`` group the solutions by kind. A catalog
+    may also be built from such groups, given together, as in
+    ``dataclasses.replace(catalog, solutions=..., by_rank=..., classes=...)``:
+    its kinds and counts are then read off them, empty classes dropped."""
 
     counts: SolutionCounts
     solutions: tuple[Morphism, ...]
     kinds: tuple[tuple[int, int], ...]
 
+    def __init__(self, counts, solutions, kinds, by_rank=None, classes=None) -> None:
+        if (by_rank is None) != (classes is None):
+            raise TypeError("by_rank and classes are given together")
+        if by_rank is not None:
+            classes = [c for c in classes if c.members]
+            kind = {h: (r, -1) for r, ms in by_rank.items() for h in ms}
+            kind.update((h, (counts.n - 1, i)) for i, c in enumerate(classes) for h in c.members)
+            kinds = tuple(map(kind.__getitem__, solutions))
+            ranks = {r: len(ms) for r, ms in by_rank.items() if ms}
+            sizes = {c.normal: len(c.members) for c in classes}
+            counts = SolutionCounts(counts.n, counts.config, len(solutions), ranks, sizes)
+        for name, value in (("counts", counts), ("solutions", solutions), ("kinds", kinds)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def by_rank(self) -> dict[int, tuple[Morphism, ...]]:
+        """The solutions of each rank, ranks ascending."""
+        return {
+            r: tuple(h for h, (s, _) in zip(self.solutions, self.kinds) if s == r) for r in self.counts.rank_counts
+        }
+
+    @property
+    def classes(self) -> tuple[SolutionClass, ...]:
+        """Each class's normal and members, in class order."""
+        return tuple(
+            SolutionClass(normal, tuple(h for h, (_, c) in zip(self.solutions, self.kinds) if c == i))
+            for i, normal in enumerate(self.counts.class_sizes)
+        )
+
     def summary(self, names: Sequence[str] | None = None) -> dict:
         """The counts' summary with each class's first member as its
         example: the catalog as JSON without its per-solution list."""
         out = self.counts.summary(names)
+        first: dict[int, Morphism] = {}
+        for h, (_, c) in zip(self.solutions, self.kinds):
+            if len(first) == len(out["classes"]):
+                break
+            if c >= 0:
+                first.setdefault(c, h)
         for i, entry in enumerate(out["classes"]):
-            first = self.solutions[self.kinds.index((self.counts.n - 1, i))]
-            entry["example"] = [str(im) for im in first.images]
+            entry["example"] = [str(im) for im in first[i].images]
         return out
 
     def to_json(self, names: Sequence[str] | None = None) -> dict:

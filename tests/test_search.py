@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from itertools import product
 
@@ -72,19 +73,24 @@ def reference_catalog(system: EqSystem, cfg: SearchConfig):
     the rank and normal of every solution by the reference eliminations
     of ``test_words``."""
     sides = tuple((e.left.symbols, e.right.symbols) for e in system)
-    n, k = system.n, cfg.alphabet_size
     solutions = [
-        Morphism(tuple(Word(im) for im in images), k)
+        Morphism(tuple(Word(im) for im in images), cfg.alphabet_size)
         for lt in _feasible_length_types(system, cfg)
-        for images in reference_length_type(sides, k, lt)
+        for images in reference_length_type(sides, cfg.alphabet_size, lt)
     ]
+    return (tuple(solutions),) + reference_kinds(solutions, system.n, cfg)
+
+
+def reference_kinds(solutions, n: int, cfg: SearchConfig):
+    """The kinds and counts of a list of solutions, with the classes
+    numbered by their sorted normals."""
     ranks = [reference_rank(gamma_matrix(h)) for h in solutions]
     normals = [reference_normal(gamma_matrix(h), n) if r == n - 1 else None for h, r in zip(solutions, ranks)]
     class_sizes = dict(sorted(Counter(v for v in normals if v is not None).items()))
     index = {v: i for i, v in enumerate(class_sizes)}
     kinds = tuple((r, -1 if v is None else index[v]) for r, v in zip(ranks, normals))
     counts = SolutionCounts(n, cfg, len(solutions), dict(sorted(Counter(ranks).items())), class_sizes)
-    return tuple(solutions), kinds, counts
+    return kinds, counts
 
 
 def assert_matches_reference(system: EqSystem, cfg: SearchConfig) -> None:
@@ -95,6 +101,15 @@ def assert_matches_reference(system: EqSystem, cfg: SearchConfig) -> None:
     assert catalog.kinds == kinds
     assert catalog.counts == counts
     assert list(catalog.counts.class_sizes) == list(counts.class_sizes)
+    assert catalog.by_rank == {
+        r: tuple(h for h, (s, _) in zip(solutions, kinds) if s == r) for r in counts.rank_counts
+    }
+    assert [(c.normal, c.members) for c in catalog.classes] == [
+        (normal, tuple(h for h, (_, c) in zip(solutions, kinds) if c == i))
+        for i, normal in enumerate(counts.class_sizes)
+    ]
+    examples = [solutions[kinds.index((system.n - 1, i))] for i in range(len(counts.class_sizes))]
+    assert [c["example"] for c in catalog.summary()["classes"]] == [[str(im) for im in h.images] for h in examples]
 
 
 @st.composite
@@ -217,6 +232,26 @@ class TestAgainstProductScan:
         for lt in lts:
             assert _solutions_for_length_type((sides, 2, lt)) == reference_length_type(sides, 2, lt), lt
         assert_matches_reference(PAIR, cfg)
+
+    def test_catalog_from_groups(self):
+        """A catalog built from its groups, with solutions dropped, reads
+        its kinds and counts off the groups; an emptied class is dropped
+        and the later classes renumbered."""
+        catalog = enumerate_solutions(EqSystem((eq("xyz", "zyx"),)), SearchConfig(6, 2))
+        assert len(catalog.classes) >= 2
+        assert dataclasses.replace(catalog, by_rank=catalog.by_rank, classes=catalog.classes) == catalog
+        for dropped in ({catalog.solutions[-1]}, set(catalog.classes[0].members), set(catalog.by_rank[0])):
+            keep = lambda ms: tuple(h for h in ms if h not in dropped)  # noqa: E731
+            built = dataclasses.replace(
+                catalog,
+                solutions=keep(catalog.solutions),
+                by_rank={r: keep(ms) for r, ms in catalog.by_rank.items()},
+                classes=tuple(dataclasses.replace(c, members=keep(c.members)) for c in catalog.classes),
+            )
+            assert len(built.solutions) == len(catalog.solutions) - len(dropped)
+            assert (built.kinds, built.counts) == reference_kinds(built.solutions, 3, catalog.counts.config)
+        with pytest.raises(TypeError):
+            dataclasses.replace(catalog, by_rank=catalog.by_rank)
 
 
 class TestCounting:
