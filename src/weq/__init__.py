@@ -19,12 +19,8 @@ from .analysis import (
 from .encode import (
     balanced_residual,
     check_solution_poly,
-    delta_k,
     is_balanced,
-    p_vector,
-    s_poly,
     s_vector,
-    s_vector_eval,
     t_det,
 )
 from .poly import (
@@ -34,12 +30,10 @@ from .poly import (
     divide_by_binomial,
     format_poly,
     minimal_monomials,
-    poly_var_names,
     pure_difference,
     pure_difference_divisors,
-    word_poly,
 )
-from .principal import PrincipalDecomposition, is_trivial, principal_decompose
+from .principal import PrincipalDecomposition, principal_decompose
 from .search import (
     BoundCheckReport,
     EncodingFuzzReport,
@@ -59,7 +53,6 @@ from .textio import (
     parse_poly,
     parse_system,
     render_equation,
-    render_morphism,
 )
 from .words import (
     EqSystem,
@@ -69,15 +62,11 @@ from .words import (
     Morphism,
     Word,
     as_system,
-    canonical_letters,
     compose,
     gamma_matrix,
     gamma_normal,
     is_solution,
-    linear_equivalent,
     rank,
-    renaming_equivalent,
-    theta_alpha,
     unknown_names,
 )
 

@@ -14,19 +14,10 @@ from __future__ import annotations
 
 from operator import mul
 
-from .poly import MultiPoly, word_poly
-from .words import Equation, Morphism, Word
+from .poly import MultiPoly
+from .words import Equation, Morphism
 
 SVector = tuple[MultiPoly, ...]
-
-
-def s_poly(E: Equation, j: int) -> MultiPoly:
-    """Coefficient polynomial of unknown ``j``: the signed sum of
-    prefix-product monomials over its occurrences (left side positive,
-    right side negative; the empty prefix contributes 1)."""
-    if not 0 <= j < E.n:
-        raise IndexError(f"unknown index {j} out of range for n={E.n}")
-    return s_vector(E)[j]
 
 
 def s_vector(E: Equation) -> SVector:
@@ -46,37 +37,16 @@ def s_vector(E: Equation) -> SVector:
     return tuple(MultiPoly._from_terms(E.n, terms) for terms in acc)
 
 
-def s_vector_eval(E: Equation, beta: tuple[int, ...]) -> SVector:
-    """The coefficient vector specialized at a length type, in one scan:
-    an occurrence adds ``sign * x^d`` to its unknown's entry, where ``d``
-    is the length under ``beta`` of the prefix before it."""
-    beta = tuple(beta)
-    if len(beta) != E.n:
-        raise ValueError(f"expected {E.n} exponents, got {len(beta)}")
-    if any(b < 0 for b in beta):
-        raise ValueError("substitution exponents must be non-negative")
-    acc: list[dict[tuple[int], int]] = [{} for _ in range(E.n)]
-    for side, sign in ((E.left, 1), (E.right, -1)):
-        d = 0
-        for sym in side:
-            acc[sym][(d,)] = acc[sym].get((d,), 0) + sign
-            d += beta[sym]
-    return tuple(MultiPoly(1, terms) for terms in acc)
-
-
-def p_vector(h: Morphism) -> SVector:
-    """Digit polynomials of all images of a morphism."""
-    return tuple(word_poly(im) for im in h.images)
-
-
 def check_solution_poly(E: Equation, h: Morphism) -> bool:
     """Solution test through the encoding: the dot product of the
     coefficient vector at the length type of ``h`` with the digit
-    polynomials of ``h`` must vanish in Z[x].
+    polynomials of ``h`` must vanish in Z[x]. The digit polynomial of an
+    image has the coefficient ``letter + 1`` at the power of x of each
+    position.
 
     The dot product is evaluated at x = B = 2^w (Kronecker substitution)
-    in one scan of each side, as in ``s_vector_eval``: an occurrence of
-    unknown j after a prefix of length d adds ``P_j(B) << w*d`` to its
+    in one scan of each side: an occurrence of unknown j after a prefix
+    of length d under the length type adds ``P_j(B) << w*d`` to its
     side, and the dot product is the left sum minus the right one.
 
     This is exact. Each occurrence adds +-x^d times a digit polynomial
@@ -133,15 +103,3 @@ def balanced_residual(E: Equation) -> MultiPoly:
 def is_balanced(E: Equation) -> bool:
     """Whether every unknown occurs equally often on both sides."""
     return all(E.left.count(j) == E.right.count(j) for j in E.unknowns())
-
-
-def delta_k(E: Equation, k: int) -> Equation:
-    """The equation over n-1 unknowns obtained by erasing unknown ``k``
-    everywhere and shifting higher indices down."""
-    if not 0 <= k < E.n:
-        raise IndexError(f"unknown index {k} out of range for n={E.n}")
-
-    def strip(w: Word) -> Word:
-        return Word(s - (s > k) for s in w if s != k)
-
-    return Equation(strip(E.left), strip(E.right), E.n - 1)

@@ -5,9 +5,7 @@ vectors to nonzero arbitrary-precision coefficients, so two polynomials
 are equal exactly when their term maps are. On top of the ring
 operations this module provides:
 
-* the substitution ``X_i -> x^(gamma_i)`` into Z[x], the one-variable
-  case of the same ring,
-* the digit polynomial of a word over a positive-integer alphabet,
+* the canonical text form, whose variables are named X, Y, Z, X4, ...,
 * exact division by a pure difference ``X^(lam+) - X^(lam-)`` with
   coprime ``lam`` (every such difference is irreducible),
 * the directions of all irreducible pure-difference divisors, and the
@@ -50,10 +48,10 @@ Factor extraction rests on three consequences of that line-sum rule:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, mul
+from operator import add, le
 from typing import Mapping, Sequence
 
-from .words import InternalError, LambdaVector, Word, _canonical_entries, unknown_names
+from .words import InternalError, LambdaVector, _canonical_entries, unknown_names
 
 # The most terms a quotient by a pure difference may have. A determinant of
 # equations of total length m has degree at most m, so it never comes near.
@@ -121,16 +119,6 @@ class MultiPoly:
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         return dict(self._terms)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms)
-
-    def coefficient(self, exps: Sequence[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
-
-    def degree(self) -> int:
-        """Total degree, with -1 for the zero polynomial."""
-        return max((sum(e) for e in self._terms), default=-1)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -202,24 +190,6 @@ class MultiPoly:
             k >>= 1
         return res
 
-    def evaluate(self, gamma: Sequence[int]) -> "MultiPoly":
-        """Substitute ``X_i -> x^(gamma_i)``; a ring homomorphism to Z[x],
-        whose elements are one-variable ``MultiPoly``s."""
-        gamma = tuple(gamma)
-        if len(gamma) != self.n:
-            raise ValueError(f"expected {self.n} exponents, got {len(gamma)}")
-        if any(g < 0 for g in gamma):
-            raise ValueError("substitution exponents must be non-negative")
-        out: dict[tuple[int], int] = {}
-        for e, c in self._terms.items():
-            d = (sum(map(mul, e, gamma)),)
-            nc = out.get(d, 0) + c
-            if nc:
-                out[d] = nc
-            else:
-                out.pop(d, None)
-        return MultiPoly._from_terms(1, out)
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -250,16 +220,6 @@ def format_poly(p: MultiPoly) -> str:
     for neg, body in parts[1:]:
         out += (" - " if neg else " + ") + body
     return out
-
-
-def word_poly(w: Word) -> MultiPoly:
-    """Digit polynomial in Z[x] of a word: position i contributes
-    (letter_i + 1) * x^i.
-
-    Letters take the positive values 1..k, so the word length is always
-    recoverable from the polynomial (no trailing-zero ambiguity).
-    """
-    return MultiPoly._from_terms(1, {(i,): s + 1 for i, s in enumerate(w)})
 
 
 def pure_difference(lam: LambdaVector) -> MultiPoly:

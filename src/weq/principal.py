@@ -29,15 +29,9 @@ from .words import (
     Morphism,
     SystemLike,
     Word,
-    _first_occurrence_order,
     as_system,
     is_solution,
 )
-
-
-def is_trivial(T: SystemLike) -> bool:
-    """Whether every equation of the system has identical sides."""
-    return all(e.left == e.right for e in as_system(T))
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
         g_imgs = [[c for a in gi for c in (replacement if a == t else (a,))] for gi in g_imgs]
         _require(measure() < before, "termination measure failed to decrease")
 
-    order = _first_occurrence_order(g_imgs)
+    order = list(dict.fromkeys(c for gi in g_imgs for c in gi))
     _require(set(order) == h_img.keys(), "letters of g differ from the surviving unknowns")
     remap = {old: new for new, old in enumerate(order)}
     g = Morphism(tuple(Word(remap[c] for c in gi) for gi in g_imgs), len(order))

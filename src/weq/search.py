@@ -17,6 +17,7 @@ one class at a time, and the state is the multiset of nonzero rows of
 the partial occurrence-count matrix. Both paths reduce their solutions
 to these sorted nonzero count rows and count ranks and classes from
 them in one function, ``_tally``.
+
 Also hosts the seeded fuzz generators used to cross-check the polynomial
 encoding against the word-level definitions.
 """

@@ -89,13 +89,6 @@ def parse_morphism(text: str, names: Sequence[str]) -> Morphism:
     return Morphism.from_images(*(images[nm] for nm in names))
 
 
-def render_morphism(h: Morphism, names: Sequence[str] | None = None) -> str:
-    names = unknown_names(h.domain_size, names)
-    return "\n".join(
-        f"{nm} = {im if im else 'eps'}" for nm, im in zip(names, h.images)
-    )
-
-
 # A term: an optional sign, then a coefficient and/or '*'-joined factors,
 # where a '*' after the coefficient is taken only when a factor follows.
 # Groups 1-3 are the sign, the coefficient and the factors.

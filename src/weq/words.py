@@ -133,12 +133,6 @@ class EqSystem:
     def n(self) -> int:
         return self.equations[0].n
 
-    def unknowns(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for e in self.equations:
-            out |= e.unknowns()
-        return out
-
     def __iter__(self):
         return iter(self.equations)
 
@@ -197,16 +191,8 @@ class Morphism:
         """Vector of image lengths."""
         return tuple(len(im) for im in self.images)
 
-    def letters(self) -> frozenset[int]:
-        """Target letters actually occurring in some image."""
-        return frozenset().union(*self.images)
-
     def is_erasing(self) -> bool:
         return any(not im for im in self.images)
-
-    def is_letter_renaming(self) -> bool:
-        """True when every image is a single letter and no two images coincide."""
-        return all(len(im) == 1 for im in self.images) and len(set(self.images)) == len(self.images)
 
     def __str__(self) -> str:
         names = unknown_names(self.domain_size)
@@ -305,14 +291,6 @@ def rank(h: Morphism) -> int:
     return len(_eliminate(gamma_matrix(h), h.domain_size)[0])
 
 
-def linear_equivalent(h: Morphism, g: Morphism) -> bool:
-    """Whether the two occurrence-count row spaces coincide over Q."""
-    if h.domain_size != g.domain_size:
-        raise ValueError("morphisms must share the number of domain letters")
-    joint = len(_eliminate(gamma_matrix(h) + gamma_matrix(g), h.domain_size)[0])
-    return rank(h) == rank(g) == joint
-
-
 def _canonical_entries(vec: tuple[int, ...]) -> tuple[int, ...]:
     """Entries of the canonical ``LambdaVector`` parallel to ``vec``."""
     g = gcd(*vec)
@@ -340,11 +318,6 @@ class LambdaVector:
         if _canonical_entries(self.entries) != self.entries:
             raise ValueError(f"{self.entries!r} is not coprime with a positive first entry")
 
-    @classmethod
-    def from_vector(cls, entries: Iterable[int]) -> "LambdaVector":
-        """Normalize an arbitrary nonzero integer vector to canonical form."""
-        return cls(_canonical_entries(tuple(int(v) for v in entries)))
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -356,11 +329,6 @@ class LambdaVector:
     @property
     def minus(self) -> tuple[int, ...]:
         return tuple(max(-v, 0) for v in self.entries)
-
-    def dot(self, other: Sequence[int]) -> int:
-        if len(other) != self.n:
-            raise ValueError("dimension mismatch")
-        return sum(a * b for a, b in zip(self.entries, other))
 
     def is_erasing_constraint(self) -> bool:
         """True when the hyperplane meets the non-negative orthant only at
@@ -395,36 +363,3 @@ def gamma_normal(h: Morphism) -> LambdaVector:
     if normal is None:
         raise ValueError(f"morphism has rank != {n - 1}; its row space is not a hyperplane")
     return LambdaVector(normal)
-
-
-def theta_alpha(alpha: Sequence[int], k: int) -> Morphism:
-    """Power endomorphism of a k-letter alphabet: letter i maps to its
-    alpha[i]-th power."""
-    alpha = tuple(alpha)
-    if len(alpha) != k:
-        raise ValueError(f"expected {k} exponents, got {len(alpha)}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("exponents must be non-negative")
-    return Morphism(tuple(Word((i,) * a) for i, a in enumerate(alpha)), k)
-
-
-def _first_occurrence_order(images: Iterable[Iterable[int]]) -> list[int]:
-    """The letters of ``images``, each once, in order of first occurrence."""
-    return list(dict.fromkeys(s for im in images for s in im))
-
-
-def canonical_letters(h: Morphism) -> Morphism:
-    """Rename target letters to 0, 1, 2, ... by first occurrence across the
-    images (in image order), dropping unused letters."""
-    order = _first_occurrence_order(h.images)
-    remap = {old: new for new, old in enumerate(order)}
-    images = tuple(Word(remap[s] for s in im) for im in h.images)
-    return Morphism(images, len(order))
-
-
-def renaming_equivalent(h: Morphism, g: Morphism) -> bool:
-    """Whether the morphisms agree up to a bijective renaming of the target
-    letters that occur."""
-    if h.domain_size != g.domain_size:
-        return False
-    return canonical_letters(h) == canonical_letters(g)

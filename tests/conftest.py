@@ -1,9 +1,11 @@
 import random
+from operator import mul
 
 import pytest
 from hypothesis import settings
 
-from weq import Equation, LambdaVector, Morphism, Word, parse_system
+from weq import Equation, LambdaVector, Morphism, MultiPoly, Word, as_system, parse_system, rank
+from weq.words import _canonical_entries
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -35,6 +37,76 @@ def classes_of(catalog) -> dict[LambdaVector, list[Morphism]]:
         if c >= 0:
             members[c].append(h)
     return classes
+
+
+# Tools from the paper's proofs that the library does not need. The tests
+# of its lemmas run through them. Those that take drawn arguments check
+# them, so that a malformed draw fails instead of testing nothing.
+
+
+def direction(entries) -> LambdaVector:
+    """The canonical ``LambdaVector`` parallel to a nonzero integer vector."""
+    return LambdaVector(_canonical_entries(tuple(entries)))
+
+
+def evaluate(p: MultiPoly, gamma) -> MultiPoly:
+    """``p`` under ``X_i -> x^(gamma_i)``: a ring homomorphism into Z[x],
+    whose elements are the one-variable ``MultiPoly``s."""
+    if len(gamma) != p.n or any(g < 0 for g in gamma):
+        raise ValueError(f"expected {p.n} non-negative exponents, got {gamma!r}")
+    out = {}
+    for e, c in p.terms.items():
+        d = (sum(map(mul, e, gamma)),)
+        out[d] = out.get(d, 0) + c
+    return MultiPoly(1, out)
+
+
+def word_poly(w: Word) -> MultiPoly:
+    """Digit polynomial in Z[x] of a word: position i contributes
+    ``(letter_i + 1) * x^i``, so the length of the word can be read back."""
+    return MultiPoly(1, {(i,): s + 1 for i, s in enumerate(w)})
+
+
+def theta_alpha(alpha, k: int) -> Morphism:
+    """Power endomorphism of a k-letter alphabet: letter i maps to its
+    alpha[i]-th power."""
+    return Morphism(tuple(Word((i,) * a) for i, a in enumerate(alpha)), k)
+
+
+def linear_equivalent(h: Morphism, g: Morphism) -> bool:
+    """Whether the occurrence-count row spaces of ``h`` and ``g`` coincide
+    over Q: both ranks equal the rank of the stacked rows, which are the
+    rows of ``h`` with ``g``'s letters shifted past ``h``'s."""
+    kh = h.target_alphabet_size
+    joint = Morphism(
+        tuple(a + Word(s + kh for s in b) for a, b in zip(h.images, g.images)),
+        kh + g.target_alphabet_size,
+    )
+    return rank(h) == rank(g) == rank(joint)
+
+
+def delta_k(E: Equation, k: int) -> Equation:
+    """The equation over n-1 unknowns obtained by erasing unknown ``k``
+    everywhere and shifting higher indices down."""
+    if not 0 <= k < E.n:
+        raise IndexError(f"unknown index {k} out of range for n={E.n}")
+    strip = lambda w: Word(s - (s > k) for s in w if s != k)
+    return Equation(strip(E.left), strip(E.right), E.n - 1)
+
+
+def is_trivial(T) -> bool:
+    """Whether every equation of the system has identical sides."""
+    return all(e.left == e.right for e in as_system(T))
+
+
+def is_letter_renaming(h: Morphism) -> bool:
+    """Whether every image is a single letter and no two images coincide."""
+    return all(len(im) == 1 for im in h.images) and len(set(h.images)) == len(h.images)
+
+
+def render_morphism(h: Morphism, names) -> str:
+    """Bindings ``x = ab``, one per line, as ``parse_morphism`` reads them."""
+    return "\n".join(f"{nm} = {im if im else 'eps'}" for nm, im in zip(names, h.images))
 
 
 @pytest.fixture

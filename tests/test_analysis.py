@@ -15,7 +15,6 @@ from weq import (
     enumerate_solutions,
     is_balanced,
     is_solution,
-    linear_equivalent,
     minimal_count_bounds,
     pair_report_json,
     s_vector,
@@ -26,7 +25,7 @@ from weq import (
 from weq.analysis import STATUS_ALL_ZERO, STATUS_OK
 from weq.search import random_equation
 
-from conftest import classes_of, eq, eq_n
+from conftest import classes_of, eq, eq_n, linear_equivalent
 
 E1 = eq("xyxz", "zxyx")
 E2 = eq("xyxxz", "zxxyx")

@@ -28,12 +28,11 @@ from weq import (
     parse_poly,
     parse_system,
     render_equation,
-    render_morphism,
 )
 from weq.cli import build_parser, main
 from weq.textio import MAX_VARS, ParseError
 
-from conftest import morph
+from conftest import morph, render_morphism
 
 
 PAIR_TEXT = "xyxz = zxyx\nxyxxz = zxxyx\n"
@@ -207,10 +206,6 @@ class TestTextRoundTrips:
         system, _ = parse_system(PAIR_TEXT)
         with pytest.raises(ValueError, match="expected 3 unknown names, got 1"):
             render_equation(system.equations[0], ["x"])
-
-    def test_render_morphism_needs_one_name_per_unknown(self):
-        with pytest.raises(ValueError, match="expected 3 unknown names, got 1"):
-            render_morphism(morph("ab", "ba", "aba"), ["x"])
 
     def test_morphism_missing_binding(self):
         with pytest.raises(ParseError):
@@ -620,8 +615,8 @@ class TestComputeOnce:
     @pytest.mark.parametrize(
         "argv,expected",
         [
-            (["hyperplanes", PAIR_TEXT], {"s_vector": 2, "s_poly": 0, "binomial_factors": 1}),
-            (["paper-example"], {"s_vector": 2, "s_poly": 0, "binomial_factors": 3}),
+            (["hyperplanes", PAIR_TEXT], {"s_vector": 2, "binomial_factors": 1}),
+            (["paper-example"], {"s_vector": 2, "binomial_factors": 3}),
             (["bounds", PAIR_TEXT + "xy = yx\n"], {"s_vector": 2}),
             (["bounds", PAIR_TEXT, "--assume-rank-solution"], {"s_vector": 2}),
         ],

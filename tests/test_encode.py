@@ -13,15 +13,11 @@ from weq import (
     Word,
     balanced_residual,
     check_solution_poly,
-    delta_k,
     divide_by_binomial,
     gamma_normal,
     is_balanced,
     is_solution,
-    p_vector,
-    s_poly,
     s_vector,
-    s_vector_eval,
     t_det,
 )
 from weq import search
@@ -33,7 +29,7 @@ from weq.search import (
     verify_encoding,
 )
 
-from conftest import classes_of, eq, eq_n, morph
+from conftest import classes_of, delta_k, eq, eq_n, evaluate, morph, word_poly
 
 E1 = eq("xyxz", "zxyx")
 E2 = eq("xyxxz", "zxxyx")
@@ -61,20 +57,21 @@ def reference_s_poly(E, j):
     return MultiPoly(E.n, terms)
 
 
+def specialized(E, beta):
+    """The coefficient vector at a length type: ``S(E)`` under ``X_i -> x^(beta_i)``."""
+    return tuple(evaluate(p, beta) for p in s_vector(E))
+
+
 class TestSPoly:
     def test_first_unknown(self):
-        assert s_poly(E1, 0) == T({(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): -1, (1, 1, 1): -1})
+        assert s_vector(E1)[0] == T({(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): -1, (1, 1, 1): -1})
 
     def test_last_unknown(self):
-        assert s_poly(E1, 2) == T({(2, 1, 0): 1, (0, 0, 0): -1})
+        assert s_vector(E1)[2] == T({(2, 1, 0): 1, (0, 0, 0): -1})
 
     def test_trivial_equation_all_zero(self):
         E = eq("xyx", "xyx")
-        assert all(not s_poly(E, j) for j in range(E.n))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            s_poly(E1, 3)
+        assert not any(s_vector(E))
 
 
 class TestSVector:
@@ -108,19 +105,26 @@ class TestSVector:
 
     def test_eval_of_zero_vector(self):
         E = eq("xy", "xy")
-        assert s_vector_eval(E, (3, 5)) == (MultiPoly.zero(1), MultiPoly.zero(1))
+        assert specialized(E, (3, 5)) == (MultiPoly.zero(1), MultiPoly.zero(1))
 
     def test_eval_matches_substituted_vector(self, rng):
-        # the one-scan specialization against substituting into S(E)
+        # substituted, the prefix monomial of an occurrence is x^d, where d
+        # is the length of the prefix under beta
         for _ in range(300):
             E = random_equation(rng, rng.randint(1, 4), 8)
             beta = tuple(rng.randint(0, 3) for _ in range(E.n))
-            assert s_vector_eval(E, beta) == tuple(p.evaluate(beta) for p in s_vector(E))
+            want = [MultiPoly.zero(1)] * E.n
+            for side, sign in ((E.left, 1), (E.right, -1)):
+                d = 0
+                for sym in side:
+                    want[sym] += MultiPoly.monomial(1, (d,), sign)
+                    d += beta[sym]
+            assert specialized(E, beta) == tuple(want)
 
     @pytest.mark.parametrize("beta", [(1,), (1, 2, 3), (1, -1)])
     def test_eval_rejects_bad_length_type(self, beta):
         with pytest.raises(ValueError):
-            s_vector_eval(eq("xy", "yx"), beta)
+            specialized(eq("xy", "yx"), beta)
 
     def test_zero_only_for_trivial(self, rng):
         for _ in range(200):
@@ -137,7 +141,7 @@ class TestSVector:
                 continue
             count += 1
             for beta in product(range(3), repeat=3):
-                if any(s_vector_eval(E, beta)):
+                if any(specialized(E, beta)):
                     continue
                 assert sum(1 for b in beta if b == 0) >= 2, (E, beta)
 
@@ -145,26 +149,25 @@ class TestSVector:
 class TestPVector:
     def test_conjugacy_digits(self):
         h = morph("ab", "ba", "aba")
-        assert p_vector(h) == (
+        assert tuple(map(word_poly, h.images)) == (
             MultiPoly(1, {(0,): 1, (1,): 2}),
             MultiPoly(1, {(0,): 2, (1,): 1}),
             MultiPoly(1, {(0,): 1, (1,): 2, (2,): 1}),
         )
 
     def test_all_empty(self):
-        h = Word(()), Word(())
-        from weq import Morphism
-
-        assert p_vector(Morphism(h, 1)) == (MultiPoly.zero(1), MultiPoly.zero(1))
+        assert word_poly(Word(())) == MultiPoly.zero(1)
 
     def test_single_letters_are_constants(self):
-        assert p_vector(morph("a", "b")) == (MultiPoly.constant(1, 1), MultiPoly.constant(1, 2))
+        h = morph("a", "b")
+        assert tuple(map(word_poly, h.images)) == (MultiPoly.constant(1, 1), MultiPoly.constant(1, 2))
 
 
 def reference_check_solution_poly(E, h):
     """The encoding's solution test in Z[x]: the dot product of the coefficient
     vector at the length type of ``h`` with its digit polynomials vanishes."""
-    return not sum(map(mul, s_vector_eval(E, h.length_type()), p_vector(h)), MultiPoly.zero(1))
+    digits = map(word_poly, h.images)
+    return not sum(map(mul, specialized(E, h.length_type()), digits), MultiPoly.zero(1))
 
 
 @st.composite

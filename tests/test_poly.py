@@ -13,12 +13,13 @@ from weq import (
     minimal_monomials,
     pure_difference,
     pure_difference_divisors,
-    word_poly,
 )
 from weq.poly import MAX_QUOTIENT_TERMS, BinomialFactorization
 from weq.search import random_equation_solved_by, random_morphism
 from weq.textio import parse_system
 from weq.words import _eliminate
+
+from conftest import direction, evaluate, word_poly
 
 
 def P(n, terms):
@@ -63,9 +64,9 @@ def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
     progressed = True
     while progressed:
         progressed = False
-        support = cur.support()
+        support = sorted(cur.terms)
         cands = {
-            LambdaVector.from_vector(tuple(a - b for a, b in zip(e1, e2)))
+            direction(tuple(a - b for a, b in zip(e1, e2)))
             for i, e1 in enumerate(support)
             for e2 in support[i + 1 :]
         }
@@ -79,7 +80,7 @@ def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
     extra, cur = reference_shift_down(cur)
     content = tuple(a + b for a, b in zip(content, extra))
     lead = max(cur.terms, key=lambda e: (sum(e), e))
-    sign = -1 if cur.coefficient(lead) < 0 else 1
+    sign = -1 if cur.terms[lead] < 0 else 1
     return BinomialFactorization(
         n,
         sign,
@@ -91,7 +92,7 @@ def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
 
 def reference_minimal_monomials(p: MultiPoly) -> set[tuple[int, ...]]:
     """Minimal monomials by comparing every pair of support monomials."""
-    supp = p.support()
+    supp = p.terms
     return {
         e
         for e in supp
@@ -117,7 +118,7 @@ def random_mixed_lambda(rng, n, bound=3):
     while True:
         vec = [rng.randint(-bound, bound) for _ in range(n)]
         if any(v > 0 for v in vec) and any(v < 0 for v in vec):
-            return LambdaVector.from_vector(vec)
+            return direction(vec)
 
 
 def directions(n: int):
@@ -149,7 +150,7 @@ def binomial_products(draw):
         )
     )
     for vec, mult in factors:
-        p = p * pure_difference(LambdaVector.from_vector(vec)) ** mult
+        p = p * pure_difference(direction(vec)) ** mult
     return p * draw(sparse_polys(n))
 
 
@@ -217,26 +218,26 @@ class TestEvaluate:
             n = rng.randint(1, 4)
             alpha = tuple(rng.randint(0, 5) for _ in range(n))
             gamma = tuple(rng.randint(0, 5) for _ in range(n))
-            got = MultiPoly.monomial(n, alpha).evaluate(gamma)
+            got = evaluate(MultiPoly.monomial(n, alpha), gamma)
             want = MultiPoly.monomial(1, (sum(a * g for a, g in zip(alpha, gamma)),))
             assert got == want
 
     def test_line_substitution(self):
         p = P(3, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): -1, (1, 1, 1): -1})
-        assert p.evaluate((1, 1, 1)) == P(1, {(0,): 1, (2,): 1, (1,): -1, (3,): -1})
+        assert evaluate(p, (1, 1, 1)) == P(1, {(0,): 1, (2,): 1, (1,): -1, (3,): -1})
 
     def test_zero_vector_sums_coefficients(self, rng):
         p = random_poly(rng, 3)
         total = sum(p.terms.values())
-        assert p.evaluate((0, 0, 0)) == MultiPoly.constant(1, total)
+        assert evaluate(p, (0, 0, 0)) == MultiPoly.constant(1, total)
 
     def test_homomorphism(self, rng):
         for _ in range(100):
             n = rng.randint(1, 3)
             p, q = random_poly(rng, n), random_poly(rng, n)
             gamma = tuple(rng.randint(0, 4) for _ in range(n))
-            assert (p * q).evaluate(gamma) == p.evaluate(gamma) * q.evaluate(gamma)
-            assert (p + q).evaluate(gamma) == p.evaluate(gamma) + q.evaluate(gamma)
+            assert evaluate(p * q, gamma) == evaluate(p, gamma) * evaluate(q, gamma)
+            assert evaluate(p + q, gamma) == evaluate(p, gamma) + evaluate(q, gamma)
 
 
 class TestWordPoly:
@@ -252,7 +253,7 @@ class TestWordPoly:
     def test_length_recoverable(self, rng):
         for _ in range(50):
             w = Word(tuple(rng.randrange(3) for _ in range(rng.randint(0, 6))))
-            assert word_poly(w).degree() == len(w) - 1
+            assert max(word_poly(w).terms, default=(-1,)) == (len(w) - 1,)
 
 
 class TestDivision:
@@ -289,7 +290,7 @@ class TestDivision:
     @given(st.data())
     def test_line_sum_verdict_matches_remainder(self, data):
         n = data.draw(st.integers(1, 4))
-        lam = LambdaVector.from_vector(data.draw(directions(n)))
+        lam = direction(data.draw(directions(n)))
         p = data.draw(sparse_polys(n, max_terms=6, max_exp=5))
         if data.draw(st.booleans()):
             p = p * pure_difference(lam)
@@ -327,7 +328,7 @@ class TestEvaluationIdentities:
             p = MultiPoly.monomial(n, alpha) - MultiPoly.monomial(n, beta)
             bg = sum(b * g for b, g in zip(beta, gamma))
             want = MultiPoly.monomial(1, (bg,)) * (MultiPoly.monomial(1, (d,)) - MultiPoly.one(1))
-            assert p.evaluate(gamma) == want
+            assert evaluate(p, gamma) == want
 
     def test_vanishing_iff_orthogonal(self, rng):
         for _ in range(200):
@@ -337,7 +338,7 @@ class TestEvaluationIdentities:
             gamma = tuple(rng.randint(0, 4) for _ in range(n))
             p = MultiPoly.monomial(n, alpha) - MultiPoly.monomial(n, beta)
             d = sum((a - b) * g for a, b, g in zip(alpha, beta, gamma))
-            assert (not p.evaluate(gamma)) == (d == 0)
+            assert (not evaluate(p, gamma)) == (d == 0)
 
     def test_power_telescope(self, rng):
         # X^(ca) - X^(cb) == (X^a - X^b) * sum_i X^(i*a + (c-1-i)*b)
@@ -375,7 +376,7 @@ class TestDivisibilityVsVanishing:
                 alpha = tuple(rng.randint(0, 5) for _ in range(n))
                 beta = tuple(rng.randint(0, 5) for _ in range(n))
             p = MultiPoly.monomial(n, alpha) - MultiPoly.monomial(n, beta)
-            vanishes = all(not p.evaluate(g) for g in basis)
+            vanishes = all(not evaluate(p, g) for g in basis)
             divisible = divide_by_binomial(p, lam) is not None if p else True
             assert vanishes == divisible
 
@@ -395,10 +396,10 @@ class TestDivisibilityVsVanishing:
             if not p:
                 continue
             if divide_by_binomial(p, lam) is not None:
-                assert all(not p.evaluate(g) for g in samples)
+                assert all(not evaluate(p, g) for g in samples)
             else:
                 # seeded: some sampled hyperplane point must witness it
-                assert any(p.evaluate(g) for g in samples)
+                assert any(evaluate(p, g) for g in samples)
 
 
 class TestBinomialFactors:
@@ -617,7 +618,7 @@ def assert_matches_sympy(sympy, p: MultiPoly, fac: BinomialFactorization) -> Non
             for v in delta:
                 g = math.gcd(g, abs(v))
             if g == 1:
-                lam = LambdaVector.from_vector(delta)
+                lam = direction(delta)
                 if next(v for v in delta if v) < 0:
                     flips += mult
                 theirs[lam.entries] = theirs.get(lam.entries, 0) + mult
@@ -650,7 +651,7 @@ class TestAgainstGeneralFactorizer:
             for _ in range(rng.randint(1, 3)):
                 vec = [rng.randint(-2, 2) for _ in range(n)]
                 if any(vec):
-                    p = p * pure_difference(LambdaVector.from_vector(vec))
+                    p = p * pure_difference(direction(vec))
             sparse = MultiPoly(
                 n,
                 {

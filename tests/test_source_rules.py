@@ -5,15 +5,33 @@ point anywhere, and no import from outside the standard library.
 Invariants raise, because ``python -O`` strips ``assert``. A word is the
 tuple of its letters, so the library never reads ``.symbols`` to get
 them. The command line reads only the public names of the other modules.
+
+The library keeps only what runs. Every public top-level function or
+class of a module, and every public method of those classes, is named
+somewhere other than in its own definition: as a name, an attribute or
+an imported name, in a library module (the command line included) or in
+a file of the benchmark. A re-export in ``weq/__init__`` does not count,
+and neither do the tests. The rule matches by name, so it misses a
+method whose name is also used for something else.
+
+The layout table of the README names only what exists: each backticked
+identifier in the row of a ``weq`` module is an attribute of that module,
+or an attribute or dataclass field of one of its classes.
 """
 
 import ast
+import dataclasses
+import importlib
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "weq").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "weq").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def violations(tree: ast.AST) -> list[tuple[int, str]]:
@@ -122,3 +140,83 @@ def test_cli_uses_only_public_names():
 )
 def test_private_use_is_detected(source, count):
     assert len(private_uses(ast.parse(source))) == count
+
+
+def definitions(tree: ast.Module):
+    """``(qualified name, node)`` of the public top-level functions and
+    classes of a module and of the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        yield f"{node.name}.{method.name}", method
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name occurs as a name, an attribute or an imported name."""
+    read = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            read[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unreached(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The definitions of ``modules`` (module name -> source) whose name
+    occurs in no module and no reader source but inside the definition
+    itself. The module ``__init__`` is skipped: its re-exports do not count."""
+    trees = {name: ast.parse(source) for name, source in modules.items() if name != "__init__"}
+    read = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        read += names_read(tree)
+    return [
+        f"{module}.{qualified}"
+        for module, tree in trees.items()
+        for qualified, node in definitions(tree)
+        if read[node.name] == names_read(node)[node.name]
+    ]
+
+
+def test_every_public_definition_is_reached():
+    assert BENCH
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreached(modules, [path.read_text(encoding="utf-8") for path in BENCH]) == []
+
+
+@pytest.mark.parametrize(
+    "modules, readers, flagged",
+    [
+        ({"m": "def f():\n    pass"}, [], ["m.f"]),
+        ({"m": "def f():\n    pass"}, ["import weq.m\nweq.m.f()"], []),
+        ({"__init__": "from .m import f", "m": "def f():\n    pass"}, [], ["m.f"]),
+        ({"m": "def f(n):\n    return f(n - 1) if n else 0"}, [], ["m.f"]),
+        ({"m": "class C:\n    def g(self):\n        pass", "n": "from .m import C"}, [], ["m.C.g"]),
+        ({"m": "def _f():\n    pass\n\nclass C:\n    def __len__(self):\n        return 0\n\nC()"}, [], []),
+    ],
+    ids=["unused function", "read by the benchmark", "only re-exported", "only recursive", "unused method", "private"],
+)
+def test_unreached_definition_is_detected(modules, readers, flagged):
+    assert unreached(modules, readers) == flagged
+
+
+def test_readme_layout_names_what_exists():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `weq\.(\w+)` *\| (.*) \|$", text, re.MULTILINE))
+    assert set(rows) >= {"words", "poly", "encode", "analysis", "search", "cli"}
+    missing = []
+    for name, contents in rows.items():
+        module = importlib.import_module(f"weq.{name}")
+        classes = [v for v in vars(module).values() if isinstance(v, type)]
+        known = set(dir(module)).union(*map(dir, classes))
+        known.update(f.name for c in classes if dataclasses.is_dataclass(c) for f in dataclasses.fields(c))
+        if name == "cli":
+            known.add("weq")  # the command's name
+        idents = re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", contents)
+        missing += [f"weq.{name}: {ident}" for ident in idents if ident not in known]
+    assert missing == []

@@ -1,6 +1,7 @@
 import pickle
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given
@@ -11,19 +12,15 @@ from weq import (
     LambdaVector,
     Morphism,
     Word,
-    canonical_letters,
     compose,
     gamma_matrix,
     gamma_normal,
     is_solution,
-    linear_equivalent,
     rank,
-    renaming_equivalent,
-    theta_alpha,
 )
 from weq.words import _eliminate, _rank_and_normal
 
-from conftest import eq, morph
+from conftest import direction, eq, linear_equivalent, morph, theta_alpha
 
 
 def reference_rank(rows) -> int:
@@ -79,7 +76,7 @@ def reference_normal(rows, n: int) -> tuple[int, ...] | None:
     for row, pc in zip(m, pivots):
         v[pc] = -row[free]
     denom = lcm(*(x.denominator for x in v))
-    return LambdaVector.from_vector(int(x * denom) for x in v).entries
+    return direction(int(x * denom) for x in v).entries
 
 
 @st.composite
@@ -308,7 +305,7 @@ class TestGammaNormal:
         for _ in range(30):
             alpha = [rng.randint(1, 4), rng.randint(1, 4)]
             lt = compose(theta_alpha(alpha, 2), H_CONJ).length_type()
-            assert lam.dot(lt) == 0
+            assert sum(map(mul, lam.entries, lt)) == 0
 
 
 class TestThetaAlpha:
@@ -338,7 +335,7 @@ class TestThetaAlpha:
 class TestLambdaVector:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            LambdaVector.from_vector((0, 0))
+            LambdaVector((0, 0))
 
     def test_rejects_non_coprime(self):
         for entries in ((2, 4), (-1, 2)):
@@ -346,7 +343,7 @@ class TestLambdaVector:
                 LambdaVector(entries)
 
     def test_normalization(self):
-        assert LambdaVector.from_vector((0, -2, 4)).entries == (0, 1, -2)
+        assert direction((0, -2, 4)).entries == (0, 1, -2)
 
     def test_split_parts(self):
         lam = LambdaVector((2, 1, -1))
@@ -370,23 +367,17 @@ class TestLambdaVector:
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda v: any(v)))
     def test_from_vector_canonical(self, vec):
-        lam = LambdaVector.from_vector(vec)
-        # canonical sign and coprimality are re-validated by the constructor
-        assert LambdaVector(lam.entries) == lam
-        # direction is preserved: vec is an integer multiple of lam
+        # the constructor accepts exactly the coprime vectors whose first
+        # nonzero entry is positive
+        canonical = gcd(*vec) == 1 and next(v for v in vec if v) > 0
+        if canonical:
+            assert LambdaVector(tuple(vec)).entries == tuple(vec)
+        else:
+            with pytest.raises(ValueError):
+                LambdaVector(tuple(vec))
+        # every nonzero vector is an integer multiple of a canonical one
+        lam = direction(vec)
         nz = next(i for i, v in enumerate(vec) if v)
         c = vec[nz] // lam.entries[nz]
         assert all(v == c * e for v, e in zip(vec, lam.entries))
 
-
-class TestRenaming:
-    def test_canonical_letters_compacts(self):
-        h = morph("cb", "c", k=5)
-        g = canonical_letters(h)
-        assert g == morph("ab", "a")
-
-    def test_renaming_equivalent(self):
-        assert renaming_equivalent(morph("ab", "b"), morph("ba", "a"))
-        assert not renaming_equivalent(morph("ab", "b"), morph("ab", "a"))
-        # merging two letters into one is not a renaming
-        assert not renaming_equivalent(morph("ab", "b"), morph("aa", "a"))
