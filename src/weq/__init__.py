@@ -36,7 +36,6 @@ from .poly import (
 from .principal import PrincipalDecomposition, principal_decompose
 from .search import (
     BoundCheckReport,
-    EncodingFuzzReport,
     SearchConfig,
     SearchSpaceError,
     SolutionCatalog,

@@ -12,6 +12,7 @@ is treated as literal text.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -263,12 +264,7 @@ def cmd_search(args):
         elif mode not in modes:
             raise ParseError(f"{flag} is not used by {mode}")
     if mode == _VERIFY_ENCODING:
-        report = search.verify_encoding(args.verify_encoding, args.seed)
-        payload = {
-            "cases": report.cases,
-            "positives": report.positives,
-            "discrepancies": list(report.discrepancies),
-        }
+        payload = search.verify_encoding(args.verify_encoding, args.seed)
 
         def render(p):
             yield (
@@ -277,7 +273,7 @@ def cmd_search(args):
             )
             yield from (f"  counterexample: {d}" for d in p["discrepancies"])
 
-        return 0 if report.ok else 1, payload, render
+        return 1 if payload["discrepancies"] else 0, payload, render
 
     if args.input is None:
         raise ParseError("search needs equations (or --verify-encoding N)")
@@ -285,24 +281,17 @@ def cmd_search(args):
     cfg = search.SearchConfig(args.max_len, args.alphabet, allow_erasing=not args.no_erasing)
     if mode == _VERIFY_BOUNDS:
         _require_pair(system, "--verify-bounds needs two equations")
-        report = search.verify_bounds(*system.equations[:2], cfg)
-        # verify_bounds names the unknowns x, y, z, ...; the input may use other letters
-        equations = [render_equation(E, names) for E in system.equations[:2]]
-        counterexample = report.counterexample and {**report.counterexample, "equations": equations}
-        payload = {
-            "status": report.status,
-            "ok": report.ok,
-            "classes": report.class_count,
-            "erasing_classes": report.erasing_class_count,
-            "counterexample": counterexample,
-        }
+        payload = dataclasses.asdict(search.verify_bounds(*system.equations[:2], cfg))
+        if payload["counterexample"]:
+            equations = [render_equation(E, names) for E in system.equations[:2]]
+            payload["counterexample"] = {"equations": equations, **payload["counterexample"]}
 
         def render(p):
             yield f"status: {p['status']} ok: {p['ok']} classes: {p['classes']}"
             if p["counterexample"]:
                 yield f"counterexample: {p['counterexample']}"
 
-        return 0 if report.ok else 1, payload, render
+        return 0 if payload["ok"] else 1, payload, render
 
     if args.json or args.csv:
         catalog = _search_to_csv(args.csv, system, cfg) if args.csv else search.enumerate_solutions(system, cfg)

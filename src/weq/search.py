@@ -453,13 +453,13 @@ def count_solutions(T: SystemLike, cfg: SearchConfig) -> SolutionCounts:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    """Outcome of checking the class-count bounds on one equation pair."""
+    """Outcome of checking the class-count bounds on one equation pair.
+    A counterexample holds the limit and each class's normal and example."""
 
     status: str  # ok | identical-equations | no-nonzero-determinant
     ok: bool
-    class_count: int | None = None
-    erasing_class_count: int = 0
-    bound_report: PairAnalysis | None = None
+    classes: int | None = None
+    erasing_classes: int = 0
     counterexample: dict | None = None
 
 
@@ -477,23 +477,21 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
         return BoundCheckReport("identical-equations", True)
     pa = PairAnalysis(E, Ep)
     if pa.status != STATUS_OK:
-        return BoundCheckReport("no-nonzero-determinant", True, bound_report=pa)
+        return BoundCheckReport("no-nonzero-determinant", True)
     system = EqSystem((E, Ep))
     normals = count_solutions(system, cfg).class_sizes
     m = len(normals)
     erasing = sum(1 for normal in normals if LambdaVector(normal).is_erasing_constraint())
-    limit = pa.best
-    if m <= limit:
-        return BoundCheckReport(STATUS_OK, True, m, erasing, pa)
+    if m <= pa.best:
+        return BoundCheckReport(STATUS_OK, True, m, erasing)
     counterexample = {
-        "equations": [str(E), str(Ep)],
-        "limit": limit,
+        "limit": pa.best,
         "classes": [
             {"normal": c["normal"], "example": c["example"]}
             for c in enumerate_solutions(system, cfg).summary()["classes"]
         ],
     }
-    return BoundCheckReport(STATUS_OK, False, m, erasing, pa, counterexample)
+    return BoundCheckReport(STATUS_OK, False, m, erasing, counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -586,20 +584,6 @@ def random_solution_instance(
             return E, h
 
 
-@dataclass(frozen=True)
-class EncodingFuzzReport:
-    """Agreement statistics between the word-level and polynomial-level
-    solution tests."""
-
-    cases: int
-    positives: int
-    discrepancies: tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
-
 # the space each fuzz case draws from: unknowns, equation size, letters, image length
 _FUZZ_MAX_UNKNOWNS = 4
 _FUZZ_MAX_EQ_SIZE = 10
@@ -607,13 +591,14 @@ _FUZZ_ALPHABET_SIZE = 3
 _FUZZ_MAX_IMAGE_LEN = 6
 
 
-def verify_encoding(cases: int, seed: int = 0) -> EncodingFuzzReport:
+def verify_encoding(cases: int, seed: int = 0) -> dict:
     """Fuzz the polynomial solution test against the direct word test.
 
     Half of the cases are random (equation, morphism) pairs; the other
     half are constructed so the morphism solves the equation, keeping
-    both truth values well represented. A negative ``cases`` raises
-    ``ValueError``.
+    both truth values well represented. Returns the case count, how many
+    cases are solutions, and the list of cases on which the two tests
+    disagree. A negative ``cases`` raises ``ValueError``.
     """
     if cases < 0:
         raise ValueError(f"the case count must be non-negative, got {cases}")
@@ -641,4 +626,4 @@ def verify_encoding(cases: int, seed: int = 0) -> EncodingFuzzReport:
                     "poly_level": poly_level,
                 }
             )
-    return EncodingFuzzReport(cases, positives, tuple(discrepancies))
+    return {"cases": cases, "positives": positives, "discrepancies": discrepancies}

@@ -105,13 +105,13 @@ def test_criterion_03_encoding_equivalence():
     t0 = time.perf_counter()
     result = verify_encoding(10_000, seed=2024)
     elapsed = time.perf_counter() - t0
-    assert result.cases == 10_000
-    assert result.discrepancies == (), result.discrepancies[:3]
+    assert result["cases"] == 10_000
+    assert result["discrepancies"] == [], result["discrepancies"][:3]
     assert elapsed < 60
     report(
         3,
         f"word-level and polynomial-level solution tests agree on 10^4 cases "
-        f"({result.positives} positives, {elapsed:.1f} s)",
+        f"({result['positives']} positives, {elapsed:.1f} s)",
     )
 
 
@@ -252,9 +252,9 @@ def test_criterion_08_bound_verification_at_desk_scale():
         assert result.ok, result.counterexample
         if result.status == "ok":
             verified += 1
-            if result.class_count:
+            if result.classes:
                 nonvacuous += 1
-            max_classes = max(max_classes, result.class_count)
+            max_classes = max(max_classes, result.classes)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600
     assert nonvacuous >= 5, "too few pairs with actual common solution classes"

@@ -934,6 +934,29 @@ class TestBoundViolation:
             "'classes': [{'normal': [2, 1, -1], 'example': ['a', 'b', 'aba']}]}",
         ]
 
+    def test_exit_1_with_counterexample_json(self, monkeypatch, capsys):
+        monkeypatch.setattr(PairAnalysis, "best", 0)
+        assert main(["search", PAIR_TEXT, "--verify-bounds", "--max-len", "8", "--json"]) == 1
+        example = '[\n          "a",\n          "b",\n          "aba"\n        ]'
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "classes": 1,\n'
+            '  "counterexample": {\n'
+            '    "classes": [\n'
+            "      {\n"
+            f'        "example": {example},\n'
+            '        "normal": [\n          2,\n          1,\n          -1\n        ]\n'
+            "      }\n"
+            "    ],\n"
+            '    "equations": [\n      "xyxz = zxyx",\n      "xyxxz = zxxyx"\n    ],\n'
+            '    "limit": 0\n'
+            "  },\n"
+            '  "erasing_classes": 0,\n'
+            '  "ok": false,\n'
+            '  "status": "ok"\n'
+            "}\n"
+        )
+
     def test_counterexample_names_the_input_unknowns(self, monkeypatch, capsys):
         monkeypatch.setattr(PairAnalysis, "best", 0)
         argv = ["search", "uvuw = wuvu\nuvuuw = wuuvu\n", "--verify-bounds", "--max-len", "8", "--json"]

@@ -253,7 +253,7 @@ class TestCheckSolutionPoly:
         monkeypatch.setattr(search, "check_solution_poly", both)
         report = verify_encoding(10_000, seed=2024)
         assert len(compared) == 10_000 and all(compared)
-        assert not report.discrepancies and 0 < report.positives < report.cases
+        assert report["discrepancies"] == [] and 0 < report["positives"] < report["cases"]
 
 
 class TestDeterminants:

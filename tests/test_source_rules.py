@@ -14,6 +14,12 @@ a file of the benchmark. A re-export in ``weq/__init__`` does not count,
 and neither do the tests. The rule matches by name, so it misses a
 method whose name is also used for something else.
 
+Every field of a library dataclass is read: its name is read as an
+attribute in a library module or a file of the benchmark, or the class
+goes whole through ``dataclasses.asdict``, called on the class or on a
+function whose return annotation names it. The tests do not count here
+either.
+
 The layout table of the README names only what exists: each backticked
 identifier in the row of a ``weq`` module is an attribute of that module,
 or an attribute or dataclass field of one of its classes.
@@ -203,6 +209,87 @@ def test_every_public_definition_is_reached():
 )
 def test_unreached_definition_is_detected(modules, readers, flagged):
     assert unreached(modules, readers) == flagged
+
+
+def dataclass_fields(tree: ast.Module):
+    """``(class name, field name)`` of the dataclasses of a module: the
+    annotated names of the class body, ``ClassVar``s aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)
+                ):
+                    yield node.name, stmt.target.id
+
+
+def _callee(call: ast.Call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The dataclass fields of ``modules`` (module name -> source) that no
+    module and no reader source reads as an attribute, and whose class no
+    ``asdict`` call takes whole."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    everything = [*trees.values(), *map(ast.parse, readers)]
+    returns = {
+        node.name: ast.unparse(node.returns)
+        for tree in everything
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.returns is not None
+    }
+    read, whole = set(), set()
+    for node in (node for tree in everything for node in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and _callee(node) == "asdict":
+            argument = node.args[0] if node.args else None
+            if isinstance(argument, ast.Call):
+                whole.add(returns.get(_callee(argument), _callee(argument)))
+    return [
+        f"{module}.{cls}.{field}"
+        for module, tree in trees.items()
+        for cls, field in dataclass_fields(tree)
+        if field not in read and cls not in whole
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert any(dict(dataclass_fields(ast.parse(source))) for source in modules.values())
+    assert unread_fields(modules, [path.read_text(encoding="utf-8") for path in BENCH]) == []
+
+
+_DATACLASS = "from dataclasses import dataclass\n\n@dataclass\nclass R:\n    a: int\n    b: int = 0\n\n"
+
+
+@pytest.mark.parametrize(
+    "source, readers, flagged",
+    [
+        (_DATACLASS + "R(1).a", [], ["m.R.b"]),
+        (_DATACLASS + "R(1).a", ["r.b"], []),
+        (_DATACLASS + "R(1).a\nr.b = 2", [], ["m.R.b"]),
+        (_DATACLASS + "def f() -> R:\n    return R(1)\n\ndataclasses.asdict(f())", [], []),
+        (_DATACLASS + "asdict(R(1))", [], []),
+        (_DATACLASS + "def f() -> int:\n    return 1\n\nasdict(f())", [], ["m.R.a", "m.R.b"]),
+        ("from typing import ClassVar\n\n@dataclass\nclass S:\n    c: ClassVar[int] = 0", [], []),
+    ],
+    ids=[
+        "unread field",
+        "read by the benchmark",
+        "assignment is not a read",
+        "asdict of an annotated call",
+        "asdict of the class",
+        "asdict of another class",
+        "class variable",
+    ],
+)
+def test_unread_field_is_detected(source, readers, flagged):
+    assert unread_fields({"m": source}, readers) == flagged
 
 
 def test_readme_layout_names_what_exists():
