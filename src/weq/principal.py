@@ -71,7 +71,7 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
     # The letters of g are the unknowns still keyed in h_img; g_imgs holds
     # the images of the original unknowns over those letters.
     g_imgs: list[list[int]] = [[i] for i in range(n)]
-    h_img: dict[int, Word] = {}
+    h_img: dict[int, tuple[int, ...]] = {}
     for i in range(n):
         if h.images[i]:
             h_img[i] = h.images[i]
@@ -80,11 +80,18 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
             trace.append(("erase", i))
 
     def measure() -> int:
-        return len(h_img) + sum(len(w) for w in h_img.values())
+        return len(h_img) + sum(map(len, h_img.values()))
+
+    # An equation that g solves stays solved under every substitution, so
+    # each scan starts at the first equation the last one found unsolved.
+    equations = system.equations
+    first = 0
 
     def mismatch() -> tuple[list[int], list[int]] | None:
         """``g(u), g(v)`` for the first equation ``u = v`` that g does not solve."""
-        for e in system:
+        nonlocal first
+        for first in range(first, len(equations)):
+            e = equations[first]
             u = [c for s in e.left for c in g_imgs[s]]
             v = [c for s in e.right for c in g_imgs[s]]
             if u != v:
@@ -103,7 +110,7 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
         hs, ht = h_img[s], h_img[t]
         if len(hs) < len(ht):
             _require(ht[: len(hs)] == hs, "shorter image is not a prefix")
-            h_img[t] = Word(ht[len(hs):])
+            h_img[t] = ht[len(hs):]
             replacement = (s, t)
             trace.append(("expand", s, t))
         else:
@@ -111,12 +118,16 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
             del h_img[t]
             replacement = (s,)
             trace.append(("merge", t, s))
-        g_imgs = [[c for a in gi for c in (replacement if a == t else (a,))] for gi in g_imgs]
+        for i, gi in enumerate(g_imgs):
+            if t in gi:
+                g_imgs[i] = [c for a in gi for c in (replacement if a == t else (a,))]
         _require(measure() < before, "termination measure failed to decrease")
 
     order = list(dict.fromkeys(c for gi in g_imgs for c in gi))
     _require(set(order) == h_img.keys(), "letters of g differ from the surviving unknowns")
+    # the remapped letters are 0..len(order)-1 and the images of theta are
+    # slices of h's checked images, so neither needs checking again
     remap = {old: new for new, old in enumerate(order)}
-    g = Morphism(tuple(Word(remap[c] for c in gi) for gi in g_imgs), len(order))
-    theta = Morphism(tuple(h_img[c] for c in order), h.target_alphabet_size)
+    g = Morphism(tuple([Word._trusted([remap[c] for c in gi]) for gi in g_imgs]), len(order))
+    theta = Morphism(tuple([Word._trusted(h_img[c]) for c in order]), h.target_alphabet_size)
     return PrincipalDecomposition(g, theta, tuple(trace))

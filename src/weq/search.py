@@ -278,31 +278,40 @@ def _position_templates(
     """Position classes of one length type: their number, and for each
     image the class of each of its cells.
 
-    Image j holds the cells ``starts[j] .. starts[j + 1] - 1`` of one cell
-    vector, and each equation identifies cell i of ``h(u)`` with cell i of
-    ``h(v)``. The classes are numbered by their first cell.
+    Image j holds the cells ``spans[j]`` of one cell vector, and each
+    equation identifies cell i of ``h(u)`` with cell i of ``h(v)``. The
+    classes are numbered by their first cell.
+
+    A union-find with path halving joins the cells, always linking the
+    larger root under the smaller, so every cell's parent is at most the
+    cell itself and each root is the first cell of its class. One pass in
+    cell order then numbers the classes: a root opens the next class, and
+    any other cell takes the class of its parent, numbered before it.
     """
-    starts = [0]
+    spans, start = [], 0
     for l in lt:
-        starts.append(starts[-1] + l)
-    parent = list(range(starts[-1]))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def cells(word: tuple[int, ...]) -> Iterator[int]:
-        for s in word:
-            yield from range(starts[s], starts[s + 1])
-
+        spans.append(range(start, start + l))
+        start += l
+    parent = list(range(start))
     for u, v in sides:
-        for a, b in zip(cells(u), cells(v)):
-            parent[find(a)] = find(b)
-    number: dict[int, int] = {}
-    of_cell = [number.setdefault(find(c), len(number)) for c in range(starts[-1])]
-    return len(number), [of_cell[starts[j] : starts[j + 1]] for j in range(len(lt))]
+        for a, b in zip([c for s in u for c in spans[s]], [c for s in v for c in spans[s]]):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    of_cell: list[int] = []
+    classes = 0
+    for c, p in enumerate(parent):
+        if p == c:
+            of_cell.append(classes)
+            classes += 1
+        else:
+            of_cell.append(of_cell[p])
+    return classes, [of_cell[span.start : span.stop] for span in spans]
 
 
 def _solutions_for_length_type(
@@ -328,8 +337,8 @@ def enumerate_solutions(
     order: two assignments first differ on some class, and the first cell
     of that class is the first cell where their images differ, so the
     images come out in lexicographic order too. Each distinct image is
-    built and checked as a ``Word`` once per call and shared by every
-    solution that uses it.
+    built as a ``Word`` once per call and shared by every solution that
+    uses it.
 
     Rank and hyperplane normal depend only on the occurrence-count matrix
     up to the order of its rows and its zero rows, so they are memoized by
@@ -356,7 +365,8 @@ def enumerate_solutions(
     else:
         found = chain.from_iterable(map(_solutions_for_length_type, tasks))
 
-    words = _Memo(Word)
+    # the letters of the images are ints in range(k), made here
+    words = _Memo(Word._trusted)
     solutions: list[Morphism] = []
     # keys are numbered in order of first appearance: a tuple kept per
     # solution would make the collector run more often

@@ -9,6 +9,16 @@ plain tuple, and a slice of it is a plain tuple. Everything in this
 module is an immutable value and every operation is a pure function, so
 instances can be shared freely across threads.
 
+Letters are checked once, where values are built: ``Word()`` checks
+each letter, ``Equation`` and ``Morphism`` store their sides and images
+as checked ``Word``s (a ``Word`` argument is kept, anything else goes
+through ``Word()``) and check them against their alphabets, and
+``textio`` builds ``Word``s from its input. Code past that boundary
+trusts those letters: ``apply``, ``compose`` and ``is_solution`` work
+on plain letter lists, and the private ``Word._trusted`` wraps letters
+taken from checked ``Word``s, or ints the caller made in range itself,
+without checking them again.
+
 Letter-count linear algebra (the occurrence-count rows of a morphism,
 their rank over the rationals, hyperplane normals) is exact: one
 fraction-free integer forward elimination gives the rank, and
@@ -40,6 +50,11 @@ def unknown_names(n: int, names: Sequence[str] | None = None) -> list[str]:
     return list(names)
 
 
+def _checked(letters: Iterable[int]) -> "Word":
+    """``letters`` as a ``Word``: kept if it already is one, checked otherwise."""
+    return letters if type(letters) is Word else Word(letters)
+
+
 class Word(tuple):
     """Finite sequence of letters of an indexed alphabet; may be empty."""
 
@@ -51,6 +66,12 @@ class Word(tuple):
             if not isinstance(s, int) or s < 0:
                 raise ValueError(f"letters must be non-negative integers: {tuple(self)!r}")
         return self
+
+    @classmethod
+    def _trusted(cls, letters: Iterable[int]) -> "Word":
+        """A word of letters known to be valid, unchecked: only for letters
+        taken from checked ``Word``s or made in range by the caller."""
+        return tuple.__new__(cls, letters)
 
     @classmethod
     def from_letters(cls, text: str) -> "Word":
@@ -91,8 +112,10 @@ class Equation:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("number of unknowns must be non-negative")
-        for side in (self.left, self.right):
-            if any(s >= self.n for s in side):
+        for name in ("left", "right"):
+            side = _checked(getattr(self, name))
+            object.__setattr__(self, name, side)
+            if side and max(side) >= self.n:
                 raise ValueError(f"unknown index out of range in {tuple(side)!r} (n={self.n})")
 
     @property
@@ -158,9 +181,16 @@ class Morphism:
     target_alphabet_size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.images, tuple):
-            object.__setattr__(self, "images", tuple(self.images))
-        for im in self.images:
+        # a tuple of Words, as every caller in the library passes, is kept
+        # after one type test per image
+        images = self.images if type(self.images) is tuple else tuple(self.images)
+        for im in images:
+            if type(im) is not Word:
+                images = tuple(map(_checked, images))
+                break
+        if images is not self.images:
+            object.__setattr__(self, "images", images)
+        for im in images:
             if im and max(im) >= self.target_alphabet_size:
                 raise ValueError(
                     f"image {tuple(im)!r} uses letters outside alphabet of size "
@@ -180,12 +210,11 @@ class Morphism:
         return len(self.images)
 
     def apply(self, w: Word) -> Word:
+        w = _checked(w)
         if w and max(w) >= self.domain_size:
             raise ValueError(f"letter {max(w)} outside domain of size {self.domain_size}")
-        out: list[int] = []
-        for s in w:
-            out.extend(self.images[s])
-        return Word(out)
+        images = self.images
+        return Word._trusted([c for s in w for c in images[s]])
 
     def length_type(self) -> tuple[int, ...]:
         """Vector of image lengths."""
@@ -214,7 +243,11 @@ def is_solution(h: Morphism, T: SystemLike) -> bool:
         raise ValueError(
             f"morphism has {h.domain_size} images but the system uses {system.n} unknowns"
         )
-    return all(h.apply(e.left) == h.apply(e.right) for e in system)
+    # Equation and Morphism checked the letters, so every index is in range.
+    images = h.images
+    return all(
+        [c for s in e.left for c in images[s]] == [c for s in e.right for c in images[s]] for e in system
+    )
 
 
 def gamma_matrix(h: Morphism) -> tuple[tuple[int, ...], ...]:

@@ -1,5 +1,6 @@
 import random
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import settings
@@ -92,6 +93,17 @@ def delta_k(E: Equation, k: int) -> Equation:
         raise IndexError(f"unknown index {k} out of range for n={E.n}")
     strip = lambda w: Word(s - (s > k) for s in w if s != k)
     return Equation(strip(E.left), strip(E.right), E.n - 1)
+
+
+def reference_is_solution(h: Morphism, T) -> bool:
+    """Whether ``h`` maps both sides of every equation of ``T`` to the same
+    word, each image built by concatenating checked ``Word``s with
+    ``Word.__add__``; oracle for ``is_solution``."""
+    system = as_system(T)
+    if h.domain_size != system.n:
+        raise ValueError(f"morphism has {h.domain_size} images but the system uses {system.n} unknowns")
+    image = lambda w: reduce(add, (h.images[s] for s in w), Word())
+    return all(image(e.left) == image(e.right) for e in system)
 
 
 def is_trivial(T) -> bool:

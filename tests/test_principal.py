@@ -5,6 +5,7 @@ import pytest
 
 from weq import (
     EqSystem,
+    Equation,
     Morphism,
     Word,
     compose,
@@ -16,7 +17,7 @@ from weq.principal import PrincipalDecomposition, _require
 from weq.search import random_equation_solved_by, random_morphism
 from weq.words import as_system
 
-from conftest import eq, eq_n, is_letter_renaming, is_trivial, morph
+from conftest import eq, eq_n, is_letter_renaming, is_trivial, morph, reference_is_solution
 
 
 def reference_principal(h: Morphism, T) -> PrincipalDecomposition:
@@ -27,7 +28,7 @@ def reference_principal(h: Morphism, T) -> PrincipalDecomposition:
     n = system.n
     if h.domain_size != n:
         raise ValueError(f"morphism has {h.domain_size} images, system has {n} unknowns")
-    if not is_solution(h, system):
+    if not reference_is_solution(h, system):
         raise ValueError("the morphism is not a solution of the system")
 
     trace: list[tuple] = []
@@ -339,6 +340,65 @@ class TestFuzz:
             dec2 = principal_decompose(h2, T)
             assert dec2.g == dec.g
             assert dec2.theta.length_type() == dec.theta.length_type()
+
+
+def failing_equations(T, trace) -> list[int]:
+    """Index of the first equation that g does not solve before each
+    expand or merge step of ``trace``, found by replaying the steps on g
+    from the identity."""
+    system = as_system(T)
+    g = [[i] for i in range(system.n)]
+    image = lambda w: [c for s in w for c in g[s]]
+    out = []
+    for kind, *letters in trace:
+        if kind == "erase":
+            g[letters[0]] = []
+            continue
+        out.append(next(i for i, e in enumerate(system) if image(e.left) != image(e.right)))
+        (s, t), replacement = (letters, letters) if kind == "expand" else (letters[::-1], letters[1:])
+        g = [[c for a in gi for c in (replacement if a == t else [a])] for gi in g]
+    assert all(image(e.left) == image(e.right) for e in system)
+    return out
+
+
+def staged_systems(rng: random.Random, count: int):
+    """Yield (system, solution) pairs of 3-6 equations, none with identical
+    sides, that the solution solves, sorted by the length of their sides, so that the first are
+    solved after a few steps and the last fails longest."""
+    made = 0
+    while made < count:
+        n = rng.randint(2, 4)
+        h = random_morphism(rng, n, rng.randint(1, 3), 5, allow_empty=False)
+        drawn = (random_equation_solved_by(rng, h, rng.randint(2, 6)) for _ in range(6))
+        eqs = [E for E in drawn if E is not None and E.left != E.right]
+        if len(eqs) < 3:
+            continue
+        made += 1
+        yield EqSystem(tuple(sorted(eqs, key=lambda E: E.size))), h
+
+
+class TestResumedScan:
+    """Each scan for an unsolved equation starts at the last one found:
+    an equation that g solves stays solved under every substitution. The
+    result is still exactly the reference's."""
+
+    def test_failing_equation_moves_forward_twice(self):
+        T = EqSystem((eq_n("xy", "yx", 4), eq_n("yz", "zy", 4), Equation(Word((2, 3)), Word((3, 2)), 4)))
+        h = morph("aa", "a", "aaa", "aaaaa")
+        dec = principal_decompose(h, T)
+        assert dec == reference_principal(h, T)
+        failing = failing_equations(T, dec.trace)
+        assert failing == sorted(failing) and sorted(set(failing)) == [0, 1, 2]
+
+    def test_seeded_staged_systems(self):
+        moved_twice = 0
+        for T, h in staged_systems(random.Random(21), 400):
+            dec = principal_decompose(h, T)
+            assert dec == reference_principal(h, T), (T, h)
+            failing = failing_equations(T, dec.trace)
+            assert failing == sorted(failing), (T, h)
+            moved_twice += len(set(failing)) >= 3
+        assert moved_twice >= 50
 
 
 class TestAgainstReference:

@@ -29,7 +29,7 @@ from weq import (
     verify_bounds,
     verify_encoding,
 )
-from weq.search import _feasible_length_types, _solutions_for_length_type, random_equation
+from weq.search import _feasible_length_types, _position_templates, _solutions_for_length_type, random_equation
 
 from conftest import classes_of, delta_k, eq, is_trivial, morph, theta_alpha
 from test_words import reference_normal, reference_rank
@@ -50,6 +50,33 @@ def reference_length_type(sides, k: int, lt) -> list[tuple[tuple[int, ...], ...]
         if all(b"".join(images[s] for s in u) == b"".join(images[s] for s in v) for u, v in sides):
             found.append(tuple(tuple(b) for b in images))
     return found
+
+
+def reference_position_templates(sides, lt) -> tuple[int, list[list[int]]]:
+    """The position classes of one length type by a union-find over cell
+    generators, numbered by their first cell; oracle for
+    ``_position_templates``."""
+    starts = [0]
+    for l in lt:
+        starts.append(starts[-1] + l)
+    parent = list(range(starts[-1]))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def cells(word):
+        for s in word:
+            yield from range(starts[s], starts[s + 1])
+
+    for u, v in sides:
+        for a, b in zip(cells(u), cells(v)):
+            parent[find(a)] = find(b)
+    number: dict[int, int] = {}
+    of_cell = [number.setdefault(find(c), len(number)) for c in range(starts[-1])]
+    return len(number), [of_cell[starts[j] : starts[j + 1]] for j in range(len(lt))]
 
 
 def reference_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[int, ...]]:
@@ -230,6 +257,22 @@ class TestAgainstProductScan:
         for lt in lts:
             assert _solutions_for_length_type((sides, 2, lt)) == reference_length_type(sides, 2, lt), lt
         assert_matches_reference(PAIR, cfg)
+
+    @given(small_searches())
+    @example((PAIR, SearchConfig(10, 2)))
+    @example((EqSystem((eq("xy", "yx"),)), SearchConfig(6, 2)))
+    def test_position_templates_match_reference(self, search):
+        system, cfg = search
+        sides = tuple((e.left, e.right) for e in system)
+        for lt in _feasible_length_types(system, cfg):
+            assert _position_templates(sides, lt) == reference_position_templates(sides, lt), lt
+
+    def test_position_templates_of_the_paper_pair(self):
+        sides = tuple((e.left, e.right) for e in PAIR)
+        lts = _feasible_length_types(PAIR, SearchConfig(12, 2))
+        assert len(lts) == 455
+        for lt in lts:
+            assert _position_templates(sides, lt) == reference_position_templates(sides, lt), lt
 
     def test_catalog_from_groups(self):
         """A catalog built from its groups, with solutions dropped, reads

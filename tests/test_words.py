@@ -1,4 +1,5 @@
 import pickle
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from weq import (
     EqSystem,
+    Equation,
     LambdaVector,
     Morphism,
     Word,
@@ -18,9 +20,10 @@ from weq import (
     is_solution,
     rank,
 )
+from weq.search import random_equation, random_equation_solved_by, random_morphism, random_solution_instance
 from weq.words import _eliminate, _rank_and_normal
 
-from conftest import direction, eq, linear_equivalent, morph, theta_alpha
+from conftest import direction, eq, linear_equivalent, morph, reference_is_solution, theta_alpha
 
 
 def reference_rank(rows) -> int:
@@ -97,6 +100,22 @@ def count_morphisms(draw):
     return Morphism(tuple(draw(st.lists(image, min_size=n, max_size=n))), k)
 
 
+@st.composite
+def systems_with_morphisms(draw):
+    """A system of 1-3 equations over 1-4 unknowns and a morphism into 1-3
+    letters. Each equation is drawn at random or among those the morphism
+    solves, so both truth values of ``is_solution`` come up."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    word = lambda m, size: st.lists(st.integers(0, m - 1), max_size=size).map(Word)
+    h = Morphism(tuple(draw(st.lists(word(k, 4), min_size=n, max_size=n))), k)
+    rng = draw(st.randoms(use_true_random=False))
+    equations = []
+    for _ in range(draw(st.integers(1, 3))):
+        solved = random_equation_solved_by(rng, h, 5) if draw(st.booleans()) else None
+        equations.append(solved or Equation(draw(word(n, 5)), draw(word(n, 5)), n))
+    return EqSystem(tuple(equations)), h
+
+
 CONJ = EqSystem((eq("xz", "zy"),))
 H_CONJ = morph("ab", "ba", "aba")
 
@@ -150,6 +169,40 @@ class TestWord:
         assert str(Word()) == ""
 
 
+class TestLettersCheckedAtConstruction:
+    """Equations and morphisms store checked ``Word``s, so the code that
+    reads their letters never meets a letter out of range."""
+
+    def test_equation_rejects_a_negative_unknown(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Equation((-1, 0), (0, -1), 2)
+
+    def test_morphism_rejects_a_negative_letter(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Morphism(((-1,), (0,)), 2)
+
+    def test_morphism_rejects_a_fractional_letter(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Morphism(((0,), (0.5,)), 2)
+
+    def test_apply_rejects_a_negative_letter(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            morph("a", "b").apply((-1,))
+
+    def test_sides_and_images_are_stored_as_words(self):
+        E = Equation((0, 1), (1, 0), 2)
+        h = Morphism(((0, 1), ()), 2)
+        assert all(type(w) is Word for w in (E.left, E.right, *h.images))
+        assert E == eq("xy", "yx") and h == morph("ab", "", k=2)
+        assert str(h.apply((1, 0))) == "ab"
+
+    def test_a_word_argument_is_kept(self):
+        u, v = Word((0, 1)), Word((1, 0))
+        E, h = Equation(u, v, 2), Morphism((u, v), 2)
+        assert E.left is u and E.right is v
+        assert h.images[0] is u and h.images[1] is v
+
+
 class TestApply:
     def test_conjugacy_image(self):
         # x z under x->ab, z->aba
@@ -184,6 +237,37 @@ class TestIsSolution:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             is_solution(morph("a", "b"), CONJ)
+
+
+class TestIsSolutionAgainstReference:
+    """``is_solution`` compares plain letter lists; the reference builds
+    every image by concatenating checked ``Word``s."""
+
+    @given(systems_with_morphisms())
+    @example((CONJ, H_CONJ))
+    @example((CONJ, morph("a", "b", "a")))
+    def test_matches_the_concatenation_reference(self, case):
+        T, h = case
+        assert is_solution(h, T) == reference_is_solution(h, T)
+        for E in T:
+            assert is_solution(h, E) == reference_is_solution(h, E)
+
+    def test_seeded_solutions_and_non_solutions(self, rng):
+        seen = Counter()
+        for i in range(2000):
+            n, k = rng.randint(1, 4), rng.randint(1, 3)
+            if i % 2:
+                E, h = random_solution_instance(rng, n, k, 4, 4)
+            else:
+                E, h = random_equation(rng, n, 8), random_morphism(rng, n, k, 4)
+            expected = reference_is_solution(h, E)
+            assert is_solution(h, E) == expected, (E, h)
+            seen[expected] += 1
+        assert min(seen.values()) > 500, seen
+
+    def test_reference_rejects_a_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            reference_is_solution(morph("a", "b"), CONJ)
 
 
 class TestGammaMatrix:
