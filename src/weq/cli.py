@@ -295,7 +295,7 @@ def cmd_search(args):
 
     if args.json or args.csv:
         catalog = _search_to_csv(args.csv, system, cfg) if args.csv else search.enumerate_solutions(system, cfg)
-        payload = catalog.to_json(names) if args.json else catalog.summary(names)
+        payload = catalog.to_json(names) if args.json else catalog.counts.summary(names)
     else:
         # the text names no solution, so the counts alone render it
         payload = search.count_solutions(system, cfg).summary(names)

@@ -58,12 +58,10 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
     """Split a solution ``h`` of ``T`` into a principal solution and a
     non-erasing letter substitution.
 
-    Raises ValueError when ``h`` does not solve ``T``.
+    Raises ValueError when ``h`` does not solve ``T`` or has another domain.
     """
     system = as_system(T)
     n = system.n
-    if h.domain_size != n:
-        raise ValueError(f"morphism has {h.domain_size} images, system has {n} unknowns")
     if not is_solution(h, system):
         raise ValueError("the morphism is not a solution of the system")
 

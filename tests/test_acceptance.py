@@ -221,33 +221,28 @@ def test_criterion_07_minimal_monomial_bounds():
     )
 
 
+def bound_check_pairs(rng: random.Random, cfg: SearchConfig):
+    """Equation pairs over 3 unknowns of size at most 10, without end:
+    first a pair sharing a constructed hyperplane-rank solution inside the
+    search budget, so common classes exist whenever the pair counts, then
+    a random pair, and so on."""
+    while True:
+        h = random_morphism(rng, 3, 2, 3, allow_empty=False)
+        if rank(h) == 2 and sum(h.length_type()) <= cfg.max_total_image_length:
+            A, B = random_equation_solved_by(rng, h, 5), random_equation_solved_by(rng, h, 5)
+            if A is not None and B is not None and A.size <= 10 and B.size <= 10:
+                yield A, B
+                yield random_equation(rng, 3, 10), random_equation(rng, 3, 10)
+
+
 def test_criterion_08_bound_verification_at_desk_scale():
-    rng = random.Random(31337)
     cfg = SearchConfig(10, 2)
     t0 = time.perf_counter()
     verified = 0
-    attempts = 0
     nonvacuous = 0
     max_classes = 0
-
-    def draw_pair(i):
-        if i % 2 == 0:
-            return random_equation(rng, 3, 10), random_equation(rng, 3, 10)
-        # a pair sharing a constructed hyperplane-rank solution inside the
-        # search budget, so common classes exist whenever the pair counts
-        while True:
-            h = random_morphism(rng, 3, 2, 3, allow_empty=False)
-            if rank(h) != 2 or sum(h.length_type()) > cfg.max_total_image_length:
-                continue
-            A = random_equation_solved_by(rng, h, 5)
-            B = random_equation_solved_by(rng, h, 5)
-            if A is not None and B is not None and A.size <= 10 and B.size <= 10:
-                return A, B
-
-    while verified < 50:
-        attempts += 1
+    for attempts, (A, B) in enumerate(bound_check_pairs(random.Random(31337), cfg), 1):
         assert attempts < 2000, "pair generator exhausted"
-        A, B = draw_pair(attempts)
         result = verify_bounds(A, B, cfg)
         assert result.ok, result.counterexample
         if result.status == "ok":
@@ -255,6 +250,8 @@ def test_criterion_08_bound_verification_at_desk_scale():
             if result.classes:
                 nonvacuous += 1
             max_classes = max(max_classes, result.classes)
+        if verified == 50:
+            break
     elapsed = time.perf_counter() - t0
     assert elapsed < 600
     assert nonvacuous >= 5, "too few pairs with actual common solution classes"

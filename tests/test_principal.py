@@ -265,6 +265,9 @@ class TestExamples:
     def test_rejects_non_solution(self):
         with pytest.raises(ValueError):
             principal_decompose(morph("a", "b", "a"), EqSystem((eq("xz", "zy"),)))
+        # a morphism with fewer images than the system has unknowns
+        with pytest.raises(ValueError, match="2 images but the system uses 3 unknowns"):
+            principal_decompose(morph("a", "b"), EqSystem((eq("xz", "zy"),)))
 
     def test_erasing_images_pass_through(self):
         T = EqSystem((eq("xzy", "zyx"),))

@@ -29,7 +29,14 @@ from weq import (
     verify_bounds,
     verify_encoding,
 )
-from weq.search import _feasible_length_types, _position_templates, _solutions_for_length_type, random_equation
+from weq.search import (
+    _KIND_CACHE_SIZE,
+    _feasible_length_types,
+    _kind,
+    _position_templates,
+    _solutions_for_length_type,
+    random_equation,
+)
 
 from conftest import classes_of, delta_k, eq, is_trivial, morph, theta_alpha
 from test_words import reference_normal, reference_rank
@@ -193,19 +200,13 @@ class TestEnumeration:
             assert serial.to_json() == parallel.to_json()
             assert serial.csv_rows() == parallel.csv_rows()
 
-    def test_large_alphabet_needs_few_eliminations(self, monkeypatch):
-        # the memo key is the sorted nonzero count rows, so the letters of
+    def test_large_alphabet_needs_few_eliminations(self):
+        # the cache key is the sorted nonzero count rows, so the letters of
         # a solution do not matter, only how often each occurs
-        from weq import search
-
-        calls = []
-        rank_and_normal = search._rank_and_normal
-        monkeypatch.setattr(
-            search, "_rank_and_normal", lambda rows, n: calls.append(rows) or rank_and_normal(rows, n)
-        )
+        _kind.cache_clear()
         catalog = enumerate_solutions(EqSystem((eq("x", "x"),)), SearchConfig(2, 100))
         assert len(catalog.solutions) == 1 + 100 + 100**2
-        assert len(calls) <= 4
+        assert _kind.cache_info().misses <= 4
 
     def test_each_distinct_image_is_one_word(self):
         catalog = enumerate_solutions(PAIR, SearchConfig(8, 2))
@@ -218,12 +219,11 @@ class TestEnumeration:
 
     def test_space_size_matches_enumeration(self):
         cfg = SearchConfig(5, 2)
-        from weq.search import _compositions
-
         for n in (0, 3):
             count = 0
             for s in range(cfg.max_total_image_length + 1):
-                for lt in _compositions(s, n, 0):
+                # every length type of total s, by a filter over all of them
+                for lt in (lt for lt in product(range(s + 1), repeat=n) if sum(lt) == s):
                     prod = 1
                     for l in lt:
                         prod *= len(_words_of_length(2, l))
@@ -246,8 +246,14 @@ class TestAgainstProductScan:
     @example((EqSystem((Equation(Word(), Word(), 0),)), SearchConfig(3, 2)))
     # x = yy: with |h(x)| = 1 the balance 1 = 2|h(y)| has no integer solution
     @example((EqSystem((eq("x", "yy"),)), SearchConfig(4, 2)))
+    # three non-empty images need a budget of at least 3
+    @example((EqSystem((eq("xyz", "zyx"),)), SearchConfig(2, 2, allow_erasing=False)))
     def test_length_types_match_reference(self, search):
-        assert _feasible_length_types(*search) == reference_length_types(*search)
+        system, cfg = search
+        lts = _feasible_length_types(system, cfg)
+        assert lts == reference_length_types(system, cfg)
+        if not cfg.allow_erasing and cfg.max_total_image_length < system.n:
+            assert lts == []
 
     def test_paper_pair_every_length_type(self):
         cfg = SearchConfig(10, 2)
@@ -255,7 +261,7 @@ class TestAgainstProductScan:
         lts = _feasible_length_types(PAIR, cfg)
         assert len(lts) == 286
         for lt in lts:
-            assert _solutions_for_length_type((sides, 2, lt)) == reference_length_type(sides, 2, lt), lt
+            assert _solutions_for_length_type(sides, 2, lt) == reference_length_type(sides, 2, lt), lt
         assert_matches_reference(PAIR, cfg)
 
     @given(small_searches())
@@ -328,17 +334,13 @@ class TestCounting:
         monkeypatch.setattr(search, "Word", refuse)
         assert count_solutions(PAIR, SearchConfig(10, 2)) == expected
 
-    def test_large_alphabet_needs_few_eliminations(self, monkeypatch):
-        from weq import search
-
-        calls = []
-        rank_and_normal = search._rank_and_normal
-        monkeypatch.setattr(
-            search, "_rank_and_normal", lambda rows, n: calls.append(rows) or rank_and_normal(rows, n)
-        )
+    def test_large_alphabet_needs_few_eliminations(self):
+        _kind.cache_clear()
         counts = count_solutions(EqSystem((eq("x", "x"),)), SearchConfig(2, 100))
         assert counts.solution_count == 1 + 100 + 100**2
-        assert len(calls) == len(set(calls)) <= 4
+        # each state is classified once: no key missed the cache twice
+        info = _kind.cache_info()
+        assert info.misses == info.currsize <= 4
 
     def test_one_letter_builds_no_templates(self, monkeypatch):
         # over one letter each length type has one assignment, whose count
@@ -357,6 +359,43 @@ class TestCounting:
     def test_space_guard(self):
         with pytest.raises(SearchSpaceError):
             count_solutions(CONJ, SearchConfig(30, 3))
+
+
+class TestKindCache:
+    """The one cache that classifies count matrices for the listing and the count."""
+
+    def test_classified_states_are_not_eliminated_again(self, monkeypatch):
+        # the elimination itself is counted, so the test does not rest on the cache's own statistics
+        from weq import words
+
+        cfg = SearchConfig(8, 2)
+        first = count_solutions(PAIR, cfg)
+        calls = []
+        eliminate = words._eliminate
+        monkeypatch.setattr(words, "_eliminate", lambda rows, n: calls.append(rows) or eliminate(rows, n))
+        assert count_solutions(PAIR, cfg) == first
+        assert calls == []
+        # the listing reduces its solutions to the same states
+        assert enumerate_solutions(PAIR, cfg).counts == first
+        assert calls == []
+
+    def test_warm_cache_changes_nothing(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            system = EqSystem(tuple(random_equation(rng, n, 6) for _ in range(rng.randint(1, 2))))
+            cfg = SearchConfig(rng.randint(0, 6), rng.randint(1, 3), allow_erasing=rng.random() < 0.5)
+            _kind.cache_clear()
+            catalog = enumerate_solutions(system, cfg)
+            _kind.cache_clear()
+            counts = count_solutions(system, cfg)
+            assert enumerate_solutions(system, cfg) == catalog
+            assert count_solutions(system, cfg) == counts == catalog.counts
+            assert list(counts.class_sizes) == list(catalog.counts.class_sizes)
+
+    def test_cache_is_bounded(self):
+        maxsize = _kind.cache_parameters()["maxsize"]
+        assert maxsize == _KIND_CACHE_SIZE
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestCatalogInvariants:
