@@ -324,13 +324,8 @@ class BinomialFactorization:
         return tuple(lam for lam, _ in self.factors if not lam.is_erasing_constraint())
 
 
-def _content(terms: Mapping[tuple[int, ...], int], n: int) -> tuple[int, ...]:
-    mins = [None] * n
-    for e in terms:
-        for i, v in enumerate(e):
-            if mins[i] is None or v < mins[i]:
-                mins[i] = v
-    return tuple(m or 0 for m in mins)
+def _content(terms: Mapping[tuple[int, ...], int]) -> tuple[int, ...]:
+    return tuple(map(min, zip(*terms)))
 
 
 def _shift_down(p: MultiPoly, mu: tuple[int, ...]) -> MultiPoly:
@@ -385,7 +380,7 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     if not p:
         raise ValueError("the zero polynomial has no factorization")
     n = p.n
-    content = _content(p._terms, n)
+    content = _content(p._terms)
     cur = _shift_down(p, content)
     factors: list[tuple[LambdaVector, int]] = []
     for lam in _anchor_candidates(cur._terms):

@@ -6,12 +6,14 @@ and ``theta`` is non-erasing on the letters of ``g``. The reduction works
 by elementary transformations driven purely by image lengths:
 
 * unknowns with empty images are stripped first;
-* while ``g`` does not solve some equation ``u = v``, take the letters
-  ``s != t`` at the first position where ``g(u)`` and ``g(v)`` differ,
-  ``s`` the one with the shorter image. That image is a prefix of the
-  image of ``t``, so there are two cases: *expand* substitutes ``t`` by
-  ``s t`` and cuts the prefix off the image of ``t``; on equal lengths,
-  *merge* identifies ``t`` with ``s``.
+* the equations are then solved in order, one at a time: while ``g``
+  does not solve ``u = v``, take the letters ``s != t`` at the first
+  position where ``g(u)`` and ``g(v)`` differ, ``s`` the one with the
+  shorter image. That image is a prefix of the image of ``t``, so there
+  are two cases: *expand* substitutes ``t`` by ``s t`` and cuts the
+  prefix off the image of ``t``; on equal lengths, *merge* identifies
+  ``t`` with ``s``. An equation that ``g`` solves stays solved under
+  every later substitution.
 
 Throughout, ``g`` maps each unknown to a word over the unknowns still
 alive, whose remaining images compose with ``g`` to ``h``; it starts as
@@ -61,65 +63,45 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
     Raises ValueError when ``h`` does not solve ``T`` or has another domain.
     """
     system = as_system(T)
-    n = system.n
     if not is_solution(h, system):
         raise ValueError("the morphism is not a solution of the system")
 
-    trace: list[tuple] = []
+    trace: list[tuple] = [("erase", i) for i, im in enumerate(h.images) if not im]
     # The letters of g are the unknowns still keyed in h_img; g_imgs holds
     # the images of the original unknowns over those letters.
-    g_imgs: list[list[int]] = [[i] for i in range(n)]
-    h_img: dict[int, tuple[int, ...]] = {}
-    for i in range(n):
-        if h.images[i]:
-            h_img[i] = h.images[i]
-        else:
-            g_imgs[i] = []
-            trace.append(("erase", i))
-
-    def measure() -> int:
-        return len(h_img) + sum(map(len, h_img.values()))
+    g_imgs = [[i] if im else [] for i, im in enumerate(h.images)]
+    h_img = {i: im for i, im in enumerate(h.images) if im}
 
     # An equation that g solves stays solved under every substitution, so
-    # each scan starts at the first equation the last one found unsolved.
-    equations = system.equations
-    first = 0
-
-    def mismatch() -> tuple[list[int], list[int]] | None:
-        """``g(u), g(v)`` for the first equation ``u = v`` that g does not solve."""
-        nonlocal first
-        for first in range(first, len(equations)):
-            e = equations[first]
-            u = [c for s in e.left for c in g_imgs[s]]
-            v = [c for s in e.right for c in g_imgs[s]]
-            if u != v:
-                return u, v
-        return None
-
-    while (sides := mismatch()) is not None:
-        before = measure()
-        u, v = sides
-        j = next((i for i, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
-        # A non-erasing solution cannot make one side a proper prefix of
-        # the other.
-        _require(j < len(u) and j < len(v), "side exhausted under a non-erasing solution")
-        # s has the shorter image (the left one on a tie), a prefix of t's.
-        s, t = (u[j], v[j]) if len(h_img[u[j]]) <= len(h_img[v[j]]) else (v[j], u[j])
-        hs, ht = h_img[s], h_img[t]
-        if len(hs) < len(ht):
-            _require(ht[: len(hs)] == hs, "shorter image is not a prefix")
-            h_img[t] = ht[len(hs):]
-            replacement = (s, t)
-            trace.append(("expand", s, t))
-        else:
-            _require(hs == ht, "equal-length images differ")
-            del h_img[t]
-            replacement = (s,)
-            trace.append(("merge", t, s))
-        for i, gi in enumerate(g_imgs):
-            if t in gi:
-                g_imgs[i] = [c for a in gi for c in (replacement if a == t else (a,))]
-        _require(measure() < before, "termination measure failed to decrease")
+    # the equations are solved in order, each until g solves it.
+    for e in system.equations:
+        while (u := [c for x in e.left for c in g_imgs[x]]) != (
+            v := [c for x in e.right for c in g_imgs[x]]
+        ):
+            before = len(h_img) + sum(map(len, h_img.values()))
+            j = next((i for i, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
+            # A non-erasing solution cannot make one side a proper prefix of
+            # the other.
+            _require(j < len(u) and j < len(v), "side exhausted under a non-erasing solution")
+            # s has the shorter image (the left one on a tie), a prefix of t's.
+            s, t = (u[j], v[j]) if len(h_img[u[j]]) <= len(h_img[v[j]]) else (v[j], u[j])
+            hs, ht = h_img[s], h_img[t]
+            if len(hs) < len(ht):
+                _require(ht[: len(hs)] == hs, "shorter image is not a prefix")
+                h_img[t] = ht[len(hs):]
+                replacement = (s, t)
+                trace.append(("expand", s, t))
+            else:
+                _require(hs == ht, "equal-length images differ")
+                del h_img[t]
+                replacement = (s,)
+                trace.append(("merge", t, s))
+            g_imgs = [
+                [c for a in gi for c in (replacement if a == t else (a,))] if t in gi else gi
+                for gi in g_imgs
+            ]
+            after = len(h_img) + sum(map(len, h_img.values()))
+            _require(after < before, "termination measure failed to decrease")
 
     order = list(dict.fromkeys(c for gi in g_imgs for c in gi))
     _require(set(order) == h_img.keys(), "letters of g differ from the surviving unknowns")

@@ -30,7 +30,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from math import comb
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -527,26 +527,20 @@ def random_morphism(
 
 
 def _preimages(h: Morphism, target: Word, max_len: int, cap: int) -> list[Word]:
-    """Words over the domain that ``h`` maps onto ``target`` (bounded DFS)."""
-    out: list[Word] = []
+    """The first ``cap`` words, at most ``max_len`` long and over the
+    unknowns with nonempty images, that ``h`` maps onto ``target``, in
+    lexicographic order: depth first is that order, since no spelling of
+    ``target`` is a prefix of another."""
 
-    def extend(pos: int, acc: list[int]) -> None:
-        if len(out) >= cap:
-            return
+    def spell(pos: int, acc: list[int]) -> Iterator[Word]:
         if pos == len(target):
-            out.append(Word(acc))
-            return
-        if len(acc) >= max_len:
-            return
-        for j in range(h.domain_size):
-            im = h.images[j]
-            if im and target[pos : pos + len(im)] == im:
-                acc.append(j)
-                extend(pos + len(im), acc)
-                acc.pop()
+            yield Word(acc)
+        elif len(acc) < max_len:
+            for j, im in enumerate(h.images):
+                if im and target[pos : pos + len(im)] == im:
+                    yield from spell(pos + len(im), [*acc, j])
 
-    extend(0, [])
-    return out
+    return list(islice(spell(0, []), cap))
 
 
 def random_equation_solved_by(

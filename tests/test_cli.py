@@ -976,3 +976,22 @@ class TestInternalError:
         assert captured.err.startswith("internal error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "system, h, invariant",
+        [
+            ("xy = yx", "x = a\ny = b", "equal-length images differ"),
+            ("xy = yx", "x = ab\ny = b", "shorter image is not a prefix"),
+            ("xy = x", "x = a\ny = b", "side exhausted under a non-erasing solution"),
+        ],
+    )
+    def test_principal_invariants(self, monkeypatch, capsys, system, h, invariant):
+        """With the up-front solution check passed by force, each step
+        invariant of the reduction still stops it with exit code 3."""
+        import weq.principal
+
+        monkeypatch.setattr(weq.principal, "is_solution", lambda h, system: True)
+        assert main(["principal", system, h]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: principal decomposition: {invariant}\n"

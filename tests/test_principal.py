@@ -381,9 +381,9 @@ def staged_systems(rng: random.Random, count: int):
 
 
 class TestResumedScan:
-    """Each scan for an unsolved equation starts at the last one found:
-    an equation that g solves stays solved under every substitution. The
-    result is still exactly the reference's."""
+    """The equations are solved in order, one at a time: an equation that
+    g solves stays solved under every substitution, so the steps never go
+    back to an earlier one. The result is still exactly the reference's."""
 
     def test_failing_equation_moves_forward_twice(self):
         T = EqSystem((eq_n("xy", "yx", 4), eq_n("yz", "zy", 4), Equation(Word((2, 3)), Word((3, 2)), 4)))

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections import Counter
 from itertools import product
 
@@ -34,8 +35,11 @@ from weq.search import (
     _feasible_length_types,
     _kind,
     _position_templates,
+    _preimages,
     _solutions_for_length_type,
     random_equation,
+    random_morphism,
+    random_word,
 )
 
 from conftest import classes_of, delta_k, eq, is_trivial, morph, theta_alpha
@@ -619,3 +623,36 @@ class TestVerifyEncoding:
         a = verify_encoding(100, seed=3)
         b = verify_encoding(100, seed=3)
         assert a == b
+
+
+def reference_preimages(h: Morphism, target: Word, max_len: int) -> list[Word]:
+    """Every word of at most ``max_len`` unknowns with nonempty images that
+    ``h`` maps onto ``target``, by brute force, sorted lexicographically."""
+    letters = [j for j, im in enumerate(h.images) if im]
+    return sorted(
+        Word(w)
+        for length in range(max_len + 1)
+        for w in product(letters, repeat=length)
+        if h.apply(Word(w)) == target
+    )
+
+
+class TestPreimages:
+    def test_first_cap_of_the_sorted_brute_force(self):
+        """Depth first over nonempty images is lexicographic order, so the
+        generator's first ``cap`` words are those of the sorted list."""
+        rng = random.Random(23)
+        truncated = several = 0
+        for _ in range(300):
+            n, k = rng.randint(1, 3), rng.randint(1, 2)
+            h = random_morphism(rng, n, k, 3)
+            max_len, cap = rng.randint(0, 5), rng.randint(1, 4)
+            if rng.random() < 0.7:
+                target = h.apply(random_word(rng, n, max_len))
+            else:
+                target = random_word(rng, k, 6)
+            want = reference_preimages(h, target, max_len)
+            assert _preimages(h, target, max_len, cap) == want[:cap], (h, target, max_len, cap)
+            truncated += len(want) > cap
+            several += min(len(want), cap) > 1
+        assert truncated >= 10 and several >= 15
