@@ -51,7 +51,6 @@ from .textio import (
     parse_morphism,
     parse_poly,
     parse_system,
-    render_equation,
 )
 from .words import (
     EqSystem,

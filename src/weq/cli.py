@@ -21,13 +21,7 @@ from . import analysis, search
 from .encode import balanced_residual, check_solution_poly, is_balanced, s_vector
 from .poly import MultiPoly, binomial_factors, format_poly, pure_difference
 from .principal import principal_decompose
-from .textio import (
-    ParseError,
-    parse_morphism,
-    parse_poly,
-    parse_system,
-    render_equation,
-)
+from .textio import ParseError, parse_morphism, parse_poly, parse_system
 from .words import InternalError, LambdaVector, is_solution
 
 
@@ -86,7 +80,7 @@ def _factorization_text(fac: dict) -> str:
 def cmd_encode(args):
     system, names = parse_system(_read_text(args.input))
     rows = [
-        {"equation": render_equation(E, names), "s_vector": [format_poly(p) for p in s_vector(E)]}
+        {"equation": E.text(names), "s_vector": [format_poly(p) for p in s_vector(E)]}
         for E in system
     ]
 
@@ -116,7 +110,7 @@ def cmd_balanced(args):
     system, names = parse_system(_read_text(args.input))
     rows = [
         {
-            "equation": render_equation(E, names),
+            "equation": E.text(names),
             "balanced": is_balanced(E),
             "residual": format_poly(balanced_residual(E)),
         }
@@ -137,7 +131,7 @@ def cmd_check(args):
         poly_level = check_solution_poly(E, h)
         rows.append(
             {
-                "equation": render_equation(E, names),
+                "equation": E.text(names),
                 "word_check": word_level,
                 "poly_check": poly_level,
                 "agree": word_level == poly_level,
@@ -229,19 +223,17 @@ _SEARCH_OPTIONS = (
 
 
 def _search_to_csv(path: str, system, cfg) -> search.SolutionCatalog:
-    """Run the catalog search and write its rows to ``path``. Opening the
-    path for appending before the search makes an unwritable one fail first
-    and changes no file; a search that does not finish removes a file that
-    open created and leaves an existing one as it was."""
-    existed = os.path.lexists(path)
+    """Run the catalog search and write its rows to ``path``, followed
+    through symbolic links. Opening the path for appending first makes an
+    unwritable one fail before the search; a file that this opening created
+    is removed at once, so a search that does not finish leaves the path as
+    it was. The search does no I/O, so every ``OSError`` here is the path's."""
     try:
+        created = not os.path.exists(path)
         open(path, "a", encoding="utf-8").close()
-        try:
-            catalog = search.enumerate_solutions(system, cfg)
-        except BaseException:
-            if not existed:
-                os.remove(path)
-            raise
+        if created:
+            os.remove(os.path.realpath(path))  # a dangling link keeps its link
+        catalog = search.enumerate_solutions(system, cfg)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("length_type,rank,class\n")
             fh.writelines(f"{lt},{r},{cid}\n" for lt, r, cid in catalog.csv_rows())
@@ -283,7 +275,7 @@ def cmd_search(args):
         _require_pair(system, "--verify-bounds needs two equations")
         payload = dataclasses.asdict(search.verify_bounds(*system.equations[:2], cfg))
         if payload["counterexample"]:
-            equations = [render_equation(E, names) for E in system.equations[:2]]
+            equations = [E.text(names) for E in system.equations[:2]]
             payload["counterexample"] = {"equations": equations, **payload["counterexample"]}
 
         def render(p):
@@ -293,8 +285,10 @@ def cmd_search(args):
 
         return 0 if payload["ok"] else 1, payload, render
 
-    if args.json or args.csv:
-        catalog = _search_to_csv(args.csv, system, cfg) if args.csv else search.enumerate_solutions(system, cfg)
+    if args.json or args.csv is not None:
+        catalog = (
+            search.enumerate_solutions(system, cfg) if args.csv is None else _search_to_csv(args.csv, system, cfg)
+        )
         payload = catalog.to_json(names) if args.json else catalog.counts.summary(names)
     else:
         # the text names no solution, so the counts alone render it

@@ -28,7 +28,7 @@ import re
 from typing import Sequence
 
 from .poly import MultiPoly
-from .words import EqSystem, Equation, Morphism, Word, unknown_names
+from .words import EqSystem, Equation, Morphism, Word
 
 
 # The most ring variables a polynomial can have: one per unknown letter.
@@ -66,12 +66,6 @@ def parse_system(text: str) -> tuple[EqSystem, list[str]]:
     index = {c: i for i, c in enumerate(names)}
     word = lambda side: Word(index[c] for c in side)
     return EqSystem(tuple(Equation(word(l), word(r), len(names)) for l, r in sides)), names
-
-
-def render_equation(E: Equation, names: Sequence[str]) -> str:
-    names = unknown_names(E.n, names)
-    fmt = lambda w: "".join(names[s] for s in w) if w else "eps"
-    return f"{fmt(E.left)} = {fmt(E.right)}"
 
 
 def parse_morphism(text: str, names: Sequence[str]) -> Morphism:

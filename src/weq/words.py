@@ -1,9 +1,10 @@
 """Words over indexed alphabets, morphisms between them, and equations.
 
 Letters are small non-negative integers indexing an alphabet. The
-default display names live here too: ``str`` and ``constraint_text``
-name unknowns by ``unknown_names`` (x, y, z, x4, ...), the latter unless
-given other names, and ``str`` of a ``Word`` spells letters a, b, c.
+default display names live here too: ``str``, ``Equation.text`` and
+``constraint_text`` name unknowns by ``unknown_names`` (x, y, z, x4, ...),
+the latter two unless given other names, and ``str`` of a ``Word`` spells
+letters a, b, c.
 A ``Word`` is the tuple of its letters: it equals and hashes as the
 plain tuple, and a slice of it is a plain tuple. Everything in this
 module is an immutable value and every operation is a pure function, so
@@ -130,11 +131,15 @@ class Equation:
     def unknowns(self) -> frozenset[int]:
         return frozenset(self.left).union(self.right)
 
-    def __str__(self) -> str:
-        names = unknown_names(self.n)
+    def text(self, names: Sequence[str] | None = None) -> str:
+        """Render as ``xyxz = zxyx``, ``eps`` for an empty side; the names are
+        separated by spaces when one of them has more than one letter."""
+        names = unknown_names(self.n, names)
         sep = "" if all(len(nm) == 1 for nm in names) else " "
         fmt = lambda w: sep.join(names[s] for s in w) if w else "eps"
         return f"{fmt(self.left)} = {fmt(self.right)}"
+
+    __str__ = text
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from weq import (
     parse_morphism,
     parse_poly,
     parse_system,
-    render_equation,
 )
 from weq.cli import build_parser, main
 from weq.textio import MAX_VARS, ParseError
@@ -145,7 +144,7 @@ POLY_TOKENS = ["X", "Y", "Z", "X1", "X4", "X02", "X27", "W", "0", "1", "2", "3",
 class TestTextRoundTrips:
     def test_equation_roundtrip(self):
         system, names = parse_system("xyxz = zxyx")
-        assert render_equation(system.equations[0], names) == "xyxz = zxyx"
+        assert system.equations[0].text(names) == "xyxz = zxyx"
 
     def test_system_parsing_with_comments(self):
         system, names = parse_system("# two equations\nxy = yx\n\nxz = zx # tail\n")
@@ -183,7 +182,7 @@ class TestTextRoundTrips:
         spell = lambda w, nms: "".join(nms[c] for c in w)
         # a nonempty side spelled e, p, s is indistinguishable from eps
         assume(all(spell(w, names) != "eps" for pair in sides for w in pair))
-        text = "\n".join(render_equation(Equation(u, v, n), names) for u, v in sides)
+        text = "\n".join(Equation(u, v, n).text(names) for u, v in sides)
         system, parsed = parse_system(text)
         assert [(spell(E.left, parsed), spell(E.right, parsed)) for E in system] == [
             (spell(u, names), spell(v, names)) for u, v in sides
@@ -202,10 +201,10 @@ class TestTextRoundTrips:
         text = render_morphism(h, names)
         assert parse_morphism(text, names) == h
 
-    def test_render_equation_needs_one_name_per_unknown(self):
+    def test_equation_text_needs_one_name_per_unknown(self):
         system, _ = parse_system(PAIR_TEXT)
         with pytest.raises(ValueError, match="expected 3 unknown names, got 1"):
-            render_equation(system.equations[0], ["x"])
+            system.equations[0].text(["x"])
 
     def test_morphism_missing_binding(self):
         with pytest.raises(ParseError):
@@ -753,13 +752,25 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {path}: {reason}\n"
 
-    @pytest.mark.parametrize("existing", [b"old rows\n", None])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_empty_csv_path_exits_2(self, capsys, json_flag):
+        assert main(["search", "xy = yx", "--max-len", "2", "--csv", "", *json_flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write : No such file or directory\n"
+
+    # "link": keep.csv is a symbolic link to a target.csv that does not exist
+    @pytest.mark.parametrize("existing", [b"old rows\n", None, "link"])
     def test_unfinished_search_leaves_the_csv_path_as_it_was(self, capsys, monkeypatch, tmp_path, existing):
-        path = tmp_path / "keep.csv"
-        if existing is not None:
+        path, target = tmp_path / "keep.csv", tmp_path / "target.csv"
+        if existing == "link":
+            path.symlink_to(target)
+        elif existing is not None:
             path.write_bytes(existing)
 
         def unchanged():
+            if existing == "link":
+                return os.readlink(path) == str(target) and not target.exists()
             return path.read_bytes() == existing if existing is not None else not path.exists()
 
         # refused: the search space is over the budget
@@ -774,6 +785,15 @@ class TestRejectedInput:
         assert main(["search", "xy = yx", "--max-len", "2", "--csv", str(path)]) == 3
         assert capsys.readouterr().err == "internal error: broken search\n"
         assert unchanged()
+
+    def test_csv_through_a_link_writes_its_target(self, tmp_path):
+        plain, link, target = tmp_path / "plain.csv", tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target)
+        for path in (plain, link):
+            assert main(["search", "xz = zy", "--max-len", "5", "--csv", str(path)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == plain.read_bytes()
+        assert plain.read_bytes().startswith(b"length_type,rank,class\n")
 
     @pytest.mark.parametrize(
         "argv, message",
