@@ -130,6 +130,8 @@ class PairAnalysis:
         """For balanced equations in three unknowns the determinant triple
         ``(t_23, t_31, t_12)`` is ``t * (X-1, Y-1, Z-1)``; this is ``t``.
 
+        ``t`` comes from one exact division, of the first nonzero entry by
+        its ``X_i - 1``, and is checked against all three determinants.
         Zero when the two coefficient vectors are linearly dependent.
         """
         if self.E.n != 3:
@@ -137,18 +139,13 @@ class PairAnalysis:
         for E in (self.E, self.Ep):
             if not is_balanced(E):
                 raise ValueError(f"equation {E} is not balanced")
-        grid, quotients = self.grid, []
-        for det, i in ((grid[(1, 2)], 0), (-grid[(0, 2)], 1), (grid[(0, 1)], 2)):
-            if det:
-                q = divide_by_binomial(det, LambdaVector(tuple(int(j == i) for j in range(3))))
-                if q is None:
-                    raise InternalError("determinant of balanced pair not divisible by X_i - 1")
-                quotients.append(q)
-        if not quotients:
-            return MultiPoly.zero(3)
-        if len(quotients) != 3 or any(q != quotients[0] for q in quotients):
-            raise InternalError("inconsistent cofactors across the determinant triple")
-        return quotients[0]
+        units = [LambdaVector(tuple(int(j == i) for j in range(3))) for i in range(3)]
+        triple = (self.grid[(1, 2)], -self.grid[(0, 2)], self.grid[(0, 1)])
+        i = next((i for i, det in enumerate(triple) if det), 0)
+        t = divide_by_binomial(triple[i], units[i])
+        if t is None or any(t * pure_difference(u) != det for u, det in zip(units, triple)):
+            raise InternalError("determinant triple of a balanced pair is not t * (X-1, Y-1, Z-1)")
+        return t
 
     def system_size_bound(self, has_rank_n1_solution: bool = False) -> int:
         """Size bound for a system whose first two equations are this pair,

@@ -101,5 +101,5 @@ def balanced_residual(E: Equation) -> MultiPoly:
 
 
 def is_balanced(E: Equation) -> bool:
-    """Whether every unknown occurs equally often on both sides."""
-    return all(E.left.count(j) == E.right.count(j) for j in E.unknowns())
+    """Whether the two sides are the same letters in another order."""
+    return sorted(E.left) == sorted(E.right)

@@ -201,15 +201,12 @@ class SolutionCatalog:
 
 def _running_space_sizes(n: int, cfg: SearchConfig) -> Iterator[int]:
     """Running totals of the candidate count over the total image lengths
-    up to L, so the last is the exact size of the space. Over one letter
-    the sum has the closed form comb(L - m*n + n, n), m the minimum image
-    length, and only that total is given."""
-    if n == 0:
-        yield 1
-        return
+    up to L, so the last is the exact size of the space. With no unknowns
+    or over one letter the sum has the closed form comb(L - m*n + n, n),
+    m the minimum image length, and only that total is given."""
     minimum = 0 if cfg.allow_erasing else 1
     L, k = cfg.max_total_image_length, cfg.alphabet_size
-    if k == 1:
+    if n == 0 or k == 1:
         yield comb(L - minimum * n + n, n)
         return
     total = 0

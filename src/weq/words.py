@@ -128,9 +128,6 @@ class Equation:
         """Number of occurrences of unknown ``j`` on both sides."""
         return self.left.count(j) + self.right.count(j)
 
-    def unknowns(self) -> frozenset[int]:
-        return frozenset(self.left).union(self.right)
-
     def text(self, names: Sequence[str] | None = None) -> str:
         """Render as ``xyxz = zxyx``, ``eps`` for an empty side; the names are
         separated by spaces when one of them has more than one letter."""

@@ -986,10 +986,19 @@ class TestBoundViolation:
 
 
 class TestInternalError:
-    def test_exit_3_without_traceback(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "fake",
+        [
+            lambda real: lambda p, b: None,
+            # wrong in the same way on every determinant, so only the identity catches it
+            lambda real: lambda p, b: real(p, b) + 1,
+        ],
+        ids=["no-quotient", "quotient-plus-one"],
+    )
+    def test_exit_3_without_traceback(self, monkeypatch, capsys, fake):
         import weq.analysis
 
-        monkeypatch.setattr(weq.analysis, "divide_by_binomial", lambda p, b: None)
+        monkeypatch.setattr(weq.analysis, "divide_by_binomial", fake(weq.analysis.divide_by_binomial))
         assert main(["paper-example"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -294,7 +294,7 @@ def solved_system_instances(rng: random.Random, count: int):
             continue
         covered = set()
         for E in eqs:
-            covered |= E.unknowns()
+            covered |= {*E.left, *E.right}
         if covered != set(range(n)):
             continue
         T = EqSystem(tuple(eqs))

@@ -222,17 +222,17 @@ class TestEnumeration:
             enumerate_solutions(CONJ, SearchConfig(30, 3))
 
     def test_space_size_matches_enumeration(self):
-        cfg = SearchConfig(5, 2)
-        for n in (0, 3):
+        for n, k, allow_erasing, L in product((0, 1, 3), (1, 2, 3), (True, False), (0, 2, 5)):
+            minimum = 0 if allow_erasing else 1
             count = 0
-            for s in range(cfg.max_total_image_length + 1):
-                # every length type of total s, by a filter over all of them
-                for lt in (lt for lt in product(range(s + 1), repeat=n) if sum(lt) == s):
+            # every length type within budget whose entries reach the minimum image length
+            for lt in product(range(minimum, L + 1), repeat=n):
+                if sum(lt) <= L:
                     prod = 1
                     for l in lt:
-                        prod *= len(_words_of_length(2, l))
+                        prod *= len(_words_of_length(k, l))
                     count += prod
-            assert count == search_space_size(n, cfg), n
+            assert count == search_space_size(n, SearchConfig(L, k, allow_erasing)), (n, k, allow_erasing, L)
 
 
 class TestAgainstProductScan:

@@ -22,7 +22,8 @@ either.
 
 The layout table of the README names only what exists: each backticked
 identifier in the row of a ``weq`` module is an attribute of that module,
-or an attribute or dataclass field of one of its classes.
+or an attribute or dataclass field of one of its classes. The output its
+example shows is what that command prints.
 """
 
 import ast
@@ -34,6 +35,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from weq.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "weq").glob("*.py"))
@@ -307,3 +310,11 @@ def test_readme_layout_names_what_exists():
         idents = re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", contents)
         missing += [f"weq.{name}: {ident}" for ident in idents if ident not in known]
     assert missing == []
+
+
+def test_readme_example_is_the_cli_output(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    command = r"\$ weq hyperplanes \"\$\(printf '([^']*)'\)\""
+    system, shown = re.search(rf"^### Example\n\n```text\n{command}\n(.*?)^```$", text, re.M | re.S).groups()
+    assert main(["hyperplanes", system.replace(r"\n", "\n")]) == 0
+    assert capsys.readouterr().out == shown
