@@ -30,7 +30,8 @@ Factor extraction rests on three consequences of that line-sum rule:
   ``e - e0``; likewise for the last support monomial. The divisors are
   among the directions common to both anchors whose lines through them
   sum to zero: ``2(m-1)`` normalized differences for ``m`` terms, not
-  the ``m(m-1)/2`` of all support pairs.
+  the ``m(m-1)/2`` of all support pairs. Each difference costs one
+  normalization: one gcd, and no division when the gcd is 1.
 * **One pass.** A pure-difference divisor of a quotient divides the
   input, and Z[X] has unique factorization, so one sweep over the input's
   candidates that divides out each direction while it divides finds
@@ -48,7 +49,7 @@ Factor extraction rests on three consequences of that line-sum rule:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le
+from operator import add, le, sub
 from typing import Mapping, Sequence
 
 from .words import InternalError, LambdaVector, _canonical_entries, unknown_names
@@ -243,8 +244,8 @@ def _lam_lines(p: MultiPoly, lam: LambdaVector) -> dict[tuple[int, ...], dict[in
     pos = [(i, l) for i, l in enumerate(d) if l > 0]
     lines: dict[tuple[int, ...], dict[int, int]] = {}
     for e, c in p._terms.items():
-        k = min(e[i] // l for i, l in pos)
-        nf = tuple(ei - k * li for ei, li in zip(e, d)) if k else e
+        k = min([e[i] // l for i, l in pos])
+        nf = tuple([ei - k * li for ei, li in zip(e, d)]) if k else e
         line = lines.get(nf)
         if line is None:
             lines[nf] = {k: c}
@@ -277,12 +278,12 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     d, minus = lam.entries, lam.minus
     quotient: dict[tuple[int, ...], int] = {}
     for nf, line, lo, hi in spans:
-        base = tuple(fi - mi for fi, mi in zip(nf, minus))
+        base = tuple(map(sub, nf, minus))
         acc = 0
         for k in range(hi - 1, lo - 1, -1):
             acc += line.get(k + 1, 0)
             if acc:
-                quotient[tuple(bi + k * li for bi, li in zip(base, d))] = acc
+                quotient[tuple([bi + k * li for bi, li in zip(base, d)])] = acc
     return MultiPoly._from_terms(p.n, quotient)
 
 
@@ -344,10 +345,11 @@ def _anchor_candidates(terms: Mapping[tuple[int, ...], int]) -> list[LambdaVecto
         """Coefficient sum of each line through ``anchor`` that holds a
         second support monomial, keyed by its canonical direction."""
         sums: dict[tuple[int, ...], int] = {}
+        at_anchor = terms[anchor]
         for e, c in terms.items():
             if e != anchor:
-                d = _canonical_entries(tuple(a - b for a, b in zip(e, anchor)))
-                sums[d] = sums.get(d, terms[anchor]) + c
+                d = _canonical_entries(tuple(map(sub, e, anchor)))
+                sums[d] = sums.get(d, at_anchor) + c
         return sums
 
     first, last = line_sums(min(terms)), line_sums(max(terms))

@@ -327,13 +327,15 @@ def rank(h: Morphism) -> int:
 
 
 def _canonical_entries(vec: tuple[int, ...]) -> tuple[int, ...]:
-    """Entries of the canonical ``LambdaVector`` parallel to ``vec``."""
+    """Entries of the canonical ``LambdaVector`` parallel to ``vec``. Tuples
+    compare up to the first entry that differs, so ``vec`` is below the zero
+    vector exactly when its first nonzero entry is negative."""
     g = gcd(*vec)
     if g == 0:
         raise ValueError("the zero vector is not a direction")
-    if next(v for v in vec if v) < 0:
+    if vec < (0,) * len(vec):
         g = -g
-    return tuple(v // g for v in vec)
+    return vec if g == 1 else tuple([v // g for v in vec])
 
 
 @dataclass(frozen=True)

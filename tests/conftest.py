@@ -1,12 +1,12 @@
 import random
 from functools import reduce
+from math import gcd
 from operator import add, mul
 
 import pytest
 from hypothesis import settings
 
 from weq import Equation, LambdaVector, Morphism, MultiPoly, Word, as_system, parse_system, rank
-from weq.words import _canonical_entries
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -46,8 +46,16 @@ def classes_of(catalog) -> dict[LambdaVector, list[Morphism]]:
 
 
 def direction(entries) -> LambdaVector:
-    """The canonical ``LambdaVector`` parallel to a nonzero integer vector."""
-    return LambdaVector(_canonical_entries(tuple(entries)))
+    """The canonical ``LambdaVector`` parallel to a nonzero integer vector:
+    its entries divided by their gcd, negated when the first nonzero entry
+    is negative. It does not call the library's normalization it checks."""
+    vec = tuple(entries)
+    g = reduce(gcd, vec, 0)
+    if not g:
+        raise ValueError("the zero vector is not a direction")
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return LambdaVector(tuple(v // g for v in vec))
 
 
 def evaluate(p: MultiPoly, gamma) -> MultiPoly:

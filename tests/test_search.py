@@ -42,7 +42,7 @@ from weq.search import (
     random_word,
 )
 
-from conftest import classes_of, delta_k, eq, is_trivial, morph, theta_alpha
+from conftest import classes_of, delta_k, eq, eq_n, is_trivial, morph, theta_alpha
 from test_words import reference_normal, reference_rank
 
 CONJ = EqSystem((eq("xz", "zy"),))
@@ -303,6 +303,79 @@ class TestAgainstProductScan:
             assert (built.kinds, built.counts) == reference_kinds(built.solutions, 3, catalog.counts.config)
         with pytest.raises(TypeError):
             dataclasses.replace(catalog, by_rank=catalog.by_rank)
+
+
+def assert_principal_matches_position_classes(system: EqSystem, cfg: SearchConfig) -> int:
+    """Check the position classes of every feasible length type against the
+    principal solution g of the unary solution h = (a^l_1, ..., a^l_n), and
+    return the number of length types checked.
+
+    The reduction to g is driven by image lengths alone, and every solution
+    of a length type is theta . g for that g. So letter c of g gives
+    |theta(c)| classes, each with c's occurrences in g's images as its cell
+    counts per image.
+    """
+    sides = tuple((e.left, e.right) for e in system)
+    lts = _feasible_length_types(system, cfg)
+    for lt in lts:
+        dec = principal_decompose(Morphism(tuple(Word((0,) * l) for l in lt), 1), system)
+        from_principal = Counter()
+        for c, im in enumerate(dec.theta.images):
+            from_principal[tuple(gi.count(c) for gi in dec.g.images)] += len(im)
+        classes, templates = _position_templates(sides, lt)
+        cells = [[0] * len(lt) for _ in range(classes)]
+        for j, template in enumerate(templates):
+            for c in template:
+                cells[c][j] += 1
+        assert sum(map(len, dec.theta.images)) == classes, lt
+        assert from_principal == Counter(map(tuple, cells)), lt
+    return len(lts)
+
+
+@st.composite
+def unary_searches(draw):
+    """Systems of 1-3 equations over 1-4 unknowns with a budget of total
+    image length up to 12 and either erasing setting; one letter, as the
+    position classes do not depend on the alphabet."""
+    n = draw(st.integers(1, 4))
+    word = st.lists(st.integers(0, n - 1), max_size=5).map(lambda s: Word(tuple(s)))
+    equations = draw(st.lists(st.builds(Equation, word, word, st.just(n)), min_size=1, max_size=3))
+    cfg = SearchConfig(draw(st.integers(0, 12)), 1, allow_erasing=draw(st.booleans()))
+    return EqSystem(tuple(equations)), cfg
+
+
+class TestPrincipalAgreesWithPositionClasses:
+    """``principal_decompose`` and ``_position_templates`` check each other."""
+
+    @given(unary_searches())
+    @example((PAIR, SearchConfig(12, 1)))
+    @example((EqSystem((eq("xyz", "zyx"),)), SearchConfig(12, 1, allow_erasing=False)))
+    def test_property(self, search):
+        assert_principal_matches_position_classes(*search)
+
+    def test_seeded_sweep(self):
+        rng = random.Random(1616)
+        checked = 0
+        for i in range(3000):
+            n = rng.randint(1, 4)
+            system = EqSystem(tuple(random_equation(rng, n, 8) for _ in range(rng.randint(1, 2))))
+            cfg = SearchConfig(rng.randint(0, 12), 1, allow_erasing=bool(i % 2))
+            checked += assert_principal_matches_position_classes(system, cfg)
+        # 15,561 length types at the time of writing
+        assert checked >= 15_000
+
+    @pytest.mark.parametrize(
+        "system, length_types",
+        [
+            (PAIR, 680),
+            (EqSystem((eq("xy", "yx"),)), 120),
+            (EqSystem((eq("xyz", "zyx"),)), 680),
+            (EqSystem((eq_n("xxy", "yxx", 3), eq("xyz", "zyx"))), 680),
+        ],
+        ids=["paper-pair", "xy=yx", "xyz=zyx", "xxy=yxx,xyz=zyx"],
+    )
+    def test_named_systems(self, system, length_types):
+        assert assert_principal_matches_position_classes(system, SearchConfig(14, 1)) == length_types
 
 
 class TestCounting:

@@ -1,6 +1,7 @@
 import pickle
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
@@ -21,7 +22,7 @@ from weq import (
     rank,
 )
 from weq.search import random_equation, random_equation_solved_by, random_morphism, random_solution_instance
-from weq.words import _eliminate, _rank_and_normal
+from weq.words import _canonical_entries, _eliminate, _rank_and_normal
 
 from conftest import direction, eq, linear_equivalent, morph, reference_is_solution, theta_alpha
 
@@ -448,6 +449,24 @@ class TestLambdaVector:
     def test_erasing_constraint_flag(self):
         assert LambdaVector((1, 0, 0)).is_erasing_constraint()
         assert not LambdaVector((2, 1, -1)).is_erasing_constraint()
+
+    @given(st.lists(st.just(0) | st.integers(-10**6, 10**6), min_size=1, max_size=6).map(tuple))
+    @example((0, -2, 4))
+    @example((0, 0, 0))
+    def test_canonical_entries_match_slow_reference(self, vec):
+        # zeros, leading ones included, make up about half of the entries
+        if not any(vec):
+            with pytest.raises(ValueError):
+                _canonical_entries(vec)
+            return
+        g = reduce(gcd, vec, 0)
+        for v in vec:
+            if v:
+                break
+        expected = tuple(e // (g if v > 0 else -g) for e in vec)
+        got = _canonical_entries(vec)
+        assert type(got) is tuple and type(expected) is tuple
+        assert got == expected
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda v: any(v)))
     def test_from_vector_canonical(self, vec):
