@@ -80,8 +80,10 @@ class MultiPoly:
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != n or any(e < 0 for e in exps):
+            if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {n} variables")
+            if not isinstance(coeff, int):
+                raise ValueError(f"coefficients must be integers: {coeff!r}")
             if coeff:
                 clean[exps] = int(coeff)
         self._terms = clean
@@ -330,7 +332,7 @@ def _content(terms: Mapping[tuple[int, ...], int]) -> tuple[int, ...]:
 
 
 def _shift_down(p: MultiPoly, mu: tuple[int, ...]) -> MultiPoly:
-    shifted = {tuple(a - b for a, b in zip(e, mu)): c for e, c in p._terms.items()}
+    shifted = {tuple(map(sub, e, mu)): c for e, c in p._terms.items()}
     return MultiPoly._from_terms(p.n, shifted)
 
 

@@ -509,18 +509,8 @@ def random_equation(rng: random.Random, n: int, max_size: int) -> Equation:
     return Equation(random_word(rng, n, lu, lu), random_word(rng, n, lv, lv), n)
 
 
-def random_morphism(
-    rng: random.Random,
-    n: int,
-    k: int,
-    max_image_len: int,
-    allow_empty: bool = True,
-) -> Morphism:
-    lo = 0 if allow_empty else 1
-    return Morphism(
-        tuple(random_word(rng, k, max_image_len, lo) for _ in range(n)),
-        k,
-    )
+def random_morphism(rng: random.Random, n: int, k: int, max_image_len: int) -> Morphism:
+    return Morphism(tuple(random_word(rng, k, max_image_len) for _ in range(n)), k)
 
 
 def _preimages(h: Morphism, target: Word, max_len: int, cap: int) -> list[Word]:

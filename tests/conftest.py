@@ -6,7 +6,10 @@ from operator import add, mul
 import pytest
 from hypothesis import settings
 
-from weq import Equation, LambdaVector, Morphism, MultiPoly, Word, as_system, parse_system, rank
+from weq.poly import MultiPoly
+from weq.search import random_word
+from weq.textio import parse_system
+from weq.words import Equation, LambdaVector, Morphism, Word, as_system, rank
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -27,6 +30,11 @@ def eq_n(left: str, right: str, n: int) -> Equation:
 
 def morph(*images: str, k: int | None = None) -> Morphism:
     return Morphism.from_images(*images, alphabet_size=k)
+
+
+def nonerasing_morphism(rng: random.Random, n: int, k: int, max_image_len: int) -> Morphism:
+    """``random_morphism`` with every image at least one letter long."""
+    return Morphism(tuple(random_word(rng, k, max_image_len, 1) for _ in range(n)), k)
 
 
 def classes_of(catalog) -> dict[LambdaVector, list[Morphism]]:

@@ -7,35 +7,17 @@ import random
 import time
 from itertools import combinations
 
-from weq import (
-    EqSystem,
-    LambdaVector,
-    Morphism,
-    MultiPoly,
-    SearchConfig,
-    Word,
-    balanced_residual,
-    binomial_factors,
-    cofactor_3vars,
-    compose,
-    gamma_normal,
-    is_balanced,
-    is_solution,
-    minimal_monomials,
-    parse_system,
-    principal_decompose,
-    pure_difference,
-    rank,
-    s_vector,
-    t_det,
-    verify_bounds,
-    verify_encoding,
-)
-from weq.search import random_equation, random_equation_solved_by, random_morphism
+from weq.analysis import cofactor_3vars
+from weq.encode import balanced_residual, is_balanced, s_vector, t_det
+from weq.poly import MultiPoly, binomial_factors, minimal_monomials, pure_difference
+from weq.principal import principal_decompose
+from weq.search import SearchConfig, random_equation, random_equation_solved_by, verify_bounds, verify_encoding
+from weq.textio import parse_system
+from weq.words import EqSystem, LambdaVector, Morphism, Word, compose, gamma_normal, is_solution, rank
 from test_principal import solved_system_instances
 from test_poly import random_mixed_lambda
 
-from conftest import evaluate, is_trivial, linear_equivalent
+from conftest import evaluate, is_trivial, linear_equivalent, nonerasing_morphism
 
 SYSTEM, NAMES = parse_system("xyxz = zxyx\nxyxxz = zxxyx")
 E1, E2 = SYSTEM.equations
@@ -227,7 +209,7 @@ def bound_check_pairs(rng: random.Random, cfg: SearchConfig):
     search budget, so common classes exist whenever the pair counts, then
     a random pair, and so on."""
     while True:
-        h = random_morphism(rng, 3, 2, 3, allow_empty=False)
+        h = nonerasing_morphism(rng, 3, 2, 3)
         if rank(h) == 2 and sum(h.length_type()) <= cfg.max_total_image_length:
             A, B = random_equation_solved_by(rng, h, 5), random_equation_solved_by(rng, h, 5)
             if A is not None and B is not None and A.size <= 10 and B.size <= 10:

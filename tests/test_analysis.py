@@ -1,29 +1,20 @@
 import pytest
 
-from weq import (
-    EqSystem,
-    Equation,
-    MultiPoly,
+from weq.analysis import (
+    STATUS_ALL_ZERO,
+    STATUS_OK,
     PairAnalysis,
     PairDeterminant,
-    SearchConfig,
-    Word,
-    binomial_factors,
     bounds,
     cofactor_3vars,
-    divide_by_binomial,
-    enumerate_solutions,
-    is_balanced,
-    is_solution,
     minimal_count_bounds,
     pair_report_json,
-    s_vector,
     solution_hyperplanes,
-    t_det,
-    unknown_names,
 )
-from weq.analysis import STATUS_ALL_ZERO, STATUS_OK
-from weq.search import random_equation
+from weq.encode import is_balanced, s_vector, t_det
+from weq.poly import MultiPoly, binomial_factors, divide_by_binomial
+from weq.search import SearchConfig, enumerate_solutions, random_equation
+from weq.words import EqSystem, Equation, Word, is_solution, unknown_names
 
 from conftest import classes_of, eq, eq_n, linear_equivalent
 

@@ -14,22 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import weq
-
-from weq import (
-    Equation,
-    InternalError,
-    Morphism,
-    MultiPoly,
-    PairAnalysis,
-    Word,
-    format_poly,
-    parse_morphism,
-    parse_poly,
-    parse_system,
-)
+import weq.search
+from weq.analysis import PairAnalysis
 from weq.cli import build_parser, main
-from weq.textio import MAX_VARS, ParseError
+from weq.poly import MultiPoly, format_poly
+from weq.textio import MAX_VARS, ParseError, parse_morphism, parse_poly, parse_system
+from weq.words import Equation, InternalError, Morphism, Word
 
 from conftest import morph, render_morphism
 
@@ -468,12 +458,13 @@ def count_calls(monkeypatch, *names):
     import sys
     from collections import Counter
 
-    import weq
-
     counts = Counter()
     modules = [m for key, m in sys.modules.items() if key.startswith("weq.")]
     for name in names:
-        original = getattr(weq, name)
+        # the one module that defines the function, not one that imports it
+        (original,) = [
+            vars(m)[name] for m in modules if getattr(vars(m).get(name), "__module__", None) == m.__name__
+        ]
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1

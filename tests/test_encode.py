@@ -5,22 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weq import (
-    Equation,
-    EqSystem,
-    Morphism,
-    MultiPoly,
-    Word,
-    balanced_residual,
-    check_solution_poly,
-    divide_by_binomial,
-    gamma_normal,
-    is_balanced,
-    is_solution,
-    s_vector,
-    t_det,
-)
 from weq import search
+from weq.encode import balanced_residual, check_solution_poly, is_balanced, s_vector, t_det
+from weq.poly import MultiPoly, divide_by_binomial
 from weq.search import (
     random_equation,
     random_equation_solved_by,
@@ -28,6 +15,7 @@ from weq.search import (
     random_solution_instance,
     verify_encoding,
 )
+from weq.words import EqSystem, Equation, Morphism, Word, gamma_normal, is_solution
 
 from conftest import classes_of, delta_k, eq, eq_n, evaluate, morph, word_poly
 
@@ -299,7 +287,7 @@ class TestDeterminants:
 
     def test_divisibility_on_searched_solutions(self, rng):
         # fuzzed pairs with exhaustively found hyperplane-rank common solutions
-        from weq import SearchConfig, enumerate_solutions
+        from weq.search import SearchConfig, enumerate_solutions
 
         found = 0
         while found < 10:

@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weq import (
-    LambdaVector,
+from weq.analysis import PairAnalysis
+from weq.poly import (
+    MAX_QUOTIENT_TERMS,
+    BinomialFactorization,
     MultiPoly,
-    PairAnalysis,
-    Word,
     binomial_factors,
     divide_by_binomial,
     format_poly,
@@ -14,12 +16,11 @@ from weq import (
     pure_difference,
     pure_difference_divisors,
 )
-from weq.poly import MAX_QUOTIENT_TERMS, BinomialFactorization
-from weq.search import random_equation_solved_by, random_morphism
+from weq.search import random_equation_solved_by
 from weq.textio import parse_system
-from weq.words import _eliminate
+from weq.words import LambdaVector, Word, _eliminate
 
-from conftest import direction, evaluate, word_poly
+from conftest import direction, evaluate, nonerasing_morphism, word_poly
 
 
 def P(n, terms):
@@ -201,6 +202,15 @@ class TestArithmetic:
     def test_ring_mismatch(self):
         with pytest.raises(ValueError):
             MultiPoly.variable(2, 0) * MultiPoly.variable(3, 0)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{(0,): 0.5}, {(0,): Fraction(1, 2)}, {(1.0,): 2}, {(1,): 2, (Fraction(2),): 1}],
+        ids=["half coefficient", "fraction coefficient", "float exponent", "fraction exponent"],
+    )
+    def test_non_integers_rejected(self, terms):
+        with pytest.raises(ValueError):
+            MultiPoly(1, terms)
 
     @given(st.integers(0, 6), st.integers(0, 6))
     def test_power_matches_repeated_product(self, a, b):
@@ -515,7 +525,7 @@ class TestBinomialFactors:
         dets = []
         pairs = 0
         while pairs < 300:
-            h = random_morphism(rng, 3 + pairs % 2, 2, 3, allow_empty=False)
+            h = nonerasing_morphism(rng, 3 + pairs % 2, 2, 3)
             A, B = random_equation_solved_by(rng, h, 6), random_equation_solved_by(rng, h, 6)
             if A is None or B is None:
                 continue

@@ -3,21 +3,11 @@ from itertools import product
 
 import pytest
 
-from weq import (
-    EqSystem,
-    Equation,
-    Morphism,
-    Word,
-    compose,
-    is_solution,
-    principal_decompose,
-    rank,
-)
-from weq.principal import PrincipalDecomposition, _require
+from weq.principal import PrincipalDecomposition, _require, principal_decompose
 from weq.search import random_equation_solved_by, random_morphism
-from weq.words import as_system
+from weq.words import EqSystem, Equation, Morphism, Word, as_system, compose, is_solution, rank
 
-from conftest import eq, eq_n, is_letter_renaming, is_trivial, morph, reference_is_solution
+from conftest import eq, eq_n, is_letter_renaming, is_trivial, morph, nonerasing_morphism, reference_is_solution
 
 
 def reference_principal(h: Morphism, T) -> PrincipalDecomposition:
@@ -371,7 +361,7 @@ def staged_systems(rng: random.Random, count: int):
     made = 0
     while made < count:
         n = rng.randint(2, 4)
-        h = random_morphism(rng, n, rng.randint(1, 3), 5, allow_empty=False)
+        h = nonerasing_morphism(rng, n, rng.randint(1, 3), 5)
         drawn = (random_equation_solved_by(rng, h, rng.randint(2, 6)) for _ in range(6))
         eqs = [E for E in drawn if E is not None and E.left != E.right]
         if len(eqs) < 3:

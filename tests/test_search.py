@@ -2,47 +2,48 @@ import dataclasses
 import random
 from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from weq import (
+from weq.analysis import PairAnalysis
+from weq.encode import check_solution_poly
+from weq.principal import principal_decompose
+from weq.search import (
     BoundCheckReport,
-    EqSystem,
-    Equation,
-    Morphism,
-    PairAnalysis,
     SearchConfig,
     SearchSpaceError,
     SolutionCounts,
-    Word,
-    check_solution_poly,
-    compose,
-    count_solutions,
-    enumerate_solutions,
-    gamma_matrix,
-    gamma_normal,
-    is_solution,
-    principal_decompose,
-    rank,
-    search_space_size,
-    verify_bounds,
-    verify_encoding,
-)
-from weq.search import (
     _KIND_CACHE_SIZE,
     _feasible_length_types,
     _kind,
     _position_templates,
     _preimages,
     _solutions_for_length_type,
+    count_solutions,
+    enumerate_solutions,
     random_equation,
     random_morphism,
     random_word,
+    search_space_size,
+    verify_bounds,
+    verify_encoding,
+)
+from weq.words import (
+    EqSystem,
+    Equation,
+    Morphism,
+    Word,
+    compose,
+    gamma_matrix,
+    gamma_normal,
+    is_solution,
+    rank,
 )
 
-from conftest import classes_of, delta_k, eq, eq_n, is_trivial, morph, theta_alpha
+from conftest import classes_of, delta_k, direction, eq, eq_n, is_trivial, morph, theta_alpha
 from test_words import reference_normal, reference_rank
 
 CONJ = EqSystem((eq("xz", "zy"),))
@@ -379,18 +380,45 @@ class TestPrincipalAgreesWithPositionClasses:
 
 
 class TestCounting:
-    """``count_solutions`` against the catalog of ``enumerate_solutions``."""
+    """``count_solutions`` against the catalog of ``enumerate_solutions`` and
+    against the closed forms of ``xy = yx`` and ``x = x``."""
 
     @given(small_searches())
     @example((EqSystem((eq("x", "x"),)), SearchConfig(2, 100)))
     @example((PAIR, SearchConfig(10, 2)))
     @example((CONJ, SearchConfig(6, 1)))
     @example((EqSystem((eq("xy", "yx"),)), SearchConfig(5, 1, allow_erasing=False)))
+    @example((EqSystem((eq("xy", "yx"),)), SearchConfig(12, 2)))
     def test_counts_match_the_catalog(self, search):
         listed, counted = enumerate_solutions(*search).counts, count_solutions(*search)
         assert listed == counted
         # dict equality ignores order, and the order numbers the classes
         assert list(listed.class_sizes) == list(counted.class_sizes)
+
+    @pytest.mark.parametrize("k, L", [(2, 20), (3, 12), (1, 40), (4, 9)])
+    def test_commuting_pair_closed_form(self, k, L):
+        # two words commute iff they are powers of one word (Lyndon-Schützenberger), so
+        # length type (a, b) has k^gcd(a, b) solutions, with gcd(0, b) = b; those of the
+        # length types t(p, q), (p, q) coprime, make up the class of normal (q, -p)
+        total = sum(k ** gcd(a, b) for a in range(L + 1) for b in range(L + 1 - a))
+        classes = {
+            direction((q, -p)).entries: sum(k**t for t in range(1, L // (p + q) + 1))
+            for p in range(L + 1)
+            for q in range(L + 1 - p)
+            if gcd(p, q) == 1
+        }
+        counts = count_solutions(EqSystem((eq("xy", "yx"),)), SearchConfig(L, k))
+        assert counts.solution_count == total
+        assert counts.rank_counts == {0: 1, 1: total - 1}
+        assert counts.class_sizes == classes
+
+    @pytest.mark.parametrize("k, L", [(2, 20), (3, 12), (1, 40), (4, 9)])
+    def test_one_unknown_closed_form(self, k, L):
+        # every image solves x = x; only the empty one has rank 0, and it is the one class
+        counts = count_solutions(EqSystem((eq("x", "x"),)), SearchConfig(L, k))
+        assert counts.solution_count == sum(k**s for s in range(L + 1))
+        assert counts.rank_counts == {0: 1, 1: sum(k**s for s in range(1, L + 1))}
+        assert counts.class_sizes == {(1,): 1}
 
     def test_summary_is_the_catalog_summary_without_examples(self):
         catalog = enumerate_solutions(PAIR, SearchConfig(8, 2))

@@ -10,9 +10,12 @@ The library keeps only what runs. Every public top-level function or
 class of a module, and every public method of those classes, is named
 somewhere other than in its own definition: as a name, an attribute or
 an imported name, in a library module (the command line included) or in
-a file of the benchmark. A re-export in ``weq/__init__`` does not count,
-and neither do the tests. The rule matches by name, so it misses a
-method whose name is also used for something else.
+a file of the benchmark. The tests do not count. The rule matches by
+name, so it misses a method whose name is also used for something else.
+
+Each name has one import path: the module that defines it. The package
+root ``weq/__init__`` imports nothing and binds nothing but
+``__version__``, so it re-exports nothing.
 
 Every field of a library dataclass is read: its name is read as an
 attribute in a library module or a file of the benchmark, or the class
@@ -179,7 +182,8 @@ def names_read(tree: ast.AST) -> Counter:
 def unreached(modules: dict[str, str], readers: list[str]) -> list[str]:
     """The definitions of ``modules`` (module name -> source) whose name
     occurs in no module and no reader source but inside the definition
-    itself. The module ``__init__`` is skipped: its re-exports do not count."""
+    itself. The module ``__init__`` is skipped, so a re-export there, which
+    ``test_package_root_reexports_nothing`` forbids, would not count either."""
     trees = {name: ast.parse(source) for name, source in modules.items() if name != "__init__"}
     read = Counter()
     for tree in [*trees.values(), *map(ast.parse, readers)]:
@@ -212,6 +216,42 @@ def test_every_public_definition_is_reached():
 )
 def test_unreached_definition_is_detected(modules, readers, flagged):
     assert unreached(modules, readers) == flagged
+
+
+def root_bindings(tree: ast.Module) -> list[str]:
+    """The imports of a package root, and the names it binds or defines
+    other than ``__version__``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id != "__version__":
+            found.append(f"binding of {node.id}")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(f"definition of {node.name}")
+    return found
+
+
+def test_package_root_reexports_nothing():
+    path = ROOT / "src" / "weq" / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert ast.get_docstring(tree)
+    assert root_bindings(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ('"""Doc."""\n\n__version__ = "0.1.0"', []),
+        ("from .words import Word", ["from .words import Word"]),
+        ("import weq.words", ["import weq.words"]),
+        ('__all__ = ["Word"]', ["binding of __all__"]),
+        ("def __getattr__(name):\n    return name", ["definition of __getattr__"]),
+    ],
+    ids=["version only", "re-export", "submodule import", "__all__", "lazy __getattr__"],
+)
+def test_root_binding_is_detected(source, flagged):
+    assert root_bindings(ast.parse(source)) == flagged
 
 
 def dataclass_fields(tree: ast.Module):

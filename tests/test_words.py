@@ -9,20 +9,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from weq import (
+from weq.search import random_equation, random_equation_solved_by, random_morphism, random_solution_instance
+from weq.words import (
     EqSystem,
     Equation,
     LambdaVector,
     Morphism,
     Word,
+    _canonical_entries,
+    _eliminate,
+    _rank_and_normal,
     compose,
     gamma_matrix,
     gamma_normal,
     is_solution,
     rank,
 )
-from weq.search import random_equation, random_equation_solved_by, random_morphism, random_solution_instance
-from weq.words import _canonical_entries, _eliminate, _rank_and_normal
 
 from conftest import direction, eq, linear_equivalent, morph, reference_is_solution, theta_alpha
 
