@@ -108,6 +108,6 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
     # the remapped letters are 0..len(order)-1 and the images of theta are
     # slices of h's checked images, so neither needs checking again
     remap = {old: new for new, old in enumerate(order)}
-    g = Morphism(tuple([Word._trusted([remap[c] for c in gi]) for gi in g_imgs]), len(order))
-    theta = Morphism(tuple([Word._trusted(h_img[c]) for c in order]), h.target_alphabet_size)
+    g = Morphism._trusted(tuple([Word._trusted([remap[c] for c in gi]) for gi in g_imgs]), len(order))
+    theta = Morphism._trusted(tuple([Word._trusted(h_img[c]) for c in order]), h.target_alphabet_size)
     return PrincipalDecomposition(g, theta, tuple(trace))

@@ -18,7 +18,11 @@ through ``Word()``) and check them against their alphabets, and
 trusts those letters: ``apply``, ``compose`` and ``is_solution`` work
 on plain letter lists, and the private ``Word._trusted`` wraps letters
 taken from checked ``Word``s, or ints the caller made in range itself,
-without checking them again.
+without checking them again. The private ``Morphism._trusted`` likewise
+builds a morphism without its checks: its caller passes a tuple of
+``Word``s whose letters are below the alphabet size it passes, either
+because they come from such a morphism's images or because the caller
+made them in that range itself.
 
 Letter-count linear algebra (the occurrence-count rows of a morphism,
 their rank over the rationals, hyperplane normals) is exact: one
@@ -175,7 +179,7 @@ def as_system(T: SystemLike) -> EqSystem:
     return T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     """Monoid morphism determined by the images of letters ``0..domain_size-1``."""
 
@@ -183,6 +187,8 @@ class Morphism:
     target_alphabet_size: int
 
     def __post_init__(self) -> None:
+        if self.target_alphabet_size < 0:
+            raise ValueError("target alphabet size must be non-negative")
         # a tuple of Words, as every caller in the library passes, is kept
         # after one type test per image
         images = self.images if type(self.images) is tuple else tuple(self.images)
@@ -198,6 +204,15 @@ class Morphism:
                     f"image {tuple(im)!r} uses letters outside alphabet of size "
                     f"{self.target_alphabet_size}"
                 )
+
+    @classmethod
+    def _trusted(cls, images: tuple[Word, ...], target_alphabet_size: int) -> "Morphism":
+        """A morphism of images known to be valid, unchecked: only for a
+        tuple of ``Word``s over letters below ``target_alphabet_size``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "target_alphabet_size", target_alphabet_size)
+        return self
 
     @classmethod
     def from_images(cls, *images: str, alphabet_size: int | None = None) -> "Morphism":

@@ -247,6 +247,18 @@ class TestAgainstProductScan:
         assert_matches_reference(*search)
 
     @given(small_searches())
+    @example((EqSystem((Equation(Word(), Word(), 0),)), SearchConfig(3, 2)))
+    @example((EqSystem((eq("xy", "yx"),)), SearchConfig(4, 3)))
+    def test_listed_solutions_equal_checked_morphisms(self, search):
+        # each solution is built without checks; the checking constructor,
+        # fed fresh words, must build an equal value with the same hash
+        system, cfg = search
+        for h in enumerate_solutions(system, cfg).solutions:
+            checked = Morphism(tuple(Word(tuple(im)) for im in h.images), cfg.alphabet_size)
+            assert h == checked and hash(h) == hash(checked)
+            assert type(h.images) is tuple and all(type(im) is Word for im in h.images)
+
+    @given(small_searches())
     @example((PAIR, SearchConfig(10, 2)))
     @example((EqSystem((Equation(Word(), Word(), 0),)), SearchConfig(3, 2)))
     # x = yy: with |h(x)| = 1 the balance 1 = 2|h(y)| has no integer solution

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -204,6 +206,60 @@ class TestLettersCheckedAtConstruction:
         E, h = Equation(u, v, 2), Morphism((u, v), 2)
         assert E.left is u and E.right is v
         assert h.images[0] is u and h.images[1] is v
+
+    def test_morphism_rejects_a_negative_alphabet_size(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Morphism((Word(()),), -3)
+        with pytest.raises(ValueError, match="non-negative"):
+            Morphism((), -1)
+
+    @pytest.mark.parametrize("images,k", [(((0, 2),), 2), (((), (1,)), 1), (((0,),), 0)])
+    def test_morphism_rejects_a_letter_outside_its_alphabet(self, images, k):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            Morphism(images, k)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            Morphism(tuple(map(Word, images)), k)
+
+
+class TestMorphismValue:
+    """A ``Morphism`` is a slotted frozen dataclass: no per-instance
+    ``__dict__``, and the checked and the trusted constructor build equal
+    values."""
+
+    H = Morphism((Word((0, 1)), Word(()), Word((1, 1, 0))), 2)
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(self.H, "__dict__")
+        assert Morphism.__slots__ == ("images", "target_alphabet_size")
+        assert not hasattr(Morphism._trusted(self.H.images, 2), "__dict__")
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.H.images = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.H.target_alphabet_size = 3
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda h: pickle.loads(pickle.dumps(h)), copy.deepcopy, copy.copy, dataclasses.replace],
+        ids=["pickle", "deepcopy", "copy", "replace"],
+    )
+    def test_round_trips(self, clone):
+        back = clone(self.H)
+        assert back == self.H and hash(back) == hash(self.H)
+        assert type(back) is Morphism and all(type(im) is Word for im in back.images)
+
+    def test_replace_checks_the_new_fields(self):
+        assert dataclasses.replace(self.H, target_alphabet_size=3) == Morphism(self.H.images, 3)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            dataclasses.replace(self.H, target_alphabet_size=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            dataclasses.replace(self.H, target_alphabet_size=-1)
+
+    def test_trusted_equals_checked(self):
+        trusted = Morphism._trusted(self.H.images, 2)
+        assert type(trusted) is Morphism and trusted == self.H and hash(trusted) == hash(self.H)
+        assert trusted.images is self.H.images and str(trusted) == str(self.H)
 
 
 class TestApply:
