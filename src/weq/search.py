@@ -330,21 +330,21 @@ def enumerate_solutions(
     of that class is the first cell where their images differ, so the
     images come out in lexicographic order too. Each distinct image is
     built as a ``Word`` once per call and shared by every solution that
-    uses it, and its letter counts, one per letter of the alphabet, are
-    counted at the same moment. The letters were made here in range, so
-    each solution is built by ``Morphism._trusted`` without checking them.
+    uses it, and its multiset of letters is numbered at the same moment.
+    The letters were made here in range, so each solution is built by
+    ``Morphism._trusted`` without checking them.
 
     Rank and hyperplane normal depend only on the occurrence-count matrix
-    up to the order of its rows and its zero rows. A solution's key is the
-    sorted nonzero rows of that matrix, one per letter that occurs, read
-    off the letter counts of its images without counting again: the
-    columns of those count vectors are the rows of the matrix. Each
-    distinct key is classified once by ``_kind``, the cache the count
-    shares, so the eliminations depend on how often letters occur and not
-    on which letters: ``x = x`` at length budget 2 needs 4 eliminations at
-    any k. Reading a key takes one pass over the k letters per solution.
-    The counts are tallied from the keys, and each solution's kind is read
-    off its key's id, so rendering the catalog hashes no morphism.
+    up to the order of its rows and its zero rows, so each distinct key of
+    sorted nonzero rows, one per letter that occurs, is classified once by
+    ``_kind``, the cache the count shares. The matrix is fixed by the
+    multisets of letters of the images, so a key is counted only for the
+    first solution whose images have its tuple of multiset numbers, and
+    looked up by that tuple for every later one. A listed solution's cost
+    depends on n, L and the letters it uses, not on the alphabet size, and
+    ``x = x`` at length budget 2 needs 4 eliminations at any k. The counts
+    are tallied from those keys, and each solution's kind is read off its
+    key's id, so rendering the catalog hashes no morphism.
 
     With ``workers > 1`` length types are enumerated in parallel processes
     and merged back in the serial order, so the catalog is identical.
@@ -362,25 +362,35 @@ def enumerate_solutions(
     else:
         found = chain.from_iterable(map(_solutions_for_length_type, repeat(sides), repeat(k), lts))
 
-    # each distinct image's Word and its vector of letter counts; the
+    # each distinct image's Word, and the number of its multiset of letters
+    # (its sorted letters, numbered in order of first appearance); the
     # letters of the images are ints in range(k), made here
-    seen: dict[tuple[int, ...], tuple[Word, tuple[int, ...]]] = {}
+    words: dict[tuple[int, ...], Word] = {}
+    number: dict[tuple[int, ...], int] = {}
+    multisets: dict[tuple[int, ...], int] = {}
     solutions: list[Morphism] = []
     # keys are numbered in order of first appearance: a tuple kept per
     # solution would make the collector run more often
     ids: dict[tuple[tuple[int, ...], ...], int] = {}
+    # the key id of each tuple of multiset numbers met so far
+    by_multisets: dict[tuple[int, ...], int] = {}
     keys: list[int] = []
     for images in found:
-        words, vectors = [], []
+        image_words, numbers = [], []
         for im in images:
-            entry = seen.get(im)
-            if entry is None:
-                entry = seen[im] = (Word._trusted(im), tuple([im.count(a) for a in range(k)]))
-            words.append(entry[0])
-            vectors.append(entry[1])
-        solutions.append(Morphism._trusted(tuple(words), k))
-        rows = tuple(sorted([r for r in zip(*vectors) if any(r)]))
-        keys.append(ids.setdefault(rows, len(ids)))
+            word = words.get(im)
+            if word is None:
+                word = words[im] = Word._trusted(im)
+                number[im] = multisets.setdefault(tuple(sorted(im)), len(multisets))
+            image_words.append(word)
+            numbers.append(number[im])
+        solutions.append(Morphism._trusted(tuple(image_words), k))
+        numbers = tuple(numbers)
+        key = by_multisets.get(numbers)
+        if key is None:
+            rows = tuple(sorted([tuple([im.count(a) for im in images]) for a in set().union(*images)]))
+            key = by_multisets[numbers] = ids.setdefault(rows, len(ids))
+        keys.append(key)
     kinds = [_kind(rows, n) for rows in ids]
     counts = _tally(n, cfg, ((kinds[i], ways) for i, ways in Counter(keys).items()))
     index = {normal: i for i, normal in enumerate(counts.class_sizes)}

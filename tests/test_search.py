@@ -213,6 +213,21 @@ class TestEnumeration:
         assert len(catalog.solutions) == 1 + 100 + 100**2
         assert _kind.cache_info().misses <= 4
 
+    def test_large_alphabet_keeps_listing_small(self):
+        # a listed solution's memory does not grow with the alphabet: here
+        # a count vector over all 3,000 letters kept per distinct image
+        # would take about 24 KB per solution
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            catalog = enumerate_solutions(EqSystem((eq("x", "x"),)), SearchConfig(1, 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(catalog.solutions) == 1 + 3000
+        assert peak < 1024 * len(catalog.solutions)
+
     def test_each_distinct_image_is_one_word(self):
         catalog = enumerate_solutions(PAIR, SearchConfig(8, 2))
         images = [im for h in catalog.solutions for im in h.images]
