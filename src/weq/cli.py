@@ -360,33 +360,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *positionals):
-        """Add one subcommand; a positional is a name or (name, argparse keywords)."""
+        """Add one subcommand; each positional is a (name, argparse keywords) pair."""
         p = sub.add_parser(name, help=help)
-        for arg in positionals:
-            arg, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        for arg, kwargs in positionals:
             p.add_argument(arg, **kwargs)
         p.set_defaults(func=func)
         return p
 
-    equations_arg = ("input", {"help": "equations (file or literal)"})
+    equations = {"help": "equations (file or literal)"}
+    input_arg, equations_arg = ("input", equations), ("equations", equations)
+    morphism_arg = ("morphism", {"help": "one binding such as x = ab per unknown (file or literal)"})
     poly_arg = ("poly", {"help": "polynomial (file or literal)"})
-    command("encode", cmd_encode, "print the coefficient vector of each equation", equations_arg)
-    command("det", cmd_det, "print the determinant grid of the first two equations", "input")
+    command("encode", cmd_encode, "print the coefficient vector of each equation", input_arg)
+    command("det", cmd_det, "print the determinant grid of the first two equations", input_arg)
     command("factor", cmd_factor, "binomial factorization of a polynomial", poly_arg).add_argument(
         "--nvars", type=int, help="number of ring variables"
     )
-    command("balanced", cmd_balanced, "balancedness test per equation", "input")
-    command("check", cmd_check, "word-level vs polynomial-level solution check", "equations", "morphism")
-    command("principal", cmd_principal, "principal decomposition of a solution", "equations", "morphism")
-    command("hyperplanes", cmd_hyperplanes, "hyperplane classification for an equation pair", "input")
-    command("bounds", cmd_bounds, "class-count bounds for a pair or a system", "input").add_argument(
+    command("balanced", cmd_balanced, "balancedness test per equation", input_arg)
+    command("check", cmd_check, "word-level vs polynomial-level solution check", equations_arg, morphism_arg)
+    command("principal", cmd_principal, "principal decomposition of a solution", equations_arg, morphism_arg)
+    command("hyperplanes", cmd_hyperplanes, "hyperplane classification for an equation pair", input_arg)
+    command("bounds", cmd_bounds, "class-count bounds for a pair or a system", input_arg).add_argument(
         "--assume-rank-solution",
         action="store_true",
         help="assume, without checking, a strongly independent system with a rank-(n-1) "
         "solution; the system size bound reads only the first two equations",
     )
     p = command(
-        "search", cmd_search, "exhaustive solution search and verifications", ("input", {"nargs": "?"})
+        "search",
+        cmd_search,
+        "exhaustive solution search and verifications",
+        ("input", {**equations, "nargs": "?"}),
     )
     for flag, kwargs, default, _ in _SEARCH_OPTIONS:
         # every option parses to None when not given; cmd_search fills in the default

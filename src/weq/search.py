@@ -216,11 +216,8 @@ def _running_space_sizes(n: int, cfg: SearchConfig) -> Iterator[int]:
 
 
 def search_space_size(n: int, cfg: SearchConfig) -> int:
-    """Exact number of candidate morphisms the configuration spans."""
-    total = 0
-    for total in _running_space_sizes(n, cfg):
-        pass
-    return total
+    """Exact number of candidate morphisms the configuration spans: the largest running total."""
+    return max(_running_space_sizes(n, cfg), default=0)
 
 
 def _refuse_oversized_space(n: int, cfg: SearchConfig) -> None:
@@ -328,23 +325,24 @@ def enumerate_solutions(
     position classes (``_position_templates``), taken in lexicographic
     order: two assignments first differ on some class, and the first cell
     of that class is the first cell where their images differ, so the
-    images come out in lexicographic order too. Each distinct image is
-    built as a ``Word`` once per call and shared by every solution that
-    uses it, and its multiset of letters is numbered at the same moment.
-    The letters were made here in range, so each solution is built by
+    images come out in lexicographic order too. Each distinct image has
+    one record per call: its ``Word``, built once and shared by every
+    solution that uses it, and the number of its multiset of letters. The
+    letters were made here in range, so each solution is built by
     ``Morphism._trusted`` without checking them.
 
     Rank and hyperplane normal depend only on the occurrence-count matrix
-    up to the order of its rows and its zero rows, so each distinct key of
-    sorted nonzero rows, one per letter that occurs, is classified once by
-    ``_kind``, the cache the count shares. The matrix is fixed by the
-    multisets of letters of the images, so a key is counted only for the
-    first solution whose images have its tuple of multiset numbers, and
-    looked up by that tuple for every later one. A listed solution's cost
+    up to the order of its rows and its zero rows, so a solution's key is
+    its sorted nonzero rows, one per letter that occurs, and ``_kind``, the
+    cache the count shares, classifies it. The matrix is fixed by the
+    multisets of letters of the images, so a key is counted and classified
+    only for the first solution whose images have its tuple of multiset
+    numbers, and that tuple's kind is looked up for every later one; two
+    tuples with the same key are one cache entry. A listed solution's cost
     depends on n, L and the letters it uses, not on the alphabet size, and
     ``x = x`` at length budget 2 needs 4 eliminations at any k. The counts
-    are tallied from those keys, and each solution's kind is read off its
-    key's id, so rendering the catalog hashes no morphism.
+    are tallied from those kinds, and each solution's kind is read off its
+    tuple's number, so rendering the catalog hashes no morphism.
 
     With ``workers > 1`` length types are enumerated in parallel processes
     and merged back in the serial order, so the catalog is identical.
@@ -362,36 +360,35 @@ def enumerate_solutions(
     else:
         found = chain.from_iterable(map(_solutions_for_length_type, repeat(sides), repeat(k), lts))
 
-    # each distinct image's Word, and the number of its multiset of letters
-    # (its sorted letters, numbered in order of first appearance); the
-    # letters of the images are ints in range(k), made here
-    words: dict[tuple[int, ...], Word] = {}
-    number: dict[tuple[int, ...], int] = {}
+    # one record per distinct image: its Word and the number of its
+    # multiset of letters (its sorted letters, numbered in order of first
+    # appearance); the letters of the images are ints in range(k), made here
+    records: dict[tuple[int, ...], tuple[Word, int]] = {}
     multisets: dict[tuple[int, ...], int] = {}
     solutions: list[Morphism] = []
-    # keys are numbered in order of first appearance: a tuple kept per
-    # solution would make the collector run more often
-    ids: dict[tuple[tuple[int, ...], ...], int] = {}
-    # the key id of each tuple of multiset numbers met so far
-    by_multisets: dict[tuple[int, ...], int] = {}
+    # keys are numbered per distinct tuple of multiset numbers, in order of
+    # first appearance, and ``kinds`` holds each key's rank and normal: a
+    # tuple kept per solution would make the collector run more often
+    ids: dict[tuple[int, ...], int] = {}
+    kinds: list[tuple[int, tuple[int, ...] | None]] = []
     keys: list[int] = []
     for images in found:
         image_words, numbers = [], []
         for im in images:
-            word = words.get(im)
-            if word is None:
-                word = words[im] = Word._trusted(im)
-                number[im] = multisets.setdefault(tuple(sorted(im)), len(multisets))
-            image_words.append(word)
-            numbers.append(number[im])
+            record = records.get(im)
+            if record is None:
+                number = multisets.setdefault(tuple(sorted(im)), len(multisets))
+                record = records[im] = (Word._trusted(im), number)
+            image_words.append(record[0])
+            numbers.append(record[1])
         solutions.append(Morphism._trusted(tuple(image_words), k))
         numbers = tuple(numbers)
-        key = by_multisets.get(numbers)
+        key = ids.get(numbers)
         if key is None:
+            key = ids[numbers] = len(kinds)
             rows = tuple(sorted([tuple([im.count(a) for im in images]) for a in set().union(*images)]))
-            key = by_multisets[numbers] = ids.setdefault(rows, len(ids))
+            kinds.append(_kind(rows, n))
         keys.append(key)
-    kinds = [_kind(rows, n) for rows in ids]
     counts = _tally(n, cfg, ((kinds[i], ways) for i, ways in Counter(keys).items()))
     index = {normal: i for i, normal in enumerate(counts.class_sizes)}
     kind = [(r, -1 if normal is None else index[normal]) for r, normal in kinds]

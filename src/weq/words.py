@@ -189,15 +189,8 @@ class Morphism:
     def __post_init__(self) -> None:
         if self.target_alphabet_size < 0:
             raise ValueError("target alphabet size must be non-negative")
-        # a tuple of Words, as every caller in the library passes, is kept
-        # after one type test per image
-        images = self.images if type(self.images) is tuple else tuple(self.images)
-        for im in images:
-            if type(im) is not Word:
-                images = tuple(map(_checked, images))
-                break
-        if images is not self.images:
-            object.__setattr__(self, "images", images)
+        images = tuple(map(_checked, self.images))
+        object.__setattr__(self, "images", images)
         for im in images:
             if im and max(im) >= self.target_alphabet_size:
                 raise ValueError(
@@ -215,12 +208,11 @@ class Morphism:
         return self
 
     @classmethod
-    def from_images(cls, *images: str, alphabet_size: int | None = None) -> "Morphism":
-        """Build a morphism from letter strings, e.g. ``from_images("ab", "ba", "aba")``."""
+    def from_images(cls, *images: str) -> "Morphism":
+        """Build a morphism from letter strings, e.g. ``from_images("ab", "ba", "aba")``,
+        over the letters up to the last one the images use."""
         words = tuple(Word.from_letters(s) for s in images)
-        if alphabet_size is None:
-            alphabet_size = 1 + max((s for w in words for s in w), default=-1)
-        return cls(words, alphabet_size)
+        return cls(words, 1 + max((s for w in words for s in w), default=-1))
 
     @property
     def domain_size(self) -> int:

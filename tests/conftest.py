@@ -29,7 +29,9 @@ def eq_n(left: str, right: str, n: int) -> Equation:
 
 
 def morph(*images: str, k: int | None = None) -> Morphism:
-    return Morphism.from_images(*images, alphabet_size=k)
+    """``Morphism.from_images``, over ``k`` letters when given."""
+    h = Morphism.from_images(*images)
+    return h if k is None else Morphism(h.images, k)
 
 
 def nonerasing_morphism(rng: random.Random, n: int, k: int, max_image_len: int) -> Morphism:

@@ -249,7 +249,7 @@ def test_criterion_09_conjugacy_family():
     T = EqSystem((parse_system("xz = zy")[0].equations[0],))
     family = []
     for i in range(5):
-        g = Morphism.from_images("ab", "ba", "ab" * i + "a", alphabet_size=2)
+        g = Morphism.from_images("ab", "ba", "ab" * i + "a")
         assert is_solution(g, T)
         assert gamma_normal(g).entries == (1, -1, 0)
         family.append(g)

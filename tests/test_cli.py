@@ -487,7 +487,7 @@ DECLARED_INTERFACE = {
     ),
     "det": (
         "print the determinant grid of the first two equations",
-        [((), "input", None, None, None, None, None), JSON_FLAG],
+        [((), "input", None, None, None, None, "equations (file or literal)"), JSON_FLAG],
     ),
     "factor": (
         "binomial factorization of a polynomial",
@@ -497,31 +497,34 @@ DECLARED_INTERFACE = {
             JSON_FLAG,
         ],
     ),
-    "balanced": ("balancedness test per equation", [((), "input", None, None, None, None, None), JSON_FLAG]),
+    "balanced": (
+        "balancedness test per equation",
+        [((), "input", None, None, None, None, "equations (file or literal)"), JSON_FLAG],
+    ),
     "check": (
         "word-level vs polynomial-level solution check",
         [
-            ((), "equations", None, None, None, None, None),
-            ((), "morphism", None, None, None, None, None),
+            ((), "equations", None, None, None, None, "equations (file or literal)"),
+            ((), "morphism", None, None, None, None, "one binding such as x = ab per unknown (file or literal)"),
             JSON_FLAG,
         ],
     ),
     "principal": (
         "principal decomposition of a solution",
         [
-            ((), "equations", None, None, None, None, None),
-            ((), "morphism", None, None, None, None, None),
+            ((), "equations", None, None, None, None, "equations (file or literal)"),
+            ((), "morphism", None, None, None, None, "one binding such as x = ab per unknown (file or literal)"),
             JSON_FLAG,
         ],
     ),
     "hyperplanes": (
         "hyperplane classification for an equation pair",
-        [((), "input", None, None, None, None, None), JSON_FLAG],
+        [((), "input", None, None, None, None, "equations (file or literal)"), JSON_FLAG],
     ),
     "bounds": (
         "class-count bounds for a pair or a system",
         [
-            ((), "input", None, None, None, None, None),
+            ((), "input", None, None, None, None, "equations (file or literal)"),
             (
                 ("--assume-rank-solution",),
                 "assume_rank_solution",
@@ -538,7 +541,7 @@ DECLARED_INTERFACE = {
     "search": (
         "exhaustive solution search and verifications",
         [
-            ((), "input", None, None, "?", None, None),
+            ((), "input", None, None, "?", None, "equations (file or literal)"),
             (("--max-len",), "max_len", None, int, None, None, "total image length budget (default 6)"),
             (("--alphabet",), "alphabet", None, int, None, None, "target alphabet size (default 2)"),
             (("--no-erasing",), "no_erasing", None, None, 0, None, "skip erasing morphisms"),

@@ -228,14 +228,32 @@ class TestEnumeration:
         assert len(catalog.solutions) == 1 + 3000
         assert peak < 1024 * len(catalog.solutions)
 
-    def test_each_distinct_image_is_one_word(self):
-        catalog = enumerate_solutions(PAIR, SearchConfig(8, 2))
-        images = [im for h in catalog.solutions for im in h.images]
+    @given(small_searches())
+    @example((PAIR, SearchConfig(8, 2)))
+    def test_each_distinct_image_is_one_word(self, search):
+        # one record per distinct image: equal images of one catalog are one object
+        images = [im for h in enumerate_solutions(*search).solutions for im in h.images]
         assert len({id(im) for im in images}) == len(set(images))
 
     def test_space_guard(self):
         with pytest.raises(SearchSpaceError):
             enumerate_solutions(CONJ, SearchConfig(30, 3))
+
+    def test_refusal_agrees_with_the_size(self, monkeypatch):
+        # x1 x1 x2 x2 ... = x1 x2 ... erases every unknown, so listing is cheap
+        # and each budget tests the refusal alone, on both sides of the size
+        for n, k, allow_erasing, L in product(range(4), (1, 2, 3), (True, False), range(7)):
+            system = Equation(Word(j for j in range(n) for _ in "xx"), Word(range(n)), n)
+            cfg = SearchConfig(L, k, allow_erasing)
+            size = search_space_size(n, cfg)
+            for budget in {0, 50, size - 1, size} - {-1}:
+                monkeypatch.setattr("weq.search.MAX_CANDIDATES", budget)
+                for run in (enumerate_solutions, count_solutions):
+                    if size > budget:
+                        with pytest.raises(SearchSpaceError):
+                            run(system, cfg)
+                    else:
+                        run(system, cfg)
 
     def test_space_size_matches_enumeration(self):
         for n, k, allow_erasing, L in product((0, 1, 3), (1, 2, 3), (True, False), (0, 2, 5)):

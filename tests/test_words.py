@@ -207,6 +207,28 @@ class TestLettersCheckedAtConstruction:
         assert E.left is u and E.right is v
         assert h.images[0] is u and h.images[1] is v
 
+    # the images a caller may pass besides a tuple of Words: one checked
+    # path turns each form into a tuple of Words
+    IMAGE_FORMS = {
+        "list": list,
+        "tuples": tuple,
+        "mixed": lambda ims: tuple(im if i % 2 else Word(im) for i, im in enumerate(ims)),
+    }
+
+    @pytest.mark.parametrize("form", IMAGE_FORMS.values(), ids=IMAGE_FORMS.keys())
+    def test_every_image_form_builds_the_same_value(self, form):
+        images = ((0, 1), (), (1, 1, 0))
+        h, words = Morphism(form(images), 2), Morphism(tuple(map(Word, images)), 2)
+        assert h == words and hash(h) == hash(words)
+        assert type(h.images) is tuple and all(type(im) is Word for im in h.images)
+
+    @pytest.mark.parametrize("form", IMAGE_FORMS.values(), ids=IMAGE_FORMS.keys())
+    @pytest.mark.parametrize("bad,match", [((1, -1), "non-negative"), ((1, 2), "outside alphabet")])
+    def test_every_image_form_checks_its_letters(self, form, bad, match):
+        # the bad image is the middle one, a plain tuple in the mixed form too
+        with pytest.raises(ValueError, match=match):
+            Morphism(form(((0, 1), bad, (1, 1, 0))), 2)
+
     def test_morphism_rejects_a_negative_alphabet_size(self):
         with pytest.raises(ValueError, match="non-negative"):
             Morphism((Word(()),), -3)
