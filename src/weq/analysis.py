@@ -3,10 +3,11 @@
 Given two equations, the 2x2 determinants of their coefficient vectors
 classify the common solutions whose occurrence-count space is a
 hyperplane: every such solution class contributes an irreducible
-pure-difference divisor of every nonzero determinant. Factoring a
-determinant therefore yields the candidate hyperplanes (as length
-constraints), and the degrees and minimal-monomial counts of the
-determinant yield size bounds on the number of classes.
+pure-difference divisor of every nonzero determinant, that of its normal
+(the divisor test of ``tests/test_analysis.py``). Factoring a determinant
+therefore yields the candidate hyperplanes (as length constraints), and
+the degrees and minimal-monomial counts of the determinant yield size
+bounds on the number of classes.
 
 One :class:`PairAnalysis` holds one pair and computes each of these
 results once, when it is first read; ``solution_hyperplanes``,
@@ -46,7 +47,7 @@ class PairDeterminant:
 
 
 def _erasing_note(lam: LambdaVector, names: Sequence[str]) -> str:
-    emptied = ", ".join(f"|h({nm})| = 0" for nm, v in zip(names, lam.entries) if v)
+    emptied = ", ".join(f"|h({nm})| = 0" for nm, v in zip(names, lam) if v)
     return f"factor {format_poly(pure_difference(lam))}: only erasing solutions with {emptied}"
 
 
@@ -139,7 +140,7 @@ class PairAnalysis:
         for E in (self.E, self.Ep):
             if not is_balanced(E):
                 raise ValueError(f"equation {E} is not balanced")
-        units = [LambdaVector(tuple(int(j == i) for j in range(3))) for i in range(3)]
+        units = [LambdaVector(int(j == i) for j in range(3)) for i in range(3)]
         triple = (self.grid[(1, 2)], -self.grid[(0, 2)], self.grid[(0, 1)])
         i = next((i for i, det in enumerate(triple) if det), 0)
         t = divide_by_binomial(triple[i], units[i])

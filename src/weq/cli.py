@@ -22,7 +22,7 @@ from .encode import balanced_residual, check_solution_poly, is_balanced, s_vecto
 from .poly import MultiPoly, binomial_factors, format_poly, pure_difference
 from .principal import principal_decompose
 from .textio import ParseError, parse_morphism, parse_poly, parse_system
-from .words import InternalError, LambdaVector, is_solution
+from .words import InternalError, LambdaVector, Word, is_solution
 
 
 def _read_text(arg: str) -> str:
@@ -61,7 +61,7 @@ def _factorization_text(fac: dict) -> str:
         parts.append(format_poly(MultiPoly.monomial(len(fac["content"]), fac["content"])))
     for f in fac["factors"]:
         m = f["multiplicity"]
-        factor = format_poly(pure_difference(LambdaVector(tuple(f["lambda"]))))
+        factor = format_poly(pure_difference(LambdaVector(f["lambda"])))
         parts.append(f"({factor})" + (f"^{m}" if m > 1 else ""))
     residual = fac["residual"]
     if residual != "1":
@@ -155,7 +155,7 @@ def cmd_principal(args):
     }
 
     def render(p):
-        letter_names = [chr(ord("a") + i) for i in range(len(p["theta"]))]
+        letter_names = [str(Word((i,))) for i in range(len(p["theta"]))]
         yield "principal solution g:"
         yield from (f"{nm} = {im or 'eps'}" for nm, im in zip(names, p["g"]))
         yield "letter substitution theta:"

@@ -231,7 +231,7 @@ def pure_difference(lam: LambdaVector) -> MultiPoly:
     ``lam`` is coprime with disjoint positive/negative parts by
     construction, which makes the difference irreducible in Z[X].
     """
-    return MultiPoly(lam.n, {lam.plus: 1, lam.minus: -1})
+    return MultiPoly(len(lam), {lam.plus: 1, lam.minus: -1})
 
 
 def _lam_lines(p: MultiPoly, lam: LambdaVector) -> dict[tuple[int, ...], dict[int, int]] | None:
@@ -240,14 +240,13 @@ def _lam_lines(p: MultiPoly, lam: LambdaVector) -> dict[tuple[int, ...], dict[in
     ``X^(lam+) - X^(lam-)`` does not divide ``p`` (see the module
     docstring). Each line is keyed by its normal form ``f`` and maps
     ``k`` to the coefficient at ``f + k*lam``."""
-    if p.n != lam.n:
-        raise ValueError(f"variable count mismatch: {p.n} vs {lam.n}")
-    d = lam.entries
-    pos = [(i, l) for i, l in enumerate(d) if l > 0]
+    if p.n != len(lam):
+        raise ValueError(f"variable count mismatch: {p.n} vs {len(lam)}")
+    pos = [(i, l) for i, l in enumerate(lam) if l > 0]
     lines: dict[tuple[int, ...], dict[int, int]] = {}
     for e, c in p._terms.items():
         k = min([e[i] // l for i, l in pos])
-        nf = tuple([ei - k * li for ei, li in zip(e, d)]) if k else e
+        nf = tuple([ei - k * li for ei, li in zip(e, lam)]) if k else e
         line = lines.get(nf)
         if line is None:
             lines[nf] = {k: c}
@@ -277,7 +276,7 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     if size > MAX_QUOTIENT_TERMS:
         by = format_poly(pure_difference(lam))
         raise ValueError(f"the quotient by {by} could have {size} terms, more than {MAX_QUOTIENT_TERMS}")
-    d, minus = lam.entries, lam.minus
+    minus = lam.minus
     quotient: dict[tuple[int, ...], int] = {}
     for nf, line, lo, hi in spans:
         base = tuple(map(sub, nf, minus))
@@ -285,7 +284,7 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
         for k in range(hi - 1, lo - 1, -1):
             acc += line.get(k + 1, 0)
             if acc:
-                quotient[tuple([bi + k * li for bi, li in zip(base, d)])] = acc
+                quotient[tuple([bi + k * li for bi, li in zip(base, lam)])] = acc
     return MultiPoly._from_terms(p.n, quotient)
 
 
@@ -315,9 +314,7 @@ class BinomialFactorization:
         return {
             "sign": self.sign,
             "content": list(self.content),
-            "factors": [
-                {"lambda": list(lam.entries), "multiplicity": m} for lam, m in self.factors
-            ],
+            "factors": [{"lambda": list(lam), "multiplicity": m} for lam, m in self.factors],
             "residual": format_poly(self.residual),
         }
 
@@ -337,7 +334,7 @@ def _shift_down(p: MultiPoly, mu: tuple[int, ...]) -> MultiPoly:
 
 
 def _anchor_candidates(terms: Mapping[tuple[int, ...], int]) -> list[LambdaVector]:
-    """The directions, in order of ``entries``, through both the first and
+    """The directions, in sorted order, through both the first and
     the last support monomial whose lines through these two anchors have
     zero coefficient sum: a divisor's line through an anchor holds a
     second support monomial, so the divisor is the normalized difference
@@ -355,15 +352,12 @@ def _anchor_candidates(terms: Mapping[tuple[int, ...], int]) -> list[LambdaVecto
         return sums
 
     first, last = line_sums(min(terms)), line_sums(max(terms))
-    return [
-        LambdaVector(d)
-        for d in sorted(d for d, total in first.items() if not total and last.get(d) == 0)
-    ]
+    return sorted(LambdaVector(d) for d, total in first.items() if not total and last.get(d) == 0)
 
 
 def pure_difference_divisors(p: MultiPoly) -> tuple[LambdaVector, ...]:
     """The directions of the distinct irreducible pure-difference divisors
-    of ``p`` in order of ``entries``, which are the factor directions of
+    of ``p`` in sorted order, which are the factor directions of
     :func:`binomial_factors`, found by the line-sum test alone with no
     quotient (see the module docstring)."""
     if not p:
@@ -376,7 +370,7 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     divisor of ``p`` with multiplicities.
 
     One sweep over the anchor candidates of the content-free part, in
-    order of ``entries``, divides out each direction while it divides,
+    sorted order, divides out each direction while it divides,
     since every pure-difference divisor of a quotient divides ``p``. A
     quotient keeps zero content, as a monomial dividing it would divide
     ``p``.

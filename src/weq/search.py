@@ -89,14 +89,15 @@ class _Memo(dict):
 @dataclass(frozen=True)
 class SolutionCounts:
     """How many solutions a search space holds, in all, by rank and by
-    class (keyed by the class normal's entries, in catalog order), without
+    class (keyed by the class normal, in catalog order; the divisor test
+    of ``tests/test_analysis.py`` reads these keys as they are), without
     the solutions themselves."""
 
     n: int
     config: SearchConfig
     solution_count: int
     rank_counts: dict[int, int]
-    class_sizes: dict[tuple[int, ...], int]
+    class_sizes: dict[LambdaVector, int]
 
     def summary(self, names: Sequence[str] | None = None) -> dict:
         """The counts as JSON, with the unknowns of the constraints named ``names``."""
@@ -107,7 +108,7 @@ class SolutionCounts:
             "solution_count": self.solution_count,
             "rank_counts": {str(r): c for r, c in self.rank_counts.items()},
             "classes": [
-                {"normal": list(normal), "constraint": LambdaVector(normal).constraint_text(names), "size": size}
+                {"normal": list(normal), "constraint": normal.constraint_text(names), "size": size}
                 for normal, size in self.class_sizes.items()
             ],
         }
@@ -118,7 +119,7 @@ class SolutionClass:
     """One class of rank-(n-1) solutions: its hyperplane normal and its
     members in catalog order, as ``SolutionCatalog.classes`` reads them."""
 
-    normal: tuple[int, ...]
+    normal: LambdaVector
     members: tuple[Morphism, ...]
 
 
@@ -370,7 +371,7 @@ def enumerate_solutions(
     # first appearance, and ``kinds`` holds each key's rank and normal: a
     # tuple kept per solution would make the collector run more often
     ids: dict[tuple[int, ...], int] = {}
-    kinds: list[tuple[int, tuple[int, ...] | None]] = []
+    kinds: list[tuple[int, LambdaVector | None]] = []
     keys: list[int] = []
     for images in found:
         image_words, numbers = [], []
@@ -502,7 +503,7 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
     system = EqSystem((E, Ep))
     normals = count_solutions(system, cfg).class_sizes
     m = len(normals)
-    erasing = sum(1 for normal in normals if LambdaVector(normal).is_erasing_constraint())
+    erasing = sum(1 for normal in normals if normal.is_erasing_constraint())
     if m <= pa.best:
         return BoundCheckReport(STATUS_OK, True, m, erasing)
     counterexample = {

@@ -6,8 +6,11 @@ default display names live here too: ``str``, ``Equation.text`` and
 the latter two unless given other names, and ``str`` of a ``Word`` spells
 letters a, b, c.
 A ``Word`` is the tuple of its letters: it equals and hashes as the
-plain tuple, and a slice of it is a plain tuple. Everything in this
-module is an immutable value and every operation is a pure function, so
+plain tuple, and a slice of it is a plain tuple. A ``LambdaVector``, the
+one type of a hyperplane normal, is likewise the tuple of its entries: the
+divisor test of ``tests/test_analysis.py`` finds the search's class normals
+among the factor directions as they are. Everything in this module
+is an immutable value and every operation is a pure function, so
 instances can be shared freely across threads.
 
 Letters are checked once, where values are built: ``Word()`` checks
@@ -303,10 +306,10 @@ def _eliminate(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[l
 
 def _rank_and_normal(
     counts: Sequence[Sequence[int]], n: int
-) -> tuple[int, tuple[int, ...] | None]:
+) -> tuple[int, LambdaVector | None]:
     """Rank of an integer matrix with ``n`` columns and, when its nullspace
-    is one-dimensional (rank n-1), the canonical entries of the nullspace
-    direction; None otherwise.
+    is one-dimensional (rank n-1), the canonical ``LambdaVector`` of the
+    nullspace direction; None otherwise.
 
     The direction is read off the echelon rows by fraction-free
     back-substitution: the free column starts at 1, and each pivot row,
@@ -325,7 +328,7 @@ def _rank_and_normal(
         scale = row[pc] // g
         v = [x * scale for x in v]
         v[pc] = -s // g
-    return len(pivots), _canonical_entries(tuple(v))
+    return len(pivots), LambdaVector(_canonical_entries(tuple(v)))
 
 
 def rank(h: Morphism) -> int:
@@ -345,43 +348,43 @@ def _canonical_entries(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec if g == 1 else tuple([v // g for v in vec])
 
 
-@dataclass(frozen=True)
-class LambdaVector:
-    """Integer hyperplane normal with coprime entries.
+class LambdaVector(tuple):
+    """Integer hyperplane normal: the tuple of its coprime entries.
 
     Canonical form: entries share no common factor and the first nonzero
     entry is positive. ``plus`` and ``minus`` give the componentwise
     split ``entries = plus - minus`` with disjoint supports.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-        if _canonical_entries(self.entries) != self.entries:
-            raise ValueError(f"{self.entries!r} is not coprime with a positive first entry")
+    def __new__(cls, entries: Iterable[int]) -> "LambdaVector":
+        self = super().__new__(cls, entries)
+        if _canonical_entries(self) != self:
+            raise ValueError(f"{self!r} is not coprime with a positive first entry")
+        return self
 
     @property
-    def n(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[int, ...]:
+        """The entries as a plain tuple, as the benchmark reads them."""
+        return tuple(self)
 
     @property
     def plus(self) -> tuple[int, ...]:
-        return tuple(max(v, 0) for v in self.entries)
+        return tuple(max(v, 0) for v in self)
 
     @property
     def minus(self) -> tuple[int, ...]:
-        return tuple(max(-v, 0) for v in self.entries)
+        return tuple(max(-v, 0) for v in self)
 
     def is_erasing_constraint(self) -> bool:
         """True when the hyperplane meets the non-negative orthant only at
         vectors that vanish on the support (all entries non-negative)."""
-        return all(v >= 0 for v in self.entries)
+        return all(v >= 0 for v in self)
 
     def constraint_text(self, names: Sequence[str] | None = None) -> str:
         """Render as a length constraint, e.g. ``2|h(x)| + |h(y)| = |h(z)|``."""
-        names = unknown_names(self.n, names)
+        names = unknown_names(len(self), names)
 
         def side(part: tuple[int, ...]) -> str:
             terms = []
@@ -391,9 +394,6 @@ class LambdaVector:
             return " + ".join(terms) if terms else "0"
 
         return f"{side(self.plus)} = {side(self.minus)}"
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self.entries) + ")"
 
 
 def gamma_normal(h: Morphism) -> LambdaVector:
@@ -406,4 +406,4 @@ def gamma_normal(h: Morphism) -> LambdaVector:
     normal = _rank_and_normal(gamma_matrix(h), n)[1]
     if normal is None:
         raise ValueError(f"morphism has rank != {n - 1}; its row space is not a hyperplane")
-    return LambdaVector(normal)
+    return normal

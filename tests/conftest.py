@@ -42,7 +42,7 @@ def nonerasing_morphism(rng: random.Random, n: int, k: int, max_image_len: int) 
 def classes_of(catalog) -> dict[LambdaVector, list[Morphism]]:
     """The classes of a catalog in class order: each normal with its
     members, read off the solutions' kinds."""
-    classes = {LambdaVector(normal): [] for normal in catalog.counts.class_sizes}
+    classes = {normal: [] for normal in catalog.counts.class_sizes}
     members = list(classes.values())
     for h, (_, c) in zip(catalog.solutions, catalog.kinds):
         if c >= 0:

@@ -165,7 +165,7 @@ def positive_kernel_point(lam: LambdaVector) -> tuple[int, ...]:
 
 def nonneg_kernel_basis(lam: LambdaVector) -> list[tuple[int, ...]]:
     """n-1 linearly independent non-negative points on the hyperplane."""
-    n = lam.n
+    n = len(lam)
     p = next(i for i, v in enumerate(lam.entries) if v)
     raw = []
     for i in range(n):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +12,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from weq.search import random_equation, random_equation_solved_by, random_morphism, random_solution_instance
+from weq.search import (
+    SearchConfig,
+    count_solutions,
+    enumerate_solutions,
+    random_equation,
+    random_equation_solved_by,
+    random_morphism,
+    random_solution_instance,
+)
 from weq.words import (
     EqSystem,
     Equation,
@@ -509,6 +518,31 @@ class TestLambdaVector:
 
     def test_normalization(self):
         assert direction((0, -2, 4)).entries == (0, 1, -2)
+
+    def test_is_the_tuple_of_its_entries(self):
+        lam = LambdaVector((2, 1, -1))
+        assert lam == (2, 1, -1) and hash(lam) == hash((2, 1, -1))
+        assert {(2, 1, -1): 1}[lam] == 1
+        assert sorted([LambdaVector((1, 0)), (0, 1)]) == [(0, 1), (1, 0)]
+        assert json.dumps(lam) == "[2, 1, -1]"
+        for copied in (pickle.loads(pickle.dumps(lam)), copy.deepcopy(lam)):
+            assert copied == lam and type(copied) is LambdaVector
+        assert LambdaVector([2, 1, -1]) == LambdaVector(v for v in (2, 1, -1)) == lam
+        assert type(lam.entries) is tuple and lam.entries == lam
+        assert not hasattr(lam, "__dict__")
+
+    def test_every_normal_the_library_returns_is_one(self):
+        pair = EqSystem((eq("xyxz", "zxyx"), eq("xyxxz", "zxxyx")))
+        cfg = SearchConfig(8, 2)
+        catalog = enumerate_solutions(pair, cfg)
+        normals = [
+            _rank_and_normal(gamma_matrix(H_CONJ), 3)[1],
+            gamma_normal(H_CONJ),
+            *count_solutions(pair, cfg).class_sizes,
+            *catalog.counts.class_sizes,
+            *(c.normal for c in catalog.classes),
+        ]
+        assert len(normals) == 5 and all(type(v) is LambdaVector for v in normals)
 
     def test_split_parts(self):
         lam = LambdaVector((2, 1, -1))
