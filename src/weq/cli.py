@@ -5,22 +5,28 @@ mismatch, 2 on parse or usage errors, 3 on an internal error (a
 computation broke one of its own invariants; one line on stderr), and
 141, the code a shell gives a process killed by SIGPIPE, when stdout is
 closed before the output is written, as in ``weq ... | head -1``.
-Inputs that look like existing paths are read as files, anything else
-is treated as literal text.
+Inputs that look like existing paths are read as files (UTF-8, a leading
+byte-order mark dropped), anything else is treated as literal text.
+
+Start-up is dominated by compiling modules, since no bytecode cache is
+written where ``PYTHONDONTWRITEBYTECODE`` is set. So this module imports
+at its top only ``weq.textio`` and what it loads (``weq.poly`` and
+``weq.words``), which every command reads, and each command imports the
+rest where it runs: ``principal`` loads ``weq.principal``; ``encode``,
+``balanced`` and ``check`` load ``weq.encode``; ``det``, ``hyperplanes``,
+``bounds`` and ``paper-example`` load ``weq.analysis`` and, through it,
+``weq.encode``; ``search`` loads ``weq.search``, which loads both;
+``factor`` loads nothing more. ``json`` is imported only under ``--json``.
+``tests/test_cli.py::TestImportCost`` holds this table.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 
-from . import analysis, search
-from .encode import balanced_residual, check_solution_poly, is_balanced, s_vector
 from .poly import MultiPoly, binomial_factors, format_poly, pure_difference
-from .principal import principal_decompose
 from .textio import ParseError, parse_morphism, parse_poly, parse_system
 from .words import InternalError, LambdaVector, Word, is_solution
 
@@ -28,7 +34,7 @@ from .words import InternalError, LambdaVector, Word, is_solution
 def _read_text(arg: str) -> str:
     if os.path.exists(arg):
         try:
-            with open(arg, encoding="utf-8") as fh:
+            with open(arg, encoding="utf-8-sig") as fh:
                 return fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {arg}: {exc.strerror}") from None
@@ -47,9 +53,11 @@ def _require_pair(system, too_few_equations: str) -> None:
 def _read_pair(arg: str, too_few_equations: str):
     """Read a system for the determinant commands, and the analysis of its
     first pair."""
+    from .analysis import PairAnalysis
+
     system, names = parse_system(_read_text(arg))
     _require_pair(system, too_few_equations)
-    return system, analysis.PairAnalysis(system.equations[0], system.equations[1], names)
+    return system, PairAnalysis(system.equations[0], system.equations[1], names)
 
 
 def _factorization_text(fac: dict) -> str:
@@ -78,6 +86,8 @@ def _factorization_text(fac: dict) -> str:
 
 
 def cmd_encode(args):
+    from .encode import s_vector
+
     system, names = parse_system(_read_text(args.input))
     rows = [
         {"equation": E.text(names), "s_vector": [format_poly(p) for p in s_vector(E)]}
@@ -107,6 +117,8 @@ def cmd_factor(args):
 
 
 def cmd_balanced(args):
+    from .encode import balanced_residual, is_balanced
+
     system, names = parse_system(_read_text(args.input))
     rows = [
         {
@@ -123,6 +135,8 @@ def cmd_balanced(args):
 
 
 def cmd_check(args):
+    from .encode import check_solution_poly
+
     system, names = parse_system(_read_text(args.equations))
     h = parse_morphism(_read_text(args.morphism), names)
     rows = []
@@ -145,6 +159,8 @@ def cmd_check(args):
 
 
 def cmd_principal(args):
+    from .principal import principal_decompose
+
     system, names = parse_system(_read_text(args.equations))
     h = parse_morphism(_read_text(args.morphism), names)
     dec = principal_decompose(h, system)
@@ -222,18 +238,21 @@ _SEARCH_OPTIONS = (
 )
 
 
-def _search_to_csv(path: str, system, cfg) -> search.SolutionCatalog:
-    """Run the catalog search and write its rows to ``path``, followed
-    through symbolic links. Opening the path for appending first makes an
-    unwritable one fail before the search; a file that this opening created
-    is removed at once, so a search that does not finish leaves the path as
-    it was. The search does no I/O, so every ``OSError`` here is the path's."""
+def _search_to_csv(path: str, system, cfg):
+    """Run the catalog search, write its rows to ``path``, followed through
+    symbolic links, and return the catalog. Opening the path for appending
+    first makes an unwritable one fail before the search; a file that this
+    opening created is removed at once, so a search that does not finish
+    leaves the path as it was. The search does no I/O, so every ``OSError``
+    here is the path's."""
+    from .search import enumerate_solutions
+
     try:
         created = not os.path.exists(path)
         open(path, "a", encoding="utf-8").close()
         if created:
             os.remove(os.path.realpath(path))  # a dangling link keeps its link
-        catalog = search.enumerate_solutions(system, cfg)
+        catalog = enumerate_solutions(system, cfg)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("length_type,rank,class\n")
             fh.writelines(f"{lt},{r},{cid}\n" for lt, r, cid in catalog.csv_rows())
@@ -243,6 +262,8 @@ def _search_to_csv(path: str, system, cfg) -> search.SolutionCatalog:
 
 
 def cmd_search(args):
+    from . import search
+
     if args.verify_encoding is not None:
         mode = _VERIFY_ENCODING
         if args.input is not None:
@@ -272,8 +293,10 @@ def cmd_search(args):
     system, names = parse_system(_read_text(args.input))
     cfg = search.SearchConfig(args.max_len, args.alphabet, allow_erasing=not args.no_erasing)
     if mode == _VERIFY_BOUNDS:
+        from dataclasses import asdict
+
         _require_pair(system, "--verify-bounds needs two equations")
-        payload = dataclasses.asdict(search.verify_bounds(*system.equations[:2], cfg))
+        payload = asdict(search.verify_bounds(*system.equations[:2], cfg))
         if payload["counterexample"]:
             equations = [E.text(names) for E in system.equations[:2]]
             payload["counterexample"] = {"equations": equations, **payload["counterexample"]}
@@ -322,8 +345,10 @@ _EXAMPLE_EXPECTED = {
 
 
 def cmd_paper_example(args):
+    from .analysis import PairAnalysis
+
     system, names = parse_system(_EXAMPLE_INPUT)
-    pa = analysis.PairAnalysis(*system.equations, names)
+    pa = PairAnalysis(*system.equations, names)
     (S1, S2), grid, t = pa.s_vectors, pa.grid, pa.cofactor
     got = {
         "S(E1)": "(" + ", ".join(format_poly(p) for p in S1) + ")",
@@ -414,6 +439,8 @@ def main(argv=None) -> int:
         return 3
     try:
         if args.json:
+            import json
+
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             for line in render(payload):

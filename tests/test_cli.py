@@ -325,6 +325,25 @@ class TestCommands:
         mor.write_text("x = a\ny = b\n")
         assert main(["principal", str(eqs), str(mor)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["det", "{}"], PAIR_TEXT),
+            (["check", "xz = zy", "{}"], "x = ab\ny = ba\nz = aba\n"),
+            (["factor", "{}"], "X^2 - Y^2\n"),
+        ],
+        ids=["equations", "morphism", "polynomial"],
+    )
+    def test_a_file_reads_the_same_with_a_byte_order_mark(self, tmp_path, capsys, argv, text):
+        results = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.txt"
+            path.write_bytes(text.encode(encoding))
+            code = main([arg.format(path) for arg in argv])
+            results.append((code, capsys.readouterr().out))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
     def test_bounds_pair_and_system(self, capsys):
         assert main(["bounds", PAIR_TEXT]) == 0
         out = capsys.readouterr().out
@@ -841,6 +860,23 @@ class TestRejectedInput:
         assert len(captured.err) < 200
 
 
+# The ``weq`` modules each command loads beyond ``weq.textio`` and the two it
+# loads, ``weq.poly`` and ``weq.words``, which every command reads.
+IMPORTED_BY = {
+    ("--help",): set(),
+    ("factor", "X^2 - Y^2"): set(),
+    ("principal", "xy = yx", "x = a\ny = a"): {"weq.principal"},
+    ("encode", "xy = yx"): {"weq.encode"},
+    ("balanced", "xy = x"): {"weq.encode"},
+    ("check", "xy = yx", "x = a\ny = a"): {"weq.encode"},
+    ("det", PAIR_TEXT): {"weq.analysis", "weq.encode"},
+    ("hyperplanes", PAIR_TEXT): {"weq.analysis", "weq.encode"},
+    ("bounds", PAIR_TEXT): {"weq.analysis", "weq.encode"},
+    ("paper-example",): {"weq.analysis", "weq.encode"},
+    ("search", "xy = yx", "--max-len", "4"): {"weq.search", "weq.analysis", "weq.encode"},
+}
+
+
 class TestImportCost:
     def test_cli_import_leaves_out_multiprocessing(self):
         src = str(Path(weq.__file__).resolve().parent.parent)
@@ -848,6 +884,29 @@ class TestImportCost:
         code = "import sys, weq.cli; print('multiprocessing' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(argv, flag, id=f"{argv[0]} {flag}".strip())
+            for argv in IMPORTED_BY
+            for flag in ("", "--json")
+            if argv[0] != "--help" or not flag
+        ],
+    )
+    def test_each_command_loads_only_the_modules_it_runs(self, argv, flag):
+        """Run as the benchmark runs the command line, each command imports
+        only what it calls, and ``json`` only under ``--json``: without a
+        bytecode cache every module it loads is compiled on each run.
+        ``weq.cli`` runs as ``__main__``, so it is not listed."""
+        src = str(Path(weq.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        command = [sys.executable, "-X", "importtime", "-m", "weq.cli", *argv, *filter(None, [flag])]
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+        assert {m for m in loaded if m.startswith("weq.")} == {"weq.words", "weq.poly", "weq.textio", *IMPORTED_BY[argv]}
+        assert ("json" in loaded) == bool(flag)
 
 
 class TestClosedStdout:
