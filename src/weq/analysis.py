@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .encode import SVector, is_balanced, s_vector, t_det
+from .encode import SVector, is_balanced, minor, s_vector, t_det
 from .poly import (
     BinomialFactorization,
     MultiPoly,
@@ -86,7 +86,7 @@ class PairAnalysis:
     def grid(self) -> dict[tuple[int, int], MultiPoly]:
         """Every determinant ``t_jk`` with ``j < k``, in lexicographic order."""
         (S, Sp), n = self.s_vectors, self.E.n
-        return {(j, k): S[j] * Sp[k] - Sp[j] * S[k] for j in range(n) for k in range(j + 1, n)}
+        return {(j, k): minor(S, Sp, j, k) for j in range(n) for k in range(j + 1, n)}
 
     @cached_property
     def status(self) -> str:

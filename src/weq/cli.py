@@ -12,12 +12,9 @@ Start-up is dominated by compiling modules, since no bytecode cache is
 written where ``PYTHONDONTWRITEBYTECODE`` is set. So this module imports
 at its top only ``weq.textio`` and what it loads (``weq.poly`` and
 ``weq.words``), which every command reads, and each command imports the
-rest where it runs: ``principal`` loads ``weq.principal``; ``encode``,
-``balanced`` and ``check`` load ``weq.encode``; ``det``, ``hyperplanes``,
-``bounds`` and ``paper-example`` load ``weq.analysis`` and, through it,
-``weq.encode``; ``search`` loads ``weq.search``, which loads both;
-``factor`` loads nothing more. ``json`` is imported only under ``--json``.
-``tests/test_cli.py::TestImportCost`` holds this table.
+rest where it runs. ``json`` is imported only under ``--json``. The one
+table of the modules each command loads is ``IMPORTED_BY`` in
+``tests/test_cli.py``, which ``TestImportCost`` checks.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import sys
 
 from .poly import MultiPoly, binomial_factors, format_poly, pure_difference
 from .textio import ParseError, parse_morphism, parse_poly, parse_system
-from .words import InternalError, LambdaVector, Word, is_solution
+from .words import EqSystem, InternalError, LambdaVector, Word, is_solution
 
 
 def _read_text(arg: str) -> str:
@@ -57,7 +54,7 @@ def _read_pair(arg: str, too_few_equations: str):
 
     system, names = parse_system(_read_text(arg))
     _require_pair(system, too_few_equations)
-    return system, PairAnalysis(system.equations[0], system.equations[1], names)
+    return system, PairAnalysis(*system[:2], names)
 
 
 def _factorization_text(fac: dict) -> str:
@@ -141,7 +138,7 @@ def cmd_check(args):
     h = parse_morphism(_read_text(args.morphism), names)
     rows = []
     for E in system:
-        word_level = is_solution(h, E)
+        word_level = is_solution(h, EqSystem((E,)))
         poly_level = check_solution_poly(E, h)
         rows.append(
             {
@@ -296,9 +293,9 @@ def cmd_search(args):
         from dataclasses import asdict
 
         _require_pair(system, "--verify-bounds needs two equations")
-        payload = asdict(search.verify_bounds(*system.equations[:2], cfg))
+        payload = asdict(search.verify_bounds(*system[:2], cfg))
         if payload["counterexample"]:
-            equations = [E.text(names) for E in system.equations[:2]]
+            equations = [E.text(names) for E in system[:2]]
             payload["counterexample"] = {"equations": equations, **payload["counterexample"]}
 
         def render(p):
@@ -348,7 +345,7 @@ def cmd_paper_example(args):
     from .analysis import PairAnalysis
 
     system, names = parse_system(_EXAMPLE_INPUT)
-    pa = PairAnalysis(*system.equations, names)
+    pa = PairAnalysis(*system, names)
     (S1, S2), grid, t = pa.s_vectors, pa.grid, pa.cofactor
     got = {
         "S(E1)": "(" + ", ".join(format_poly(p) for p in S1) + ")",

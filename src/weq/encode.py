@@ -78,16 +78,22 @@ def check_solution_poly(E: Equation, h: Morphism) -> bool:
     return sides[0] == sides[1]
 
 
+def minor(S: SVector, Sp: SVector, j: int, k: int) -> MultiPoly:
+    """The 2x2 minor ``S_j Sp_k - Sp_j S_k`` of two coefficient vectors in
+    columns (j, k); antisymmetric in (j, k). The one spelling of a pair
+    determinant, read by ``t_det`` and ``PairAnalysis.grid``."""
+    return S[j] * Sp[k] - Sp[j] * S[k]
+
+
 def t_det(E: Equation, Ep: Equation, j: int, k: int) -> MultiPoly:
     """2x2 determinant ``S(E)_j S(Ep)_k - S(Ep)_j S(E)_k`` of the two
-    coefficient vectors; antisymmetric in (j, k)."""
+    coefficient vectors, their ``minor`` in columns (j, k)."""
     if E.n != Ep.n:
         raise ValueError("equations must share the unknown count")
     for idx in (j, k):
         if not 0 <= idx < E.n:
             raise IndexError(f"unknown index {idx} out of range for n={E.n}")
-    S, Sp = s_vector(E), s_vector(Ep)
-    return S[j] * Sp[k] - Sp[j] * S[k]
+    return minor(s_vector(E), s_vector(Ep), j, k)
 
 
 def balanced_residual(E: Equation) -> MultiPoly:

@@ -1,8 +1,8 @@
 """Reduction of a solution to the principal solution dividing it.
 
-Every solution ``h`` of a system factors as ``h = theta . g`` where ``g``
-is a principal solution (minimal in the divisibility order on solutions)
-and ``theta`` is non-erasing on the letters of ``g``. The reduction works
+Every solution ``h`` of an ``EqSystem`` factors as ``h = theta . g``
+where ``g`` is a principal solution (minimal in the divisibility order on
+solutions) and ``theta`` is non-erasing on the letters of ``g``. The reduction works
 by elementary transformations driven purely by image lengths:
 
 * unknowns with empty images are stripped first;
@@ -26,14 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import (
-    InternalError,
-    Morphism,
-    SystemLike,
-    Word,
-    as_system,
-    is_solution,
-)
+from .words import EqSystem, InternalError, Morphism, Word, is_solution
 
 
 @dataclass(frozen=True)
@@ -56,13 +49,12 @@ def _require(ok: bool, invariant: str) -> None:
         raise InternalError(f"principal decomposition: {invariant}")
 
 
-def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
-    """Split a solution ``h`` of ``T`` into a principal solution and a
+def principal_decompose(h: Morphism, system: EqSystem) -> PrincipalDecomposition:
+    """Split a solution ``h`` of ``system`` into a principal solution and a
     non-erasing letter substitution.
 
-    Raises ValueError when ``h`` does not solve ``T`` or has another domain.
+    Raises ValueError when ``h`` does not solve ``system`` or has another domain.
     """
-    system = as_system(T)
     if not is_solution(h, system):
         raise ValueError("the morphism is not a solution of the system")
 
@@ -74,7 +66,7 @@ def principal_decompose(h: Morphism, T: SystemLike) -> PrincipalDecomposition:
 
     # An equation that g solves stays solved under every substitution, so
     # the equations are solved in order, each until g solves it.
-    for e in system.equations:
+    for e in system:
         while (u := [c for x in e.left for c in g_imgs[x]]) != (
             v := [c for x in e.right for c in g_imgs[x]]
         ):

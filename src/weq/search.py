@@ -1,12 +1,12 @@
 """Exhaustive enumeration of solutions at desk scale.
 
-Lists every solution within a total-image-length budget, one length type
-at a time. For a fixed length type the equations identify positions of
-the images; the solutions of that type are exactly the letter
-assignments to the resulting position classes, so the search costs the
-size of its output rather than one word comparison per candidate. A
-catalog is its counts (solutions, rank counts, and the sizes of the
-linear-equivalence classes of rank-(n-1) solutions, keyed by their
+Lists every solution of an ``EqSystem`` within a total-image-length
+budget, one length type at a time. For a fixed length type the equations
+identify positions of the images; the solutions of that type are exactly
+the letter assignments to the resulting position classes, so the search
+costs the size of its output rather than one word comparison per
+candidate. A catalog is its counts (solutions, rank counts, and the sizes
+of the linear-equivalence classes of rank-(n-1) solutions, keyed by their
 hyperplane normals), its solutions, and each solution's kind: its rank
 and its class index. Its solutions grouped by rank and by class are
 views of the kinds.
@@ -42,10 +42,8 @@ from .words import (
     Equation,
     LambdaVector,
     Morphism,
-    SystemLike,
     Word,
     _rank_and_normal,
-    as_system,
     is_solution,
 )
 
@@ -227,7 +225,7 @@ def _refuse_oversized_space(n: int, cfg: SearchConfig) -> None:
         raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
 
 
-def _feasible_length_types(T: EqSystem, cfg: SearchConfig) -> list[tuple[int, ...]]:
+def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[int, ...]]:
     """Length types within budget whose images could balance every
     equation's side lengths, by total length and then lexicographically.
 
@@ -236,10 +234,10 @@ def _feasible_length_types(T: EqSystem, cfg: SearchConfig) -> list[tuple[int, ..
     in the length type, so once the first n-1 lengths are fixed it leaves
     the last one free or fixes it to at most one value.
     """
-    n, L = T.n, cfg.max_total_image_length
+    n, L = system.n, cfg.max_total_image_length
     if n == 0:
         return [()]
-    diffs = {tuple(e.left.count(j) - e.right.count(j) for j in range(n)) for e in T}
+    diffs = {tuple(e.left.count(j) - e.right.count(j) for j in range(n)) for e in system}
     minimum = 0 if cfg.allow_erasing else 1
     out = []
     for bars in combinations(range(L - minimum * n + n - 1), n - 1):
@@ -318,9 +316,9 @@ _kind = lru_cache(maxsize=_KIND_CACHE_SIZE)(_rank_and_normal)
 
 
 def enumerate_solutions(
-    T: SystemLike, cfg: SearchConfig, workers: int = 1
+    system: EqSystem, cfg: SearchConfig, workers: int = 1
 ) -> SolutionCatalog:
-    """Catalog every solution of ``T`` within the configured space.
+    """Catalog every solution of ``system`` within the configured space.
 
     The solutions of a length type are the letter assignments to its
     position classes (``_position_templates``), taken in lexicographic
@@ -348,7 +346,6 @@ def enumerate_solutions(
     With ``workers > 1`` length types are enumerated in parallel processes
     and merged back in the serial order, so the catalog is identical.
     """
-    system = as_system(T)
     n, k = system.n, cfg.alphabet_size
     _refuse_oversized_space(n, cfg)
     sides = tuple((e.left, e.right) for e in system)
@@ -436,9 +433,9 @@ def _assign_class(
     return out
 
 
-def count_solutions(T: SystemLike, cfg: SearchConfig) -> SolutionCounts:
+def count_solutions(system: EqSystem, cfg: SearchConfig) -> SolutionCounts:
     """The solution count, the rank counts and the size of each class of
-    ``T`` within the configured space, as ``enumerate_solutions`` would
+    ``system`` within the configured space, as ``enumerate_solutions`` would
     catalog them, built without a ``Morphism``, ``Word`` or image.
 
     Each length type's position classes (``_position_templates``) are
@@ -451,7 +448,6 @@ def count_solutions(T: SystemLike, cfg: SearchConfig) -> SolutionCounts:
     process while the cache holds it. The candidate budget of
     ``enumerate_solutions`` applies, with the same ``SearchSpaceError``.
     """
-    system = as_system(T)
     n, k = system.n, cfg.alphabet_size
     _refuse_oversized_space(n, cfg)
     sides = tuple((e.left, e.right) for e in system)
@@ -619,7 +615,7 @@ def verify_encoding(cases: int, seed: int = 0) -> dict:
             h = random_morphism(rng, n, k, _FUZZ_MAX_IMAGE_LEN)
         else:
             E, h = random_solution_instance(rng, n, k, _FUZZ_MAX_IMAGE_LEN, _FUZZ_MAX_EQ_SIZE // 2)
-        word_level = is_solution(h, E)
+        word_level = is_solution(h, EqSystem((E,)))
         poly_level = check_solution_poly(E, h)
         if word_level:
             positives += 1

@@ -65,7 +65,7 @@ def parse_system(text: str) -> tuple[EqSystem, list[str]]:
     names = [c for c in "xyz" if c in letters] + sorted(set(letters) - set("xyz"))
     index = {c: i for i, c in enumerate(names)}
     word = lambda side: Word(index[c] for c in side)
-    return EqSystem(tuple(Equation(word(l), word(r), len(names)) for l, r in sides)), names
+    return EqSystem(Equation(word(l), word(r), len(names)) for l, r in sides), names
 
 
 def parse_morphism(text: str, names: Sequence[str]) -> Morphism:

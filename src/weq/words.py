@@ -9,9 +9,12 @@ A ``Word`` is the tuple of its letters: it equals and hashes as the
 plain tuple, and a slice of it is a plain tuple. A ``LambdaVector``, the
 one type of a hyperplane normal, is likewise the tuple of its entries: the
 divisor test of ``tests/test_analysis.py`` finds the search's class normals
-among the factor directions as they are. Everything in this module
-is an immutable value and every operation is a pure function, so
-instances can be shared freely across threads.
+among the factor directions as they are. An ``EqSystem`` is the tuple of
+its equations, checked to be nonempty and to share one unknown count. Every
+solver takes one, so one equation E goes in as ``EqSystem((E,))``; a bare
+``Equation`` is not iterable, and a solver given one raises ``TypeError``.
+Everything in this module is an immutable value and every operation is a
+pure function, so instances can be shared freely across threads.
 
 Letters are checked once, where values are built: ``Word()`` checks
 each letter, ``Equation`` and ``Morphism`` store their sides and images
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 
 class InternalError(RuntimeError):
@@ -146,40 +149,27 @@ class Equation:
     __str__ = text
 
 
-@dataclass(frozen=True)
-class EqSystem:
-    """Nonempty finite list of equations sharing the same unknowns."""
+class EqSystem(tuple):
+    """Nonempty finite tuple of equations sharing the same unknowns."""
 
-    equations: tuple[Equation, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.equations, tuple):
-            object.__setattr__(self, "equations", tuple(self.equations))
-        if not self.equations:
+    def __new__(cls, equations: Iterable[Equation]) -> "EqSystem":
+        self = super().__new__(cls, equations)
+        if not self:
             raise ValueError("a system needs at least one equation")
-        n = self.equations[0].n
-        if any(e.n != n for e in self.equations):
+        if any(e.n != self[0].n for e in self):
             raise ValueError("all equations of a system must share the unknown count")
+        return self
 
     @property
     def n(self) -> int:
-        return self.equations[0].n
+        return self[0].n
 
-    def __iter__(self):
-        return iter(self.equations)
-
-    def __len__(self) -> int:
-        return len(self.equations)
-
-
-SystemLike = Union[EqSystem, Equation]
-
-
-def as_system(T: SystemLike) -> EqSystem:
-    """Wrap a single equation as a one-element system."""
-    if isinstance(T, Equation):
-        return EqSystem((T,))
-    return T
+    @property
+    def equations(self) -> tuple[Equation, ...]:
+        """The equations as a plain tuple, as the benchmark reads them."""
+        return tuple(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,9 +238,8 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     return Morphism(images, outer.target_alphabet_size)
 
 
-def is_solution(h: Morphism, T: SystemLike) -> bool:
+def is_solution(h: Morphism, system: EqSystem) -> bool:
     """Whether ``h`` maps both sides of every equation to the same word."""
-    system = as_system(T)
     if h.domain_size != system.n:
         raise ValueError(
             f"morphism has {h.domain_size} images but the system uses {system.n} unknowns"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import reduce
 from math import gcd
 from operator import add, mul
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import settings
 
 from weq.poly import MultiPoly
-from weq.search import random_word
+from weq.search import SolutionCounts, random_word
 from weq.textio import parse_system
-from weq.words import Equation, LambdaVector, Morphism, Word, as_system, rank
+from weq.words import EqSystem, Equation, LambdaVector, Morphism, Word, rank
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -18,7 +19,7 @@ settings.load_profile("exact")
 def eq(left: str, right: str) -> Equation:
     """Single equation from unknown letters (x, y, z, ... ordering)."""
     system, _ = parse_system(f"{left} = {right}")
-    return system.equations[0]
+    return system[0]
 
 
 def eq_n(left: str, right: str, n: int) -> Equation:
@@ -113,20 +114,67 @@ def delta_k(E: Equation, k: int) -> Equation:
     return Equation(strip(E.left), strip(E.right), E.n - 1)
 
 
-def reference_is_solution(h: Morphism, T) -> bool:
-    """Whether ``h`` maps both sides of every equation of ``T`` to the same
-    word, each image built by concatenating checked ``Word``s with
+def reference_is_solution(h: Morphism, system: EqSystem) -> bool:
+    """Whether ``h`` maps both sides of every equation of ``system`` to the
+    same word, each image built by concatenating checked ``Word``s with
     ``Word.__add__``; oracle for ``is_solution``."""
-    system = as_system(T)
     if h.domain_size != system.n:
         raise ValueError(f"morphism has {h.domain_size} images but the system uses {system.n} unknowns")
     image = lambda w: reduce(add, (h.images[s] for s in w), Word())
     return all(image(e.left) == image(e.right) for e in system)
 
 
-def is_trivial(T) -> bool:
+def is_trivial(system: EqSystem) -> bool:
     """Whether every equation of the system has identical sides."""
-    return all(e.left == e.right for e in as_system(T))
+    return all(e.left == e.right for e in system)
+
+
+def two_unknown_system(rng: random.Random, max_side: int = 6) -> EqSystem:
+    """One or two random equations over x and y, each side at most
+    ``max_side`` long. Each right side is, with even odds, a shuffle of its
+    left side, so that balanced systems, whose solutions fall in many
+    classes, occur often."""
+    equations = []
+    for _ in range(rng.randint(1, 2)):
+        u = random_word(rng, 2, max_side)
+        v = Word(rng.sample(u, len(u))) if rng.random() < 0.5 else random_word(rng, 2, max_side)
+        equations.append(Equation(u, v, 2))
+    return EqSystem(equations)
+
+
+def against_defect_theorem(counts: SolutionCounts, system: EqSystem) -> tuple[tuple, tuple]:
+    """``counts``, the counts of a system over two unknowns within
+    ``counts.config``, and their closed form, as two tuples to compare:
+    the solution count, the rank counts and the class sizes in class order.
+
+    The closed form is the defect theorem (Lothaire 1983, ch. 1): two
+    words that solve a nontrivial equation are powers of one word. Of
+    length type (a, b), with d = gcd(a, b) and gcd(0, b) = b, there are
+    k^d such pairs, and they solve u = v exactly when
+    (|u|_x - |v|_x) a + (|u|_y - |v|_y) b = 0. The empty pair has rank 0
+    and every other rank 1, in the class of normal (b/d, -a/d) in
+    canonical sign. An equation with identical sides imposes nothing, and
+    a system of only such equations is solved by all k^(a+b) candidates,
+    whose ranks the theorem does not give: its tuples hold the solution
+    count alone.
+    """
+    if system.n != 2:
+        raise ValueError(f"expected a system over two unknowns, got {system.n}")
+    cfg, k = counts.config, counts.config.alphabet_size
+    low, L = (0 if cfg.allow_erasing else 1), cfg.max_total_image_length
+    types = [(a, b) for a in range(low, L + 1) for b in range(low, L - a + 1)]
+    diffs = [(e.left.count(0) - e.right.count(0), e.left.count(1) - e.right.count(1)) for e in system if e.left != e.right]
+    got = (counts.solution_count, counts.rank_counts, list(counts.class_sizes.items()))
+    if not diffs:
+        return got[:1], (sum(k ** (a + b) for a, b in types),)
+    ranks, classes = Counter(), Counter()
+    for a, b in types:
+        if all(dx * a + dy * b == 0 for dx, dy in diffs):
+            ways = k ** gcd(a, b)
+            ranks[1 if a + b else 0] += ways
+            if a + b:
+                classes[direction((b, -a))] += ways
+    return got, (sum(ranks.values()), dict(sorted(ranks.items())), sorted(classes.items()))
 
 
 def is_letter_renaming(h: Morphism) -> bool:

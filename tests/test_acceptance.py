@@ -13,14 +13,14 @@ from weq.poly import MultiPoly, binomial_factors, minimal_monomials, pure_differ
 from weq.principal import principal_decompose
 from weq.search import SearchConfig, random_equation, random_equation_solved_by, verify_bounds, verify_encoding
 from weq.textio import parse_system
-from weq.words import EqSystem, LambdaVector, Morphism, Word, compose, gamma_normal, is_solution, rank
+from weq.words import LambdaVector, Morphism, Word, compose, gamma_normal, is_solution, rank
 from test_principal import solved_system_instances
 from test_poly import random_mixed_lambda
 
 from conftest import evaluate, is_trivial, linear_equivalent, nonerasing_morphism
 
 SYSTEM, NAMES = parse_system("xyxz = zxyx\nxyxxz = zxxyx")
-E1, E2 = SYSTEM.equations
+E1, E2 = SYSTEM
 
 
 def report(num: int, text: str) -> None:
@@ -246,7 +246,7 @@ def test_criterion_08_bound_verification_at_desk_scale():
 
 def test_criterion_09_conjugacy_family():
     t0 = time.perf_counter()
-    T = EqSystem((parse_system("xz = zy")[0].equations[0],))
+    T, _ = parse_system("xz = zy")
     family = []
     for i in range(5):
         g = Morphism.from_images("ab", "ba", "ab" * i + "a")

@@ -284,7 +284,7 @@ class TestExclusiveSolutionSeparation:
             h
             for members in classes_of(only_first).values()
             for h in members
-            if not is_solution(h, E2)
+            if not is_solution(h, EqSystem((E2,)))
         ]
         common_classes = classes_of(common)
         assert common_classes and exclusive

@@ -134,7 +134,7 @@ POLY_TOKENS = ["X", "Y", "Z", "X1", "X4", "X02", "X27", "W", "0", "1", "2", "3",
 class TestTextRoundTrips:
     def test_equation_roundtrip(self):
         system, names = parse_system("xyxz = zxyx")
-        assert system.equations[0].text(names) == "xyxz = zxyx"
+        assert system[0].text(names) == "xyxz = zxyx"
 
     def test_system_parsing_with_comments(self):
         system, names = parse_system("# two equations\nxy = yx\n\nxz = zx # tail\n")
@@ -194,7 +194,7 @@ class TestTextRoundTrips:
     def test_equation_text_needs_one_name_per_unknown(self):
         system, _ = parse_system(PAIR_TEXT)
         with pytest.raises(ValueError, match="expected 3 unknown names, got 1"):
-            system.equations[0].text(["x"])
+            system[0].text(["x"])
 
     def test_morphism_missing_binding(self):
         with pytest.raises(ParseError):

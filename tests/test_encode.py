@@ -215,7 +215,7 @@ class TestCheckSolutionPoly:
                 h = random_morphism(rng, n, k, 6)
             else:
                 E, h = random_solution_instance(rng, n, k, 6, 5)
-            assert check_solution_poly(E, h) == is_solution(h, E)
+            assert check_solution_poly(E, h) == is_solution(h, EqSystem((E,)))
 
     @settings(max_examples=400)
     @given(check_cases())
@@ -228,7 +228,7 @@ class TestCheckSolutionPoly:
     @example((eq_n("", "xyx", 2), morph("", "b")))
     def test_matches_polynomial_reference(self, case):
         E, h = case
-        assert check_solution_poly(E, h) == reference_check_solution_poly(E, h) == is_solution(h, E)
+        assert check_solution_poly(E, h) == reference_check_solution_poly(E, h) == is_solution(h, EqSystem((E,)))
 
     def test_matches_reference_on_the_encoding_fuzz(self, monkeypatch):
         compared = []

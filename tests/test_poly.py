@@ -683,7 +683,7 @@ class TestAgainstGeneralFactorizer:
     def test_large_determinant_matches_sympy(self, text):
         sympy = pytest.importorskip("sympy")
         system, _ = parse_system(text)
-        E, Ep = system.equations
+        E, Ep = system
         det = next(d for d in PairAnalysis(E, Ep).grid.values() if d)
         assert len(det.terms) >= 190
         assert_matches_sympy(sympy, det, binomial_factors(det))

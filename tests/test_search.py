@@ -13,6 +13,7 @@ from weq.encode import check_solution_poly
 from weq.principal import principal_decompose
 from weq.search import (
     BoundCheckReport,
+    MAX_CANDIDATES,
     SearchConfig,
     SearchSpaceError,
     SolutionCounts,
@@ -43,7 +44,18 @@ from weq.words import (
     rank,
 )
 
-from conftest import classes_of, delta_k, direction, eq, eq_n, is_trivial, morph, theta_alpha
+from conftest import (
+    against_defect_theorem,
+    classes_of,
+    delta_k,
+    direction,
+    eq,
+    eq_n,
+    is_trivial,
+    morph,
+    theta_alpha,
+    two_unknown_system,
+)
 from test_words import reference_normal, reference_rank
 
 CONJ = EqSystem((eq("xz", "zy"),))
@@ -243,7 +255,7 @@ class TestEnumeration:
         # x1 x1 x2 x2 ... = x1 x2 ... erases every unknown, so listing is cheap
         # and each budget tests the refusal alone, on both sides of the size
         for n, k, allow_erasing, L in product(range(4), (1, 2, 3), (True, False), range(7)):
-            system = Equation(Word(j for j in range(n) for _ in "xx"), Word(range(n)), n)
+            system = EqSystem((Equation(Word(j for j in range(n) for _ in "xx"), Word(range(n)), n),))
             cfg = SearchConfig(L, k, allow_erasing)
             size = search_space_size(n, cfg)
             for budget in {0, 50, size - 1, size} - {-1}:
@@ -511,6 +523,39 @@ class TestCounting:
             count_solutions(CONJ, SearchConfig(30, 3))
 
 
+class TestTwoUnknownsAgainstDefectTheorem:
+    """The counts of random systems over x and y against the closed form
+    of ``conftest.against_defect_theorem``: the dynamic program at every
+    budget the candidate limit admits, and the listing on small spaces."""
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(0, 14), st.booleans())
+    @example(random.Random(0), 3, 13, True)
+    @example(random.Random(1), 3, 14, False)
+    @example(random.Random(2), 2, 6, False)
+    def test_counts_match_the_closed_form(self, rng, k, L, allow_erasing):
+        system, cfg = two_unknown_system(rng), SearchConfig(L, k, allow_erasing)
+        if search_space_size(2, cfg) > MAX_CANDIDATES:
+            with pytest.raises(SearchSpaceError):
+                count_solutions(system, cfg)
+            return
+        got, want = against_defect_theorem(count_solutions(system, cfg), system)
+        assert got == want
+        if L <= 6:
+            got, want = against_defect_theorem(enumerate_solutions(system, cfg).counts, system)
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "sides",
+        [("xy", "yx"), ("xxy", "yxx"), ("xyy", "yx"), ("xy", "xy"), ("xy", "yx", "xxy", "yxx"), ("xy", "yx", "x", "y")],
+        ids=["commuting", "balanced", "one-class", "trivial", "two-balanced", "equal-lengths"],
+    )
+    def test_named_systems_at_the_largest_budget(self, sides):
+        # length 21 is the largest the candidate limit admits for two unknowns over two letters
+        system = EqSystem(tuple(eq_n(u, v, 2) for u, v in zip(sides[::2], sides[1::2])))
+        got, want = against_defect_theorem(count_solutions(system, SearchConfig(21, 2)), system)
+        assert got == want
+
+
 class TestKindCache:
     """The one cache that classifies count matrices for the listing and the count."""
 
@@ -553,7 +598,7 @@ class TestCatalogInvariants:
         catalog = enumerate_solutions(CONJ, SearchConfig(5, 2))
         for h in catalog.solutions:
             for E in CONJ:
-                assert is_solution(h, E) == check_solution_poly(E, h)
+                assert is_solution(h, EqSystem((E,))) == check_solution_poly(E, h)
 
     def test_defect_effect_on_found_solutions(self):
         catalog = enumerate_solutions(CONJ, SearchConfig(5, 2))
@@ -650,17 +695,17 @@ def reference_verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> Bou
 
 class TestVerifyBounds:
     def test_worked_pair_ok(self):
-        report = verify_bounds(PAIR.equations[0], PAIR.equations[1], SearchConfig(10, 2))
+        report = verify_bounds(*PAIR, SearchConfig(10, 2))
         assert report.status == "ok"
         assert report.ok
         assert report.classes == 1
-        pa = PairAnalysis(*PAIR.equations)
+        pa = PairAnalysis(*PAIR)
         assert report.classes <= min(pa.sum_bound, pa.best) == 8
 
     def test_violation_reports_counterexample(self, monkeypatch):
         # no pair breaks a proved bound, so force one: a limit of 0 classes
         monkeypatch.setattr(PairAnalysis, "best", 0)
-        report = verify_bounds(PAIR.equations[0], PAIR.equations[1], SearchConfig(8, 2))
+        report = verify_bounds(*PAIR, SearchConfig(8, 2))
         assert report.status == "ok" and not report.ok
         assert report.counterexample == {
             "limit": 0,
@@ -668,7 +713,7 @@ class TestVerifyBounds:
         }
 
     def test_identical_pair_skipped(self):
-        E = PAIR.equations[0]
+        E = PAIR[0]
         report = verify_bounds(E, E, SearchConfig(6, 2))
         assert report.status == "identical-equations"
         assert report.ok
@@ -702,7 +747,7 @@ class TestVerifyBounds:
         if best is not None:
             monkeypatch.setattr(PairAnalysis, "best", best)
         pairs = [
-            PAIR.equations,
+            PAIR,
             (eq("xy", "yx"), eq("yx", "xy")),
             (eq("xyz", "zyx"), eq("xzy", "yzx")),
             (eq_n("xy", "yx", 3), eq_n("xz", "zx", 3)),

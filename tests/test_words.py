@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from weq.principal import principal_decompose
 from weq.search import (
     SearchConfig,
     count_solutions,
@@ -319,7 +320,7 @@ class TestIsSolution:
 
     def test_trivial_system(self):
         h = morph("a", "b")
-        assert is_solution(h, eq("xy", "xy"))
+        assert is_solution(h, EqSystem((eq("xy", "xy"),)))
 
     def test_non_solution(self):
         assert not is_solution(morph("a", "b", "a"), CONJ)
@@ -340,7 +341,8 @@ class TestIsSolutionAgainstReference:
         T, h = case
         assert is_solution(h, T) == reference_is_solution(h, T)
         for E in T:
-            assert is_solution(h, E) == reference_is_solution(h, E)
+            one = EqSystem((E,))
+            assert is_solution(h, one) == reference_is_solution(h, one)
 
     def test_seeded_solutions_and_non_solutions(self, rng):
         seen = Counter()
@@ -350,14 +352,71 @@ class TestIsSolutionAgainstReference:
                 E, h = random_solution_instance(rng, n, k, 4, 4)
             else:
                 E, h = random_equation(rng, n, 8), random_morphism(rng, n, k, 4)
-            expected = reference_is_solution(h, E)
-            assert is_solution(h, E) == expected, (E, h)
+            T = EqSystem((E,))
+            expected = reference_is_solution(h, T)
+            assert is_solution(h, T) == expected, (E, h)
             seen[expected] += 1
         assert min(seen.values()) > 500, seen
 
     def test_reference_rejects_a_dimension_mismatch(self):
         with pytest.raises(ValueError):
             reference_is_solution(morph("a", "b"), CONJ)
+
+
+class TestEqSystem:
+    """A system is the tuple of its equations, checked where it is built,
+    and the one argument type of every solver."""
+
+    PAIR = (eq("xyxz", "zxyx"), eq("xyxxz", "zxxyx"))
+
+    def test_is_the_tuple_of_its_equations(self):
+        T = EqSystem(self.PAIR)
+        assert T == self.PAIR and hash(T) == hash(self.PAIR)
+        assert {self.PAIR: 1}[T] == 1
+        assert type(T[:1]) is tuple and T[:1] == self.PAIR[:1]
+        assert type(T.equations) is tuple and T.equations == self.PAIR
+        assert EqSystem(list(self.PAIR)) == EqSystem(E for E in self.PAIR) == T
+        assert T.n == 3 and len(T) == 2 and list(T) == list(self.PAIR)
+        assert not hasattr(T, "__dict__")
+
+    # each refused tuple of equations, with its message
+    REFUSED = [
+        ((), "a system needs at least one equation"),
+        ((eq("x", "x"), eq("xy", "yx")), "all equations of a system must share the unknown count"),
+    ]
+
+    @pytest.mark.parametrize("equations, message", REFUSED, ids=["empty", "mixed-counts"])
+    def test_refusals_keep_their_messages(self, equations, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EqSystem(equations)
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda T: pickle.loads(pickle.dumps(T)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_copies_go_through_the_checks(self, copy_of):
+        T = EqSystem(self.PAIR)
+        copied = copy_of(T)
+        assert copied == T and type(copied) is EqSystem
+        # a system built around the checks is refused when it is copied
+        for equations, message in self.REFUSED:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                copy_of(tuple.__new__(EqSystem, equations))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda E: is_solution(morph("a", "a"), E),
+            lambda E: enumerate_solutions(E, SearchConfig(4, 2)),
+            lambda E: count_solutions(E, SearchConfig(4, 2)),
+            lambda E: principal_decompose(morph("a", "a"), E),
+        ],
+        ids=["is_solution", "enumerate_solutions", "count_solutions", "principal_decompose"],
+    )
+    def test_solvers_refuse_a_bare_equation(self, solve):
+        E = eq("xy", "yx")
+        assert solve(EqSystem((E,)))
+        with pytest.raises(TypeError):
+            solve(E)
 
 
 class TestGammaMatrix:
