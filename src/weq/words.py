@@ -11,8 +11,9 @@ one type of a hyperplane normal, is likewise the tuple of its entries: the
 divisor test of ``tests/test_analysis.py`` finds the search's class normals
 among the factor directions as they are. An ``EqSystem`` is the tuple of
 its equations, checked to be nonempty and to share one unknown count. Every
-solver takes one, so one equation E goes in as ``EqSystem((E,))``; a bare
-``Equation`` is not iterable, and a solver given one raises ``TypeError``.
+solver takes one, so one equation E goes in as ``EqSystem((E,))``; a solver
+given a bare ``Equation`` raises rather than answer, ``TypeError`` once it
+iterates it.
 Everything in this module is an immutable value and every operation is a
 pure function, so instances can be shared freely across threads.
 

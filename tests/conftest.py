@@ -171,9 +171,11 @@ def against_defect_theorem(counts: SolutionCounts, system: EqSystem) -> tuple[tu
     for a, b in types:
         if all(dx * a + dy * b == 0 for dx, dy in diffs):
             ways = k ** gcd(a, b)
-            ranks[1 if a + b else 0] += ways
             if a + b:
+                ranks[1] += ways
                 classes[direction((b, -a))] += ways
+            else:
+                ranks[0] += ways
     return got, (sum(ranks.values()), dict(sorted(ranks.items())), sorted(classes.items()))
 
 
