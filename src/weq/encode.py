@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .poly import MultiPoly
+from .poly import MultiPoly, _add_product
 from .words import Equation, Morphism
 
 SVector = tuple[MultiPoly, ...]
@@ -81,8 +81,10 @@ def check_solution_poly(E: Equation, h: Morphism) -> bool:
 def minor(S: SVector, Sp: SVector, j: int, k: int) -> MultiPoly:
     """The 2x2 minor ``S_j Sp_k - Sp_j S_k`` of two coefficient vectors in
     columns (j, k); antisymmetric in (j, k). The one spelling of a pair
-    determinant, read by ``t_det`` and ``PairAnalysis.grid``."""
-    return S[j] * Sp[k] - Sp[j] * S[k]
+    determinant, read by ``t_det`` and ``PairAnalysis.grid``. Both products
+    are summed into one term map, with no intermediate polynomial."""
+    terms = _add_product(_add_product({}, S[j], Sp[k]), Sp[j], S[k], -1)
+    return MultiPoly._from_terms(S[j].n, terms)
 
 
 def t_det(E: Equation, Ep: Equation, j: int, k: int) -> MultiPoly:

@@ -19,7 +19,10 @@ floor(e_i / lam_i)`` times, so its normal form is strategy-independent.
 The normal form is the one point of the lam-line ``e + Z*lam`` inside
 the orthant that admits no rewrite, so it names the line. The remainder
 is the sum of the normal forms, and therefore vanishes exactly when the
-coefficients on every lam-line of the support sum to zero.
+coefficients on every lam-line of the support sum to zero. The code
+names a line without rewriting: ``lam`` is primitive, so two exponents
+lie on one lam-line exactly when their cross products with ``lam``
+(``e_j*lam_i - e_i*lam_j``, for the first nonzero ``lam_i``) agree.
 
 Factor extraction rests on three consequences of that line-sum rule:
 
@@ -30,29 +33,36 @@ Factor extraction rests on three consequences of that line-sum rule:
   ``e - e0``; likewise for the last support monomial. The divisors are
   among the directions common to both anchors whose lines through them
   sum to zero: ``2(m-1)`` normalized differences for ``m`` terms, not
-  the ``m(m-1)/2`` of all support pairs. Each difference costs one
-  normalization: one gcd, and no division when the gcd is 1.
+  the ``m(m-1)/2`` of all support pairs. The first anchor is the
+  lexicographically least, so every difference from it is
+  lexicographically positive, and every difference to the last anchor
+  is too; each costs one gcd of known sign, and no division when the
+  gcd is 1.
 * **One pass.** A pure-difference divisor of a quotient divides the
   input, and Z[X] has unique factorization, so one sweep over the input's
   candidates that divides out each direction while it divides finds
   every factor with its multiplicity.
 * **Test before dividing.** The line sums decide divisibility in one
-  pass over the terms. The divisor directions come from this test
-  alone: the lines and the anchor differences do not change when the
-  polynomial is shifted by a monomial, and distinct irreducible pure
-  differences are coprime to each other and to every monomial, so a
-  direction divides the input exactly when it divides its quotient by
-  the content and the other factors. Only ``binomial_factors`` builds
-  quotients, and only for a divisor.
+  pass over the terms that builds nothing else. The divisor directions
+  come from this test alone: the lines and the anchor differences do not
+  change when the polynomial is shifted by a monomial, and distinct
+  irreducible pure differences are coprime to each other and to every
+  monomial, so a direction divides the input exactly when it divides its
+  quotient by the content and the other factors. Only a divisor gets its
+  lines built, as coefficient lists from each line's lowest support
+  point; the multiplicity is counted on those lists, and one quotient is
+  built per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import gcd
 from operator import add, le, sub
 from typing import Mapping, Sequence
 
-from .words import InternalError, LambdaVector, _canonical_entries, unknown_names
+from .words import InternalError, LambdaVector, unknown_names
 
 # The most terms a quotient by a pure difference may have. A determinant of
 # equations of total length m has degree at most m, so it never comes near.
@@ -168,16 +178,7 @@ class MultiPoly:
             terms = {e: c * other for e, c in self._terms.items()} if other else {}
             return MultiPoly._from_terms(self.n, terms)
         self._check_same_ring(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(map(add, e1, e2))
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    out.pop(e, None)
-        return MultiPoly._from_terms(self.n, out)
+        return MultiPoly._from_terms(self.n, _add_product({}, self, other))
 
     __rmul__ = __mul__
 
@@ -189,14 +190,33 @@ class MultiPoly:
         while k:
             if k & 1:
                 res = res * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return res
 
     def __str__(self) -> str:
         return format_poly(self)
 
     __repr__ = __str__
+
+
+def _add_product(
+    out: dict[tuple[int, ...], int], p: MultiPoly, q: MultiPoly, sign: int = 1
+) -> dict[tuple[int, ...], int]:
+    """Add ``sign * p * q`` into the term map ``out`` in place, keeping no
+    zero term, and return it. ``p`` and ``q`` share the ring of ``out``."""
+    q_terms = q._terms
+    for e1, c1 in p._terms.items():
+        c1 *= sign
+        for e2, c2 in q_terms.items():
+            e = tuple(map(add, e1, e2))
+            nc = out.get(e, 0) + c1 * c2
+            if nc:
+                out[e] = nc
+            else:
+                del out[e]
+    return out
 
 
 def format_poly(p: MultiPoly) -> str:
@@ -231,30 +251,91 @@ def pure_difference(lam: LambdaVector) -> MultiPoly:
     ``lam`` is coprime with disjoint positive/negative parts by
     construction, which makes the difference irreducible in Z[X].
     """
-    return MultiPoly(len(lam), {lam.plus: 1, lam.minus: -1})
+    return MultiPoly._from_terms(len(lam), {lam.plus: 1, lam.minus: -1})
 
 
-def _lam_lines(p: MultiPoly, lam: LambdaVector) -> dict[tuple[int, ...], dict[int, int]] | None:
-    """The support of ``p`` grouped by lam-line, or None when the
-    coefficients on some line do not sum to zero, that is, when
-    ``X^(lam+) - X^(lam-)`` does not divide ``p`` (see the module
-    docstring). Each line is keyed by its normal form ``f`` and maps
-    ``k`` to the coefficient at ``f + k*lam``."""
+def _pivot(p: MultiPoly, lam: LambdaVector) -> tuple[int, int]:
+    """The pivot of ``lam``: the index and value of its first nonzero
+    entry, which is positive. ``ValueError`` when ``lam`` does not have one
+    entry per variable of ``p``."""
     if p.n != len(lam):
         raise ValueError(f"variable count mismatch: {p.n} vs {len(lam)}")
-    pos = [(i, l) for i, l in enumerate(lam) if l > 0]
-    lines: dict[tuple[int, ...], dict[int, int]] = {}
+    li = next(filter(None, lam))
+    return lam.index(li), li
+
+
+def _divides(p: MultiPoly, lam: LambdaVector) -> bool:
+    """Whether ``X^(lam+) - X^(lam-)`` divides ``p``: the coefficients on
+    every lam-line of the support sum to zero (see the module docstring).
+    A line is keyed by the cross products of its points with ``lam``."""
+    i, li = _pivot(p, lam)
+    sums: dict[tuple[int, ...], int] = {}
     for e, c in p._terms.items():
-        k = min([e[i] // l for i, l in pos])
-        nf = tuple([ei - k * li for ei, li in zip(e, lam)]) if k else e
-        line = lines.get(nf)
+        ei = e[i]
+        key = tuple([a * li - ei * b for a, b in zip(e, lam)])
+        sums[key] = sums.get(key, 0) + c
+    return not any(sums.values())
+
+
+def _divide_out(p: MultiPoly, lam: LambdaVector, once: bool) -> tuple[int, MultiPoly]:
+    """``(m, p / b^m)`` for the pure difference ``b`` of ``lam``, with ``m``
+    its multiplicity in ``p``, or at most 1 when ``once``.
+
+    Each lam-line of the support holds the points ``low + t*lam`` for
+    ``t = 0..T``, from its lowest support point ``low``, with coefficients
+    ``c_t``. Dividing by ``b`` divides ``sum c_t z^t`` by ``z - 1`` on every
+    line: the quotient holds ``-(c_0 + ... + c_t)`` at ``low + t*lam - lam-``
+    for ``t = 0..T-1``, and the division is exact while every line's sum is
+    zero. So ``m`` is read off the lines' coefficient lists by repeated
+    prefix sums, and one quotient is built at the end. A first quotient of
+    more than ``MAX_QUOTIENT_TERMS`` terms is refused with ``ValueError``
+    before it is built.
+    """
+    if not _divides(p, lam):
+        return 0, p
+    i, li = _pivot(p, lam)
+    terms = p._terms
+    lines: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    for e in terms:
+        ei = e[i]
+        key = tuple([a * li - ei * b for a, b in zip(e, lam)])
+        line = lines.get(key)
         if line is None:
-            lines[nf] = {k: c}
+            lines[key] = {ei: e}
         else:
-            line[k] = c
-    if any(sum(line.values()) for line in lines.values()):
-        return None
-    return lines
+            line[ei] = e
+    spans = [(line, min(line), max(line)) for line in lines.values()]
+    size = sum(hi - lo for _, lo, hi in spans) // li
+    if size > MAX_QUOTIENT_TERMS:
+        by = format_poly(pure_difference(lam))
+        raise ValueError(f"the quotient by {by} could have {size} terms, more than {MAX_QUOTIENT_TERMS}")
+    lows, quot = [], []
+    for line, lo, hi in spans:
+        coeffs = [0] * ((hi - lo) // li + 1)
+        for ei, e in line.items():
+            coeffs[(ei - lo) // li] = terms[e]
+        lows.append(line[lo])
+        quot.append(coeffs)
+    m = 0
+    while True:
+        # up to the sign (-1)^m, the quotient lines are repeated prefix sums
+        prefix = [list(accumulate(q)) for q in quot]
+        if any(q[-1] for q in prefix):
+            break
+        for q in prefix:
+            q.pop()
+        quot, m = prefix, m + 1
+        if once:
+            break
+    sign, shift = (-1) ** m, tuple([m * v for v in lam.minus])
+    out: dict[tuple[int, ...], int] = {}
+    for low, q in zip(lows, quot):
+        e = tuple(map(sub, low, shift))
+        for c in q:
+            if c:
+                out[e] = sign * c
+            e = tuple(map(add, e, lam))
+    return m, MultiPoly._from_terms(p.n, out)
 
 
 def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
@@ -262,30 +343,12 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     division leaves a remainder.
 
     The line-sum test runs first, so a quotient is built only for a
-    divisor. On the line with normal form ``f`` and points ``f + k*lam``
-    for ``k = 0..K``, the quotient holds ``X^(f + i*lam - lam-)`` for
-    ``i = 0..K-1``, with the sum of the coefficients at ``k > i``. A
-    quotient of more than ``MAX_QUOTIENT_TERMS`` terms is refused with
-    ``ValueError`` before it is built.
+    divisor (see ``_divide_out``). A quotient of more than
+    ``MAX_QUOTIENT_TERMS`` terms is refused with ``ValueError`` before it
+    is built.
     """
-    lines = _lam_lines(p, lam)
-    if lines is None:
-        return None
-    spans = [(nf, line, min(line), max(line)) for nf, line in lines.items()]
-    size = sum(hi - lo for _, _, lo, hi in spans)
-    if size > MAX_QUOTIENT_TERMS:
-        by = format_poly(pure_difference(lam))
-        raise ValueError(f"the quotient by {by} could have {size} terms, more than {MAX_QUOTIENT_TERMS}")
-    minus = lam.minus
-    quotient: dict[tuple[int, ...], int] = {}
-    for nf, line, lo, hi in spans:
-        base = tuple(map(sub, nf, minus))
-        acc = 0
-        for k in range(hi - 1, lo - 1, -1):
-            acc += line.get(k + 1, 0)
-            if acc:
-                quotient[tuple([bi + k * li for bi, li in zip(base, lam)])] = acc
-    return MultiPoly._from_terms(p.n, quotient)
+    m, q = _divide_out(p, lam, once=True)
+    return q if m else None
 
 
 @dataclass(frozen=True)
@@ -305,7 +368,7 @@ class BinomialFactorization:
 
     def expand(self) -> MultiPoly:
         """Multiply the factorization back out."""
-        out = MultiPoly.monomial(self.n, self.content, self.sign)
+        out = MultiPoly._from_terms(self.n, {self.content: self.sign})
         for lam, mult in self.factors:
             out = out * pure_difference(lam) ** mult
         return out * self.residual
@@ -333,25 +396,31 @@ def _shift_down(p: MultiPoly, mu: tuple[int, ...]) -> MultiPoly:
     return MultiPoly._from_terms(p.n, shifted)
 
 
+def _primitive(d: tuple[int, ...]) -> tuple[int, ...]:
+    """``d`` over the gcd of its entries. For a lexicographically positive
+    ``d`` that is its canonical direction, with no sign to settle."""
+    g = gcd(*d)
+    return d if g == 1 else tuple([v // g for v in d])
+
+
 def _anchor_candidates(terms: Mapping[tuple[int, ...], int]) -> list[LambdaVector]:
     """The directions, in sorted order, through both the first and
     the last support monomial whose lines through these two anchors have
     zero coefficient sum: a divisor's line through an anchor holds a
     second support monomial, so the divisor is the normalized difference
-    of the two, and its line sums vanish."""
-
-    def line_sums(anchor: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """Coefficient sum of each line through ``anchor`` that holds a
-        second support monomial, keyed by its canonical direction."""
-        sums: dict[tuple[int, ...], int] = {}
-        at_anchor = terms[anchor]
-        for e, c in terms.items():
-            if e != anchor:
-                d = _canonical_entries(tuple(map(sub, e, anchor)))
-                sums[d] = sums.get(d, at_anchor) + c
-        return sums
-
-    first, last = line_sums(min(terms)), line_sums(max(terms))
+    of the two, and its line sums vanish. Each sum map is keyed by the
+    canonical direction of the line through its anchor; ``e - lo`` and
+    ``hi - e`` are lexicographically positive, so ``_primitive`` gives it."""
+    lo, hi = min(terms), max(terms)
+    first: dict[tuple[int, ...], int] = {}
+    last: dict[tuple[int, ...], int] = {}
+    for e, c in terms.items():
+        if e != lo:
+            d = _primitive(tuple(map(sub, e, lo)))
+            first[d] = first.get(d, terms[lo]) + c
+        if e != hi:
+            d = _primitive(tuple(map(sub, hi, e)))
+            last[d] = last.get(d, terms[hi]) + c
     return sorted(LambdaVector(d) for d, total in first.items() if not total and last.get(d) == 0)
 
 
@@ -362,7 +431,7 @@ def pure_difference_divisors(p: MultiPoly) -> tuple[LambdaVector, ...]:
     quotient (see the module docstring)."""
     if not p:
         raise ValueError("every pure difference divides the zero polynomial")
-    return tuple(lam for lam in _anchor_candidates(p._terms) if _lam_lines(p, lam) is not None)
+    return tuple(lam for lam in _anchor_candidates(p._terms) if _divides(p, lam))
 
 
 def binomial_factors(p: MultiPoly) -> BinomialFactorization:
@@ -379,13 +448,10 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
         raise ValueError("the zero polynomial has no factorization")
     n = p.n
     content = _content(p._terms)
-    cur = _shift_down(p, content)
+    cur = _shift_down(p, content) if any(content) else p
     factors: list[tuple[LambdaVector, int]] = []
     for lam in _anchor_candidates(cur._terms):
-        mult = 0
-        while (q := divide_by_binomial(cur, lam)) is not None:
-            mult += 1
-            cur = q
+        mult, cur = _divide_out(cur, lam, once=False)
         if mult:
             factors.append((lam, mult))
     sign = 1

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weq import search
-from weq.encode import balanced_residual, check_solution_poly, is_balanced, s_vector, t_det
+from weq.encode import balanced_residual, check_solution_poly, is_balanced, minor, s_vector, t_det
 from weq.poly import MultiPoly, divide_by_binomial
 from weq.search import (
     random_equation,
@@ -244,7 +244,32 @@ class TestCheckSolutionPoly:
         assert report["discrepancies"] == [] and 0 < report["positives"] < report["cases"]
 
 
+@st.composite
+def equation_pairs(draw):
+    """Two equations over 1-5 unknowns, sides of 0-7 letters, each side
+    starting with a prefix the two sides share, so that the first
+    occurrences cancel in the coefficient vector."""
+    n = draw(st.integers(1, 5))
+    word = st.lists(st.integers(0, n - 1), max_size=4)
+
+    def equation():
+        prefix = draw(word)
+        return Equation(Word(prefix + draw(word)), Word(prefix + draw(word)), n)
+
+    return equation(), equation()
+
+
 class TestDeterminants:
+    @given(equation_pairs(), st.data())
+    def test_minor_is_the_ring_expression(self, pair, data):
+        S, Sp = map(s_vector, pair)
+        j, k = (data.draw(st.integers(0, len(S) - 1)) for _ in range(2))
+        det = minor(S, Sp, j, k)
+        assert det == S[j] * Sp[k] - Sp[j] * S[k]
+        assert minor(S, Sp, k, j) == -det
+        assert not minor(S, Sp, j, j)
+        assert not minor(S, S, j, k)
+
     def test_worked_example(self):
         x, y, z = (MultiPoly.variable(3, i) for i in range(3))
         t = x * (x * x * y - z)

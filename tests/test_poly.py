@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weq.analysis import PairAnalysis
@@ -15,6 +15,8 @@ from weq.poly import (
     minimal_monomials,
     pure_difference,
     pure_difference_divisors,
+    _divide_out,
+    _divides,
 )
 from weq.search import random_equation_solved_by
 from weq.textio import parse_system
@@ -50,6 +52,16 @@ def reference_divide(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     if any(remainder.values()):
         return None
     return MultiPoly(p.n, quotient)
+
+
+def reference_multiplicity(p: MultiPoly, lam: LambdaVector) -> tuple[int, MultiPoly]:
+    """The multiplicity ``m`` of ``X^(lam+) - X^(lam-)`` in a nonzero ``p``
+    and the quotient by its m-th power, by ``reference_divide`` until it
+    leaves a remainder."""
+    m = 0
+    while (q := reference_divide(p, lam)) is not None:
+        m, p = m + 1, q
+    return m, p
 
 
 def reference_shift_down(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
@@ -221,6 +233,23 @@ class TestArithmetic:
             q = q * p
         assert p**a == q
 
+    def test_power_takes_a_product_per_bit(self, monkeypatch):
+        products = []
+        mul = MultiPoly.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counted)
+        p = MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1)
+        assert p**0 == MultiPoly.one(2) and not products
+        for k in range(1, 70):
+            products.clear()
+            p**k
+            # one product per set bit, one square per bit after the first
+            assert len(products) == k.bit_count() + k.bit_length() - 1, k
+
 
 class TestEvaluate:
     def test_monomial_rule(self, rng):
@@ -321,6 +350,51 @@ class TestDivision:
         two_lines = P(2, {(60_000, 1): 1, (0, 1): -1, (60_000, 0): 1, (0, 0): -1})
         with pytest.raises(ValueError, match="could have 120000 terms"):
             divide_by_binomial(two_lines, LambdaVector((1, 0)))
+
+
+@st.composite
+def line_key_cases(draw):
+    """A direction over 1-4 unknowns with entries up to 3 in absolute
+    value, and a sparse polynomial times 0-3 powers of its pure difference,
+    sometimes times the pure difference of k times the direction (a line of
+    k + 1 points), shifted by a monomial with one exponent that may be in
+    the thousands. The reference rewrites each monomial once per step
+    along its line, so k and the other exponents stay small."""
+    n = draw(st.integers(1, 4))
+    lam = direction(draw(directions(n)))
+    p = draw(sparse_polys(n, max_terms=4)) * pure_difference(lam) ** draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 50))
+        p = p * P(n, {tuple(k * v for v in lam.plus): 1, tuple(k * v for v in lam.minus): -1})
+    shift = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    shift[draw(st.integers(0, n - 1))] += draw(st.sampled_from((0, 1000)))
+    return lam, p * MultiPoly.monomial(n, shift)
+
+
+class TestLineKey:
+    """Divisibility, multiplicity and quotient, read off the lines of the
+    support keyed by their cross products with the direction, against the
+    normal-form rewriting of ``reference_divide``."""
+
+    @given(line_key_cases())
+    @example((LambdaVector((1,)), P(1, {(1003,): 1, (1000,): -1}) ** 2 * P(1, {(1,): 1, (0,): 2})))
+    @example((LambdaVector((3, -1, 0)), P(3, {(3, 0, 0): 1, (0, 1, 0): -1}) ** 2 * P(3, {(1, 0, 0): 1, (0, 0, 1): 1})))
+    @example((LambdaVector((3, -1, 0)), P(3, {(3, 0, 2500): 1, (0, 1, 2500): -1}) * P(3, {(0, 1, 2500): 1, (0, 0, 0): 1})))
+    @example((LambdaVector((0, 2, -3)), P(3, {(1, 2, 0): 1, (1, 0, 3): -1}) * P(3, {(0, 2, 0): 1, (0, 0, 3): 1})))
+    def test_matches_repeated_reference(self, case):
+        lam, p = case
+        m, q = reference_multiplicity(p, lam)
+        assert _divides(p, lam) == (m > 0)
+        assert _divide_out(p, lam, once=False) == (m, q)
+        assert divide_by_binomial(p, lam) == reference_divide(p, lam)
+
+    def test_variable_count_mismatch(self):
+        p = P(3, {(2, 0, 0): 1, (0, 1, 0): -1})
+        for lam in (LambdaVector((2, -1)), LambdaVector((2, -1, 0, 0))):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                divide_by_binomial(p, lam)
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                _divides(p, lam)
 
 
 class TestEvaluationIdentities:
@@ -500,20 +574,25 @@ class TestBinomialFactors:
 
         def counted(vec):
             calls.append(vec)
-            return canonical(vec)
+            return primitive(vec)
 
-        canonical = weq.poly._canonical_entries
-        monkeypatch.setattr(weq.poly, "_canonical_entries", counted)
+        primitive = weq.poly._primitive
+        monkeypatch.setattr(weq.poly, "_primitive", counted)
         x, y, z = (MultiPoly.variable(3, i) for i in range(3))
         p = (x * x - y) ** 2 * (x * y - z) * (x + y + z + 1)
-        # p has zero content, so binomial_factors searches p's own support
+        # p has zero content, so binomial_factors searches p's own support;
+        # each difference is taken so that it is lexicographically positive
         support = p.terms
-        anchored = {tuple(a - b for a, b in zip(e, anchor)) for anchor in (min(support), max(support)) for e in support}
+        lo, hi = min(support), max(support)
+        anchored = {tuple(a - b for a, b in zip(e, lo)) for e in support} | {
+            tuple(a - b for a, b in zip(hi, e)) for e in support
+        }
         fac = binomial_factors(p)
         assert [(lam.entries, m) for lam, m in fac.factors] == [((1, 1, -1), 1), ((2, -1, 0), 2)]
         m = len(p.terms)
         assert 0 < len(calls) <= 2 * (m - 1) < m * (m - 1) // 2
         assert set(calls) <= anchored
+        assert all(vec > (0,) * 3 for vec in calls)
         calls.clear()
         assert [lam.entries for lam in pure_difference_divisors(p)] == [(1, 1, -1), (2, -1, 0)]
         assert 0 < len(calls) <= 2 * (m - 1)
