@@ -439,7 +439,7 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     divisor of ``p`` with multiplicities.
 
     One sweep over the anchor candidates of the content-free part, in
-    sorted order, divides out each direction while it divides,
+    sorted order, divides out each direction with its whole multiplicity,
     since every pure-difference divisor of a quotient divides ``p``. A
     quotient keeps zero content, as a monomial dividing it would divide
     ``p``.
