@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 from .encode import SVector, is_balanced, minor, s_vector, t_det
@@ -83,10 +84,20 @@ class PairAnalysis:
         return s_vector(self.E), s_vector(self.Ep)
 
     @cached_property
+    def _minors(self) -> dict[tuple[int, int], MultiPoly]:
+        """The determinants built so far, each once, by index pair."""
+        return {}
+
+    def _minor(self, pair: tuple[int, int]) -> MultiPoly:
+        det = self._minors.get(pair)
+        if det is None:
+            det = self._minors[pair] = minor(*self.s_vectors, *pair)
+        return det
+
+    @cached_property
     def grid(self) -> dict[tuple[int, int], MultiPoly]:
         """Every determinant ``t_jk`` with ``j < k``, in lexicographic order."""
-        (S, Sp), n = self.s_vectors, self.E.n
-        return {(j, k): minor(S, Sp, j, k) for j in range(n) for k in range(j + 1, n)}
+        return {pair: self._minor(pair) for pair in combinations(range(self.E.n), 2)}
 
     @cached_property
     def status(self) -> str:
@@ -95,10 +106,11 @@ class PairAnalysis:
 
     @cached_property
     def primary(self) -> PairDeterminant | None:
-        pair = next((pair for pair, det in self.grid.items() if det), None)
-        if pair is None:
-            return None
-        return PairDeterminant(pair, self.grid[pair], binomial_factors(self.grid[pair]))
+        """Builds the determinants only up to the first nonzero one."""
+        for pair in combinations(range(self.E.n), 2):
+            if det := self._minor(pair):
+                return PairDeterminant(pair, det, binomial_factors(det))
+        return None
 
     @cached_property
     def hyperplanes(self) -> tuple[LambdaVector, ...]:

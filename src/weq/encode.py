@@ -13,6 +13,7 @@ condition exactly at x = 2^w, with plain integers in place of Z[x].
 from __future__ import annotations
 
 from operator import mul
+from typing import Iterable
 
 from .poly import MultiPoly, _add_product
 from .words import Equation, Morphism
@@ -20,21 +21,30 @@ from .words import Equation, Morphism
 SVector = tuple[MultiPoly, ...]
 
 
-def s_vector(E: Equation) -> SVector:
-    """All coefficient polynomials ``(S_1, ..., S_n)`` in one scan."""
-    acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(E.n)]
+def _columns(E: Equation, cols: Iterable[int]) -> list[MultiPoly | None]:
+    """``S_j`` in slot ``j`` for each ``j`` in ``cols``, None in the other
+    slots, in one scan of the equation."""
+    acc: list[dict[tuple[int, ...], int] | None] = [None] * E.n
+    for j in cols:
+        acc[j] = {}
     for side, sign in ((E.left, 1), (E.right, -1)):
         prefix = [0] * E.n
         for sym in side:
-            key = tuple(prefix)
             terms = acc[sym]
-            nc = terms.get(key, 0) + sign
-            if nc:
-                terms[key] = nc
-            else:
-                del terms[key]
+            if terms is not None:
+                key = tuple(prefix)
+                nc = terms.get(key, 0) + sign
+                if nc:
+                    terms[key] = nc
+                else:
+                    del terms[key]
             prefix[sym] += 1
-    return tuple(MultiPoly._from_terms(E.n, terms) for terms in acc)
+    return [None if terms is None else MultiPoly._from_terms(E.n, terms) for terms in acc]
+
+
+def s_vector(E: Equation) -> SVector:
+    """All coefficient polynomials ``(S_1, ..., S_n)`` in one scan."""
+    return tuple(_columns(E, range(E.n)))
 
 
 def check_solution_poly(E: Equation, h: Morphism) -> bool:
@@ -89,13 +99,14 @@ def minor(S: SVector, Sp: SVector, j: int, k: int) -> MultiPoly:
 
 def t_det(E: Equation, Ep: Equation, j: int, k: int) -> MultiPoly:
     """2x2 determinant ``S(E)_j S(Ep)_k - S(Ep)_j S(E)_k`` of the two
-    coefficient vectors, their ``minor`` in columns (j, k)."""
+    coefficient vectors, their ``minor`` in columns (j, k); only these two
+    columns are built."""
     if E.n != Ep.n:
         raise ValueError("equations must share the unknown count")
     for idx in (j, k):
         if not 0 <= idx < E.n:
             raise IndexError(f"unknown index {idx} out of range for n={E.n}")
-    return minor(s_vector(E), s_vector(Ep), j, k)
+    return minor(_columns(E, (j, k)), _columns(Ep, (j, k)), j, k)
 
 
 def balanced_residual(E: Equation) -> MultiPoly:

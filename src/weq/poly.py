@@ -22,7 +22,16 @@ is the sum of the normal forms, and therefore vanishes exactly when the
 coefficients on every lam-line of the support sum to zero. The code
 names a line without rewriting: ``lam`` is primitive, so two exponents
 lie on one lam-line exactly when their cross products with ``lam``
-(``e_j*lam_i - e_i*lam_j``, for the first nonzero ``lam_i``) agree.
+(``li*e_j - e_i*lam_j``, for the first nonzero ``li = lam_i``) agree.
+
+The cross products are packed into one integer: each polynomial packs its
+exponents once as ``pack(e) = sum of e_j*B^j``, ``B = 4D^2 + 1`` for its
+largest exponent entry ``D``, and a term's line key is
+``li*pack(e) - e_i*pack(lam)``, two integer operations. While no entry of
+``lam`` exceeds ``D`` in absolute value, each cross product is at most
+``2D^2 < B/2`` in absolute value, so the packing has no carries and the key
+is exact. A longer direction puts no two support monomials on one line, so
+it divides no nonzero polynomial, and the test returns at once.
 
 Factor extraction rests on three consequences of that line-sum rule:
 
@@ -51,16 +60,17 @@ Factor extraction rests on three consequences of that line-sum rule:
   quotient by the content and the other factors. Only a divisor gets its
   lines built, as coefficient lists from each line's lowest support
   point; the multiplicity is counted on those lists, and one quotient is
-  built per factor.
+  built per factor. The tests share one packing of the input, and one of
+  each quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import gcd
-from operator import add, le, sub
-from typing import Mapping, Sequence
+from operator import add, itemgetter, le, mul, sub
+from typing import Iterator, Mapping, Sequence
 
 from .words import InternalError, LambdaVector, unknown_names
 
@@ -254,6 +264,19 @@ def pure_difference(lam: LambdaVector) -> MultiPoly:
     return MultiPoly._from_terms(len(lam), {lam.plus: 1, lam.minus: -1})
 
 
+_Packing = tuple[int, list[int], list[int]]  # (D, powers, packs); see _packed
+
+
+def _packed(p: MultiPoly) -> _Packing:
+    """``(D, powers, packs)``: the largest exponent entry ``D`` of the
+    support of ``p`` (0 when it has none), the powers ``B^j`` of
+    ``B = 4D^2 + 1``, and ``pack(e) = sum of e_j*B^j`` for each term of
+    ``p`` in term order (see the module docstring)."""
+    D = max(chain.from_iterable(p._terms), default=0)
+    powers = [(4 * D * D + 1) ** j for j in range(p.n)]
+    return D, powers, [sum(map(mul, e, powers)) for e in p._terms]
+
+
 def _pivot(p: MultiPoly, lam: LambdaVector) -> tuple[int, int]:
     """The pivot of ``lam``: the index and value of its first nonzero
     entry, which is positive. ``ValueError`` when ``lam`` does not have one
@@ -264,22 +287,36 @@ def _pivot(p: MultiPoly, lam: LambdaVector) -> tuple[int, int]:
     return lam.index(li), li
 
 
-def _divides(p: MultiPoly, lam: LambdaVector) -> bool:
+def _line_keys(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> Iterator[int] | None:
+    """The lam-line key ``li*pack(e) - e_i*pack(lam)`` of each term of
+    ``p``, in term order, for the pivot ``(i, li)`` of ``lam`` and the
+    packing ``_packed(p)``; None when an entry of ``lam`` exceeds ``D``
+    and ``p`` is nonzero, as then no two support monomials share a line."""
+    i, li = _pivot(p, lam)
+    D, powers, packs = packed
+    if packs and max(map(abs, lam)) > D:
+        return None
+    pl = sum(map(mul, lam, powers))
+    return map(sub, map(mul, packs, repeat(li)), map(mul, map(itemgetter(i), p._terms), repeat(pl)))
+
+
+def _divides(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> bool:
     """Whether ``X^(lam+) - X^(lam-)`` divides ``p``: the coefficients on
     every lam-line of the support sum to zero (see the module docstring).
-    A line is keyed by the cross products of its points with ``lam``."""
-    i, li = _pivot(p, lam)
-    sums: dict[tuple[int, ...], int] = {}
-    for e, c in p._terms.items():
-        ei = e[i]
-        key = tuple([a * li - ei * b for a, b in zip(e, lam)])
+    ``packed`` is ``_packed(p)``."""
+    keys = _line_keys(p, lam, packed)
+    if keys is None:
+        return False
+    sums: dict[int, int] = {}
+    for key, c in zip(keys, p._terms.values()):
         sums[key] = sums.get(key, 0) + c
     return not any(sums.values())
 
 
-def _divide_out(p: MultiPoly, lam: LambdaVector, once: bool) -> tuple[int, MultiPoly]:
+def _divide_out(p: MultiPoly, lam: LambdaVector, packed: _Packing, once: bool) -> tuple[int, MultiPoly]:
     """``(m, p / b^m)`` for the pure difference ``b`` of ``lam``, with ``m``
-    its multiplicity in ``p``, or at most 1 when ``once``.
+    its multiplicity in ``p``, or at most 1 when ``once``, for the packing
+    ``packed`` of ``p``.
 
     Each lam-line of the support holds the points ``low + t*lam`` for
     ``t = 0..T``, from its lowest support point ``low``, with coefficients
@@ -291,14 +328,13 @@ def _divide_out(p: MultiPoly, lam: LambdaVector, once: bool) -> tuple[int, Multi
     more than ``MAX_QUOTIENT_TERMS`` terms is refused with ``ValueError``
     before it is built.
     """
-    if not _divides(p, lam):
+    if not _divides(p, lam, packed):
         return 0, p
     i, li = _pivot(p, lam)
     terms = p._terms
-    lines: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-    for e in terms:
+    lines: dict[int, dict[int, tuple[int, ...]]] = {}
+    for key, e in zip(_line_keys(p, lam, packed), terms):
         ei = e[i]
-        key = tuple([a * li - ei * b for a, b in zip(e, lam)])
         line = lines.get(key)
         if line is None:
             lines[key] = {ei: e}
@@ -347,7 +383,7 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     ``MAX_QUOTIENT_TERMS`` terms is refused with ``ValueError`` before it
     is built.
     """
-    m, q = _divide_out(p, lam, once=True)
+    m, q = _divide_out(p, lam, _packed(p), once=True)
     return q if m else None
 
 
@@ -367,11 +403,24 @@ class BinomialFactorization:
     residual: MultiPoly
 
     def expand(self) -> MultiPoly:
-        """Multiply the factorization back out."""
-        out = MultiPoly._from_terms(self.n, {self.content: self.sign})
+        """Multiply the factorization back out: the residual times each
+        binomial in turn, each a shift by ``lam+`` minus a shift by
+        ``lam-``, then shifted by the content and times the sign."""
+        terms = self.residual._terms
         for lam, mult in self.factors:
-            out = out * pure_difference(lam) ** mult
-        return out * self.residual
+            plus, minus = lam.plus, lam.minus
+            for _ in range(mult):
+                out = {tuple(map(add, e, plus)): c for e, c in terms.items()}
+                for e, c in terms.items():
+                    e = tuple(map(add, e, minus))
+                    nc = out.get(e, 0) - c
+                    if nc:
+                        out[e] = nc
+                    else:
+                        del out[e]
+                terms = out
+        mu, sign = self.content, self.sign
+        return MultiPoly._from_terms(self.n, {tuple(map(add, e, mu)): sign * c for e, c in terms.items()})
 
     def to_json(self) -> dict:
         return {
@@ -431,7 +480,8 @@ def pure_difference_divisors(p: MultiPoly) -> tuple[LambdaVector, ...]:
     quotient (see the module docstring)."""
     if not p:
         raise ValueError("every pure difference divides the zero polynomial")
-    return tuple(lam for lam in _anchor_candidates(p._terms) if _divides(p, lam))
+    packed = _packed(p)
+    return tuple(lam for lam in _anchor_candidates(p._terms) if _divides(p, lam, packed))
 
 
 def binomial_factors(p: MultiPoly) -> BinomialFactorization:
@@ -450,10 +500,12 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     content = _content(p._terms)
     cur = _shift_down(p, content) if any(content) else p
     factors: list[tuple[LambdaVector, int]] = []
+    packed = _packed(cur)
     for lam in _anchor_candidates(cur._terms):
-        mult, cur = _divide_out(cur, lam, once=False)
+        mult, cur = _divide_out(cur, lam, packed, once=False)
         if mult:
             factors.append((lam, mult))
+            packed = _packed(cur)
     sign = 1
     lead = max(cur._terms, key=_grlex_key)
     if cur._terms[lead] < 0:

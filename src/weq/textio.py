@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .poly import MultiPoly
+from .poly import MultiPoly, poly_var_names
 from .words import EqSystem, Equation, Morphism, Word
 
 
@@ -140,7 +140,7 @@ def parse_poly(text: str, n: int | None = None) -> MultiPoly:
     maxvar = max((v for _, exps in terms for v in exps), default=-1)
     nvars = n if n is not None else maxvar + 1
     if maxvar >= nvars:
-        raise ParseError(f"variable X{maxvar + 1} exceeds the declared count {nvars}")
+        raise ParseError(f"variable {poly_var_names(maxvar + 1)[maxvar]} exceeds the declared count {nvars}")
     acc: dict[tuple[int, ...], int] = {}
     for c, exps in terms:
         key = tuple(exps.get(v, 0) for v in range(nvars))

@@ -13,7 +13,7 @@ from weq.analysis import (
     pair_report_json,
     solution_hyperplanes,
 )
-from weq.encode import is_balanced, s_vector, t_det
+from weq.encode import is_balanced, minor, s_vector, t_det
 from weq.poly import MultiPoly, binomial_factors, divide_by_binomial, pure_difference_divisors
 from weq.search import SearchConfig, count_solutions, enumerate_solutions, random_equation
 from weq.words import EqSystem, Equation, Word, is_solution, unknown_names
@@ -262,6 +262,22 @@ class TestPairAnalysis:
         monkeypatch.setattr("weq.analysis.s_vector", refuse_call)
         assert dict(report.pair_bounds)[(1, 2)] == 8
         assert (report.status, report.sum_bound, report.best) == (STATUS_OK, 18, 8)
+
+    def test_each_minor_is_built_once_and_primary_stops_at_the_first_nonzero(self, monkeypatch):
+        built = []
+
+        def counted(S, Sp, j, k):
+            built.append((j, k))
+            return minor(S, Sp, j, k)
+
+        monkeypatch.setattr("weq.analysis.minor", counted)
+        pa = PairAnalysis(E1, E2)
+        assert pa.hyperplanes and built == [(0, 1)]
+        assert list(pa.grid) == built == [(0, 1), (0, 2), (1, 2)]
+        built.clear()
+        same = PairAnalysis(E1, E1)
+        assert same.primary is None and built == [(0, 1), (0, 2), (1, 2)]
+        assert not any(same.grid.values()) and len(built) == 3
 
     def test_names_default_to_unknown_names(self):
         assert PairAnalysis(E1, E2).names == ("x", "y", "z")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import weq.search
 from weq.analysis import PairAnalysis
 from weq.cli import build_parser, main
-from weq.poly import MultiPoly, format_poly
+from weq.poly import MultiPoly, format_poly, poly_var_names
 from weq.textio import MAX_VARS, ParseError, parse_morphism, parse_poly, parse_system
 from weq.words import Equation, InternalError, Morphism, Word
 
@@ -116,7 +116,7 @@ def reference_parse_poly(text: str, n: int | None = None) -> MultiPoly:
         skip()
     nvars = n if n is not None else maxvar + 1
     if maxvar >= nvars:
-        raise ParseError(f"variable X{maxvar + 1} exceeds the declared count {nvars}")
+        raise ParseError(f"variable {poly_var_names(maxvar + 1)[maxvar]} exceeds the declared count {nvars}")
     acc: dict[tuple[int, ...], int] = {}
     for c, exps in collected:
         key = tuple(exps.get(v, 0) for v in range(nvars))
@@ -241,6 +241,11 @@ class TestTextRoundTrips:
     def test_poly_ring_is_bounded(self, text, n):
         with pytest.raises(ParseError):
             parse_poly(text, n)
+
+    @pytest.mark.parametrize("text, name", [("X*Y", "Y"), ("Z - 1", "Z"), ("X4^2 + X", "X4")])
+    def test_undeclared_variable_named_as_printed(self, capsys, text, name):
+        assert main(["factor", "--nvars", "1", text]) == 2
+        assert capsys.readouterr().err == f"error: variable {name} exceeds the declared count 1\n"
 
     @pytest.mark.parametrize("template", ["{} * X", "X^{} - 1"])
     def test_poly_overlong_number(self, template):

@@ -270,6 +270,18 @@ class TestDeterminants:
         assert not minor(S, Sp, j, j)
         assert not minor(S, S, j, k)
 
+    @given(equation_pairs())
+    def test_t_det_is_the_minor_of_the_s_vectors(self, pair):
+        E, Ep = pair
+        S, Sp = s_vector(E), s_vector(Ep)
+        for j, k in product(range(E.n), repeat=2):
+            assert t_det(E, Ep, j, k) == minor(S, Sp, j, k)
+        for (j, k), bad in (((-1, 0), -1), ((0, E.n), E.n), ((E.n, -1), E.n)):
+            with pytest.raises(IndexError, match=f"^unknown index {bad} out of range for n={E.n}$"):
+                t_det(E, Ep, j, k)
+        with pytest.raises(ValueError, match="^equations must share the unknown count$"):
+            t_det(E, Equation(Ep.left, Ep.right, E.n + 1), 0, 0)
+
     def test_worked_example(self):
         x, y, z = (MultiPoly.variable(3, i) for i in range(3))
         t = x * (x * x * y - z)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from weq.analysis import PairAnalysis
@@ -17,6 +17,8 @@ from weq.poly import (
     pure_difference_divisors,
     _divide_out,
     _divides,
+    _line_keys,
+    _packed,
 )
 from weq.search import random_equation_solved_by
 from weq.textio import parse_system
@@ -371,6 +373,36 @@ def line_key_cases(draw):
     return lam, p * MultiPoly.monomial(n, shift)
 
 
+@st.composite
+def long_direction_cases(draw):
+    """A sparse polynomial over 1-4 unknowns and a direction with an entry
+    larger than every exponent entry of its support."""
+    n = draw(st.integers(1, 4))
+    p = draw(sparse_polys(n, max_terms=6))
+    D = max(map(max, p.terms))
+    vec = draw(directions(n))
+    vec[draw(st.integers(0, n - 1))] = draw(st.sampled_from((1, -1))) * draw(st.integers(D + 1, 3 * D + 3))
+    lam = direction(vec)
+    assume(max(map(abs, lam)) > D)  # the gcd may bring every entry back within D
+    return lam, p
+
+
+@st.composite
+def extreme_key_cases(draw):
+    """Support exponents and direction entries drawn towards 0 and the
+    largest exponent entry D (up to 10^6), where the cross products of the
+    line keys reach 2D^2 in absolute value."""
+    n = draw(st.integers(1, 4))
+    top = draw(st.integers(1, 3) | st.integers(1, 10**6))
+    entry = st.sampled_from((0, 1, top - 1, top)) | st.integers(0, top)
+    exps = draw(st.lists(st.tuples(*[entry] * n), min_size=2, max_size=12, unique=True))
+    D = max(map(max, exps))
+    assume(D > 0)
+    vec = draw(st.lists(st.sampled_from((1, -1, D, -D, D - 1, 1 - D)) | st.integers(-D, D), min_size=n, max_size=n))
+    assume(any(vec))
+    return direction(vec), MultiPoly(n, dict.fromkeys(exps, 1))
+
+
 class TestLineKey:
     """Divisibility, multiplicity and quotient, read off the lines of the
     support keyed by their cross products with the direction, against the
@@ -381,12 +413,69 @@ class TestLineKey:
     @example((LambdaVector((3, -1, 0)), P(3, {(3, 0, 0): 1, (0, 1, 0): -1}) ** 2 * P(3, {(1, 0, 0): 1, (0, 0, 1): 1})))
     @example((LambdaVector((3, -1, 0)), P(3, {(3, 0, 2500): 1, (0, 1, 2500): -1}) * P(3, {(0, 1, 2500): 1, (0, 0, 0): 1})))
     @example((LambdaVector((0, 2, -3)), P(3, {(1, 2, 0): 1, (1, 0, 3): -1}) * P(3, {(0, 2, 0): 1, (0, 0, 3): 1})))
+    # exponents near 10^6 on short lines: multi-word packed keys, where the
+    # reference rewrites each monomial only a few times
+    @example((LambdaVector((10**6, -1)), P(2, {(10**6, 0): 1, (0, 1): -1})))
+    @example((LambdaVector((999_983, -1)), P(2, {(999_983, 0): 1, (0, 1): -1}) * P(2, {(1, 0): 1, (0, 999_000): 3})))
+    @example((LambdaVector((2, -3, 0)), P(3, {(2, 0, 0): 1, (0, 3, 0): -1}) ** 2 * P(3, {(1, 0, 0): 1, (0, 0, 999_999): -1}) * P(3, {(0, 0, 1000): 1})))
+    @example((LambdaVector((1, 999_999, -10**6)), P(3, {(1, 999_999, 0): 1, (0, 0, 10**6): -1}) * P(3, {(0, 1, 0): 1, (2, 0, 0): 1})))
+    @example((LambdaVector((1, 0, -1, 0)), P(4, {(1, 0, 0, 10**6): 1, (0, 0, 1, 10**6): -1, (0, 10**6 - 1, 0, 0): 2})))
+    # n = 1, with one line or several
+    @example((LambdaVector((1,)), P(1, {(5,): 1, (0,): -1}) * P(1, {(7,): 1, (1,): 1})))
+    @example((LambdaVector((1,)), P(1, {(1,): 1, (0,): -1}) ** 3 * P(1, {(1,): 2, (0,): 1}) * P(1, {(40,): 1})))
     def test_matches_repeated_reference(self, case):
         lam, p = case
         m, q = reference_multiplicity(p, lam)
-        assert _divides(p, lam) == (m > 0)
-        assert _divide_out(p, lam, once=False) == (m, q)
+        assert _divides(p, lam, _packed(p)) == (m > 0)
+        assert _divide_out(p, lam, _packed(p), once=False) == (m, q)
         assert divide_by_binomial(p, lam) == reference_divide(p, lam)
+
+    @given(long_direction_cases())
+    @example((LambdaVector((10**6 + 1, -1)), P(2, {(10**6, 0): 1, (0, 1): -1})))
+    @example((LambdaVector((1, -2)), P(2, {(1, 0): 1, (0, 1): -1})))
+    def test_direction_longer_than_every_exponent(self, case):
+        """An entry of the direction past the largest exponent entry puts
+        no two support monomials on one line, so nothing divides."""
+        lam, p = case
+        assert reference_divide(p, lam) is None
+        assert not _divides(p, lam, _packed(p))
+        assert _divide_out(p, lam, _packed(p), once=False) == (0, p)
+        assert divide_by_binomial(p, lam) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("c", [1, -3])
+    def test_constants(self, n, c):
+        """D = 0: every direction is longer than every exponent."""
+        p = MultiPoly.constant(n, c)
+        assert _packed(p) == (0, [1] * n, [0])
+        for vec in ((1,) + (0,) * (n - 1), (1,) + (-1,) * (n - 1), (0,) * (n - 1) + (1,)):
+            lam = LambdaVector(vec)
+            assert reference_divide(p, lam) is None
+            assert not _divides(p, lam, _packed(p))
+            assert _divide_out(p, lam, _packed(p), once=False) == (0, p)
+            assert divide_by_binomial(p, lam) is None
+        assert pure_difference_divisors(p) == ()
+        assert binomial_factors(p) == reference_binomial_factors(p)
+
+    def test_constant_over_no_variables(self):
+        p = MultiPoly.constant(0, -5)
+        assert _packed(p) == (0, [], [0])
+        assert pure_difference_divisors(p) == ()
+        fac = binomial_factors(p)
+        assert fac == reference_binomial_factors(p) == BinomialFactorization(0, -1, (), (), MultiPoly.constant(0, 5))
+
+    @given(extreme_key_cases())
+    # a base of 2D + 1 in place of 4D^2 + 1 would give these two lines one key
+    @example((LambdaVector((1, -2, 0)), P(3, {(2, 1, 0): 1, (0, 0, 1): 1})))
+    def test_keys_are_exact(self, case):
+        """Two terms get one packed key exactly when their cross products
+        with the direction agree, that is when they share a line."""
+        lam, p = case
+        li = next(filter(None, lam))
+        i = lam.index(li)
+        cross = [tuple(li * a - e[i] * b for a, b in zip(e, lam)) for e in p.terms]
+        keys = list(_line_keys(p, lam, _packed(p)))
+        assert [[x == y for y in keys] for x in keys] == [[x == y for y in cross] for x in cross]
 
     def test_variable_count_mismatch(self):
         p = P(3, {(2, 0, 0): 1, (0, 1, 0): -1})
@@ -394,7 +483,7 @@ class TestLineKey:
             with pytest.raises(ValueError, match="variable count mismatch"):
                 divide_by_binomial(p, lam)
             with pytest.raises(ValueError, match="variable count mismatch"):
-                _divides(p, lam)
+                _divides(p, lam, _packed(p))
 
 
 class TestEvaluationIdentities:
@@ -562,6 +651,20 @@ class TestBinomialFactors:
         assert fac == reference_binomial_factors(p)
         assert fac.sign == sign
         assert [(lam.entries, m) for lam, m in fac.factors] == factors
+
+    @given(st.data())
+    def test_expand_is_the_ring_expression(self, data):
+        n = data.draw(st.integers(1, 5))
+        content = data.draw(st.tuples(*[st.integers(0, 3)] * n).filter(any))
+        vecs = data.draw(st.lists(directions(n), max_size=3))
+        factors = tuple({direction(v): data.draw(st.integers(1, 3)) for v in vecs}.items())
+        fac = BinomialFactorization(
+            n, data.draw(st.sampled_from((1, -1))), content, factors, data.draw(sparse_polys(n, max_terms=4))
+        )
+        want = MultiPoly.monomial(n, content, fac.sign) * fac.residual
+        for lam, m in factors:
+            want = want * pure_difference(lam) ** m
+        assert fac.expand() == want
 
     @given(binomial_products())
     def test_matches_reference_on_binomial_products(self, p):
