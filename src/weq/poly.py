@@ -61,7 +61,7 @@ Factor extraction rests on three consequences of that line-sum rule:
   lines built, as coefficient lists from each line's lowest support
   point; the multiplicity is counted on those lists, and one quotient is
   built per factor. The tests share one packing of the input, and one of
-  each quotient.
+  each quotient, each made when a candidate first needs it.
 """
 
 from __future__ import annotations
@@ -480,8 +480,9 @@ def pure_difference_divisors(p: MultiPoly) -> tuple[LambdaVector, ...]:
     quotient (see the module docstring)."""
     if not p:
         raise ValueError("every pure difference divides the zero polynomial")
-    packed = _packed(p)
-    return tuple(lam for lam in _anchor_candidates(p._terms) if _divides(p, lam, packed))
+    candidates = _anchor_candidates(p._terms)
+    packed = _packed(p) if candidates else None
+    return tuple(lam for lam in candidates if _divides(p, lam, packed))
 
 
 def binomial_factors(p: MultiPoly) -> BinomialFactorization:
@@ -500,12 +501,13 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     content = _content(p._terms)
     cur = _shift_down(p, content) if any(content) else p
     factors: list[tuple[LambdaVector, int]] = []
-    packed = _packed(cur)
+    packed = None
     for lam in _anchor_candidates(cur._terms):
+        packed = packed or _packed(cur)
         mult, cur = _divide_out(cur, lam, packed, once=False)
         if mult:
             factors.append((lam, mult))
-            packed = _packed(cur)
+            packed = None
     sign = 1
     lead = max(cur._terms, key=_grlex_key)
     if cur._terms[lead] < 0:
