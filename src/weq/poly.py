@@ -67,10 +67,10 @@ Factor extraction rests on three consequences of that line-sum rule:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from math import gcd
-from operator import add, itemgetter, le, mul, sub
-from typing import Iterator, Mapping, Sequence
+from operator import add, le, mul, sub
+from typing import Mapping, Sequence
 
 from .words import InternalError, LambdaVector, unknown_names
 
@@ -287,7 +287,7 @@ def _pivot(p: MultiPoly, lam: LambdaVector) -> tuple[int, int]:
     return lam.index(li), li
 
 
-def _line_keys(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> Iterator[int] | None:
+def _line_keys(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> list[int] | None:
     """The lam-line key ``li*pack(e) - e_i*pack(lam)`` of each term of
     ``p``, in term order, for the pivot ``(i, li)`` of ``lam`` and the
     packing ``_packed(p)``; None when an entry of ``lam`` exceeds ``D``
@@ -297,7 +297,7 @@ def _line_keys(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> Iterator[in
     if packs and max(map(abs, lam)) > D:
         return None
     pl = sum(map(mul, lam, powers))
-    return map(sub, map(mul, packs, repeat(li)), map(mul, map(itemgetter(i), p._terms), repeat(pl)))
+    return [li * q - e[i] * pl for q, e in zip(packs, p._terms)]
 
 
 def _divides(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> bool:
