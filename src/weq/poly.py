@@ -60,8 +60,8 @@ Factor extraction rests on three consequences of that line-sum rule:
   quotient by the content and the other factors. Only a divisor gets its
   lines built, as coefficient lists from each line's lowest support
   point; the multiplicity is counted on those lists, and one quotient is
-  built per factor. The tests share one packing of the input, and one of
-  each quotient, each made when a candidate first needs it.
+  built per factor. Each polynomial keeps its own packing, made when a
+  candidate first tests it, so a quotient starts unpacked.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 class MultiPoly:
     """Element of Z[X_1,...,X_n] in sparse canonical form (no zero terms)."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_packing")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if n < 0:
@@ -107,6 +107,7 @@ class MultiPoly:
             if coeff:
                 clean[exps] = int(coeff)
         self._terms = clean
+        self._packing = None
 
     @classmethod
     def _from_terms(cls, n: int, terms: dict[tuple[int, ...], int]) -> "MultiPoly":
@@ -115,6 +116,7 @@ class MultiPoly:
         res = cls.__new__(cls)
         res.n = n
         res._terms = terms
+        res._packing = None
         return res
 
     @classmethod
@@ -264,17 +266,17 @@ def pure_difference(lam: LambdaVector) -> MultiPoly:
     return MultiPoly._from_terms(len(lam), {lam.plus: 1, lam.minus: -1})
 
 
-_Packing = tuple[int, list[int], list[int]]  # (D, powers, packs); see _packed
-
-
-def _packed(p: MultiPoly) -> _Packing:
+def _packed(p: MultiPoly) -> tuple[int, list[int], list[int]]:
     """``(D, powers, packs)``: the largest exponent entry ``D`` of the
     support of ``p`` (0 when it has none), the powers ``B^j`` of
     ``B = 4D^2 + 1``, and ``pack(e) = sum of e_j*B^j`` for each term of
-    ``p`` in term order (see the module docstring)."""
-    D = max(chain.from_iterable(p._terms), default=0)
-    powers = [(4 * D * D + 1) ** j for j in range(p.n)]
-    return D, powers, [sum(map(mul, e, powers)) for e in p._terms]
+    ``p`` in term order (see the module docstring). Built on the first
+    call and kept on ``p``, whose terms never change once it is built."""
+    if p._packing is None:
+        D = max(chain.from_iterable(p._terms), default=0)
+        powers = [(4 * D * D + 1) ** j for j in range(p.n)]
+        p._packing = D, powers, [sum(map(mul, e, powers)) for e in p._terms]
+    return p._packing
 
 
 def _pivot(p: MultiPoly, lam: LambdaVector) -> tuple[int, int]:
@@ -287,24 +289,23 @@ def _pivot(p: MultiPoly, lam: LambdaVector) -> tuple[int, int]:
     return lam.index(li), li
 
 
-def _line_keys(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> list[int] | None:
+def _line_keys(p: MultiPoly, lam: LambdaVector) -> list[int] | None:
     """The lam-line key ``li*pack(e) - e_i*pack(lam)`` of each term of
     ``p``, in term order, for the pivot ``(i, li)`` of ``lam`` and the
-    packing ``_packed(p)``; None when an entry of ``lam`` exceeds ``D``
+    packing that ``p`` keeps; None when an entry of ``lam`` exceeds ``D``
     and ``p`` is nonzero, as then no two support monomials share a line."""
     i, li = _pivot(p, lam)
-    D, powers, packs = packed
+    D, powers, packs = _packed(p)
     if packs and max(map(abs, lam)) > D:
         return None
     pl = sum(map(mul, lam, powers))
     return [li * q - e[i] * pl for q, e in zip(packs, p._terms)]
 
 
-def _divides(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> bool:
+def _divides(p: MultiPoly, lam: LambdaVector) -> bool:
     """Whether ``X^(lam+) - X^(lam-)`` divides ``p``: the coefficients on
-    every lam-line of the support sum to zero (see the module docstring).
-    ``packed`` is ``_packed(p)``."""
-    keys = _line_keys(p, lam, packed)
+    every lam-line of the support sum to zero (see the module docstring)."""
+    keys = _line_keys(p, lam)
     if keys is None:
         return False
     sums: dict[int, int] = {}
@@ -313,10 +314,10 @@ def _divides(p: MultiPoly, lam: LambdaVector, packed: _Packing) -> bool:
     return not any(sums.values())
 
 
-def _divide_out(p: MultiPoly, lam: LambdaVector, packed: _Packing, once: bool) -> tuple[int, MultiPoly]:
+def _divide_out(p: MultiPoly, lam: LambdaVector, once: bool) -> tuple[int, MultiPoly]:
     """``(m, p / b^m)`` for the pure difference ``b`` of ``lam``, with ``m``
-    its multiplicity in ``p``, or at most 1 when ``once``, for the packing
-    ``packed`` of ``p``.
+    its multiplicity in ``p``, or at most 1 when ``once``. The lines are
+    keyed by the packing of ``p``; the quotient starts unpacked.
 
     Each lam-line of the support holds the points ``low + t*lam`` for
     ``t = 0..T``, from its lowest support point ``low``, with coefficients
@@ -328,12 +329,12 @@ def _divide_out(p: MultiPoly, lam: LambdaVector, packed: _Packing, once: bool) -
     more than ``MAX_QUOTIENT_TERMS`` terms is refused with ``ValueError``
     before it is built.
     """
-    if not _divides(p, lam, packed):
+    if not _divides(p, lam):
         return 0, p
     i, li = _pivot(p, lam)
     terms = p._terms
     lines: dict[int, dict[int, tuple[int, ...]]] = {}
-    for key, e in zip(_line_keys(p, lam, packed), terms):
+    for key, e in zip(_line_keys(p, lam), terms):
         ei = e[i]
         line = lines.get(key)
         if line is None:
@@ -383,7 +384,7 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     ``MAX_QUOTIENT_TERMS`` terms is refused with ``ValueError`` before it
     is built.
     """
-    m, q = _divide_out(p, lam, _packed(p), once=True)
+    m, q = _divide_out(p, lam, once=True)
     return q if m else None
 
 
@@ -480,9 +481,7 @@ def pure_difference_divisors(p: MultiPoly) -> tuple[LambdaVector, ...]:
     quotient (see the module docstring)."""
     if not p:
         raise ValueError("every pure difference divides the zero polynomial")
-    candidates = _anchor_candidates(p._terms)
-    packed = _packed(p) if candidates else None
-    return tuple(lam for lam in candidates if _divides(p, lam, packed))
+    return tuple(lam for lam in _anchor_candidates(p._terms) if _divides(p, lam))
 
 
 def binomial_factors(p: MultiPoly) -> BinomialFactorization:
@@ -501,13 +500,10 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     content = _content(p._terms)
     cur = _shift_down(p, content) if any(content) else p
     factors: list[tuple[LambdaVector, int]] = []
-    packed = None
     for lam in _anchor_candidates(cur._terms):
-        packed = packed or _packed(cur)
-        mult, cur = _divide_out(cur, lam, packed, once=False)
+        mult, cur = _divide_out(cur, lam, once=False)
         if mult:
             factors.append((lam, mult))
-            packed = None
     sign = 1
     lead = max(cur._terms, key=_grlex_key)
     if cur._terms[lead] < 0:

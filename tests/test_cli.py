@@ -1064,6 +1064,23 @@ class TestInternalError:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    def test_factorization_that_does_not_multiply_back(self, monkeypatch, capsys):
+        """A wrong quotient in the factor kernel is caught by the
+        multiply-back check of ``binomial_factors``."""
+        import weq.poly
+
+        real = weq.poly._divide_out
+
+        def plus_one(p, lam, once):
+            m, q = real(p, lam, once)
+            return m, q + 1
+
+        monkeypatch.setattr(weq.poly, "_divide_out", plus_one)
+        assert main(["factor", "X^2 - 1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: factorization failed to multiply back\n"
+
     @pytest.mark.parametrize(
         "system, h, invariant",
         [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import weq.poly
 from weq.analysis import PairAnalysis
 from weq.poly import (
     MAX_QUOTIENT_TERMS,
@@ -15,6 +16,7 @@ from weq.poly import (
     minimal_monomials,
     pure_difference,
     pure_difference_divisors,
+    _anchor_candidates,
     _divide_out,
     _divides,
     _line_keys,
@@ -426,8 +428,8 @@ class TestLineKey:
     def test_matches_repeated_reference(self, case):
         lam, p = case
         m, q = reference_multiplicity(p, lam)
-        assert _divides(p, lam, _packed(p)) == (m > 0)
-        assert _divide_out(p, lam, _packed(p), once=False) == (m, q)
+        assert _divides(p, lam) == (m > 0)
+        assert _divide_out(p, lam, once=False) == (m, q)
         assert divide_by_binomial(p, lam) == reference_divide(p, lam)
 
     @given(long_direction_cases())
@@ -438,8 +440,8 @@ class TestLineKey:
         no two support monomials on one line, so nothing divides."""
         lam, p = case
         assert reference_divide(p, lam) is None
-        assert not _divides(p, lam, _packed(p))
-        assert _divide_out(p, lam, _packed(p), once=False) == (0, p)
+        assert not _divides(p, lam)
+        assert _divide_out(p, lam, once=False) == (0, p)
         assert divide_by_binomial(p, lam) is None
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -451,8 +453,8 @@ class TestLineKey:
         for vec in ((1,) + (0,) * (n - 1), (1,) + (-1,) * (n - 1), (0,) * (n - 1) + (1,)):
             lam = LambdaVector(vec)
             assert reference_divide(p, lam) is None
-            assert not _divides(p, lam, _packed(p))
-            assert _divide_out(p, lam, _packed(p), once=False) == (0, p)
+            assert not _divides(p, lam)
+            assert _divide_out(p, lam, once=False) == (0, p)
             assert divide_by_binomial(p, lam) is None
         assert pure_difference_divisors(p) == ()
         assert binomial_factors(p) == reference_binomial_factors(p)
@@ -474,7 +476,7 @@ class TestLineKey:
         li = next(filter(None, lam))
         i = lam.index(li)
         cross = [tuple(li * a - e[i] * b for a, b in zip(e, lam)) for e in p.terms]
-        keys = list(_line_keys(p, lam, _packed(p)))
+        keys = list(_line_keys(p, lam))
         assert [[x == y for y in keys] for x in keys] == [[x == y for y in cross] for x in cross]
 
     def test_variable_count_mismatch(self):
@@ -483,7 +485,63 @@ class TestLineKey:
             with pytest.raises(ValueError, match="variable count mismatch"):
                 divide_by_binomial(p, lam)
             with pytest.raises(ValueError, match="variable count mismatch"):
-                _divides(p, lam, _packed(p))
+                _divides(p, lam)
+
+
+# (X - Y)^2 * (X^2 - Y) * (X + Y + 1): three anchor candidates, of which the
+# last, (5, -3), divides nothing
+SEVERAL_CANDIDATES = (
+    pure_difference(LambdaVector((1, -1))) ** 2
+    * pure_difference(LambdaVector((2, -1)))
+    * P(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+)
+
+
+class TestPacking:
+    """Each polynomial keeps its own packing, made when a candidate first
+    tests it, so a polynomial that no candidate reaches is never packed."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [MultiPoly.constant(2, 5), P(2, {(2, 1): 3}), P(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})],
+        ids=["constant", "monomial", "no-candidate"],
+    )
+    def test_unreached_polynomial_stays_unpacked(self, p):
+        assert _anchor_candidates(p._terms) == []
+        assert pure_difference_divisors(p) == ()
+        binomial_factors(p)
+        assert p._packing is None
+
+    def test_each_polynomial_is_packed_once(self, monkeypatch):
+        built = []
+        real = weq.poly._packed
+
+        def counting(q):
+            if q._packing is None:
+                built.append(q)
+            return real(q)
+
+        monkeypatch.setattr(weq.poly, "_packed", counting)
+        p = MultiPoly(2, SEVERAL_CANDIDATES.terms)
+        assert len(_anchor_candidates(p._terms)) == 3
+        for _ in range(2):
+            assert pure_difference_divisors(p) == (LambdaVector((1, -1)), LambdaVector((2, -1)))
+        assert len(built) == 1 and built[0] is p
+        # the input, then the quotient by (X - Y)^2 and the one by X^2 - Y,
+        # each tested by the next candidate
+        fresh = MultiPoly(2, SEVERAL_CANDIDATES.terms)
+        built.clear()
+        binomial_factors(fresh)
+        assert len(built) == len(set(map(id, built))) == 3
+        assert built[0] is fresh
+
+    def test_quotient_starts_unpacked(self):
+        p = MultiPoly(2, SEVERAL_CANDIDATES.terms)
+        m, q = _divide_out(p, LambdaVector((1, -1)), once=False)
+        assert m == 2
+        assert p._packing is not None
+        assert q._packing is None
+        assert divide_by_binomial(p, LambdaVector((2, -1)))._packing is None
 
 
 class TestEvaluationIdentities:

@@ -5,6 +5,9 @@ point anywhere, and no import from outside the standard library.
 Invariants raise, because ``python -O`` strips ``assert``. A word is the
 tuple of its letters, so the library never reads ``.symbols`` to get
 them. The command line reads only the public names of the other modules.
+A polynomial's term map never changes once it is built, since the
+polynomial keeps the packing made from it: no module stores into or
+deletes from a ``._terms`` map, or calls a method on one that changes it.
 
 The library keeps only what runs. Every public top-level function or
 class of a module, and every public method of those classes, is named
@@ -44,6 +47,11 @@ from weq.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "weq").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+TERMS_MUTATORS = {"pop", "update", "clear", "setdefault", "popitem"}
+
+
+def _is_terms(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_terms"
 
 
 def violations(tree: ast.AST) -> list[tuple[int, str]]:
@@ -60,6 +68,15 @@ def violations(tree: ast.AST) -> list[tuple[int, str]]:
             found.append((line, "use of float"))
         elif isinstance(node, ast.Attribute) and node.attr == "symbols":
             found.append((line, f"read of {ast.unparse(node)}"))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and _is_terms(node.value):
+            found.append((line, f"change of {ast.unparse(node)}"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in TERMS_MUTATORS
+            and _is_terms(node.func.value)
+        ):
+            found.append((line, f"change of {ast.unparse(node.func.value)}"))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.partition(".")[0] not in sys.stdlib_module_names:
@@ -91,6 +108,14 @@ def test_module_keeps_the_rules(path):
         "import numpy",
         "from sympy import Poly",
         "u = [c for s in e.left.symbols for c in g[s]]",
+        "p._terms[e] = 1",
+        "p._terms[e] += c",
+        "del self._terms[e]",
+        "p._terms.pop(e, None)",
+        "q._terms.update(terms)",
+        "p._terms.clear()",
+        "p._terms.setdefault(e, 0)",
+        "p._terms.popitem()",
     ],
 )
 def test_each_rule_is_detected(source):
@@ -102,6 +127,7 @@ def test_each_rule_is_detected(source):
     [
         "u = [c for s in e.left for c in g[s]]",
         "@property\ndef symbols(self):\n    return tuple(self)",
+        "c = p._terms[e]\nout = dict(p._terms)\nout[e] = c\nout.pop(e)\nres._terms = out",
     ],
 )
 def test_allowed_source_passes(source):
