@@ -57,11 +57,12 @@ Factor extraction rests on three consequences of that line-sum rule:
   change when the polynomial is shifted by a monomial, and distinct
   irreducible pure differences are coprime to each other and to every
   monomial, so a direction divides the input exactly when it divides its
-  quotient by the content and the other factors. Only a divisor gets its
-  lines built, as coefficient lists from each line's lowest support
-  point; the multiplicity is counted on those lists, and one quotient is
-  built per factor. Each polynomial keeps its own packing, made when a
-  candidate first tests it, so a quotient starts unpacked.
+  quotient by the content and the other factors. The test hands its line
+  keys to the division, so each candidate is keyed once and only a divisor
+  gets its lines built, as coefficient lists from each line's lowest
+  support point; the multiplicity is counted on those lists, and one
+  quotient is built per factor. Each polynomial keeps its own packing,
+  made when a candidate first tests it, so a quotient starts unpacked.
 """
 
 from __future__ import annotations
@@ -279,45 +280,42 @@ def _packed(p: MultiPoly) -> tuple[int, list[int], list[int]]:
     return p._packing
 
 
-def _pivot(p: MultiPoly, lam: LambdaVector) -> tuple[int, int]:
-    """The pivot of ``lam``: the index and value of its first nonzero
-    entry, which is positive. ``ValueError`` when ``lam`` does not have one
-    entry per variable of ``p``."""
+def _line_keys(p: MultiPoly, lam: LambdaVector) -> tuple[int, int, list[int] | None]:
+    """``(i, li, keys)``: the pivot of ``lam``, its first nonzero entry
+    ``li = lam_i > 0``, and the lam-line key ``li*pack(e) - e_i*pack(lam)``
+    of each term of ``p`` in term order, by the packing that ``p`` keeps.
+    ``keys`` is None when an entry of ``lam`` exceeds ``D`` and ``p`` is
+    nonzero, as then no two support monomials share a line. ``ValueError``
+    when ``lam`` does not have one entry per variable of ``p``."""
     if p.n != len(lam):
         raise ValueError(f"variable count mismatch: {p.n} vs {len(lam)}")
     li = next(filter(None, lam))
-    return lam.index(li), li
-
-
-def _line_keys(p: MultiPoly, lam: LambdaVector) -> list[int] | None:
-    """The lam-line key ``li*pack(e) - e_i*pack(lam)`` of each term of
-    ``p``, in term order, for the pivot ``(i, li)`` of ``lam`` and the
-    packing that ``p`` keeps; None when an entry of ``lam`` exceeds ``D``
-    and ``p`` is nonzero, as then no two support monomials share a line."""
-    i, li = _pivot(p, lam)
+    i = lam.index(li)
     D, powers, packs = _packed(p)
     if packs and max(map(abs, lam)) > D:
-        return None
+        return i, li, None
     pl = sum(map(mul, lam, powers))
-    return [li * q - e[i] * pl for q, e in zip(packs, p._terms)]
+    return i, li, [li * q - e[i] * pl for q, e in zip(packs, p._terms)]
 
 
-def _divides(p: MultiPoly, lam: LambdaVector) -> bool:
-    """Whether ``X^(lam+) - X^(lam-)`` divides ``p``: the coefficients on
-    every lam-line of the support sum to zero (see the module docstring)."""
-    keys = _line_keys(p, lam)
+def _divisor_keys(p: MultiPoly, lam: LambdaVector) -> tuple[int, int, list[int]] | None:
+    """The triple of ``_line_keys`` when ``X^(lam+) - X^(lam-)`` divides
+    ``p``, that is when the coefficients on every lam-line of the support
+    sum to zero (see the module docstring); None otherwise."""
+    _, _, keys = found = _line_keys(p, lam)
     if keys is None:
-        return False
+        return None
     sums: dict[int, int] = {}
     for key, c in zip(keys, p._terms.values()):
         sums[key] = sums.get(key, 0) + c
-    return not any(sums.values())
+    return None if any(sums.values()) else found
 
 
 def _divide_out(p: MultiPoly, lam: LambdaVector, once: bool) -> tuple[int, MultiPoly]:
     """``(m, p / b^m)`` for the pure difference ``b`` of ``lam``, with ``m``
-    its multiplicity in ``p``, or at most 1 when ``once``. The lines are
-    keyed by the packing of ``p``; the quotient starts unpacked.
+    its multiplicity in ``p``, or at most 1 when ``once``. One call of
+    ``_divisor_keys`` decides whether ``b`` divides, and its keys group the
+    support into lines; the quotient starts unpacked.
 
     Each lam-line of the support holds the points ``low + t*lam`` for
     ``t = 0..T``, from its lowest support point ``low``, with coefficients
@@ -329,18 +327,14 @@ def _divide_out(p: MultiPoly, lam: LambdaVector, once: bool) -> tuple[int, Multi
     more than ``MAX_QUOTIENT_TERMS`` terms is refused with ``ValueError``
     before it is built.
     """
-    if not _divides(p, lam):
+    found = _divisor_keys(p, lam)
+    if found is None:
         return 0, p
-    i, li = _pivot(p, lam)
+    i, li, keys = found
     terms = p._terms
     lines: dict[int, dict[int, tuple[int, ...]]] = {}
-    for key, e in zip(_line_keys(p, lam), terms):
-        ei = e[i]
-        line = lines.get(key)
-        if line is None:
-            lines[key] = {ei: e}
-        else:
-            line[ei] = e
+    for key, e in zip(keys, terms):
+        lines.setdefault(key, {})[e[i]] = e
     spans = [(line, min(line), max(line)) for line in lines.values()]
     size = sum(hi - lo for _, lo, hi in spans) // li
     if size > MAX_QUOTIENT_TERMS:
@@ -379,8 +373,9 @@ def divide_by_binomial(p: MultiPoly, lam: LambdaVector) -> MultiPoly | None:
     """Exact quotient ``p / (X^(lam+) - X^(lam-))``, or None when the
     division leaves a remainder.
 
-    The line-sum test runs first, so a quotient is built only for a
-    divisor (see ``_divide_out``). A quotient of more than
+    The line-sum test runs first and its keys group the lines, so each
+    direction is keyed once and a quotient is built only for a divisor
+    (see ``_divide_out``). A quotient of more than
     ``MAX_QUOTIENT_TERMS`` terms is refused with ``ValueError`` before it
     is built.
     """
@@ -481,7 +476,7 @@ def pure_difference_divisors(p: MultiPoly) -> tuple[LambdaVector, ...]:
     quotient (see the module docstring)."""
     if not p:
         raise ValueError("every pure difference divides the zero polynomial")
-    return tuple(lam for lam in _anchor_candidates(p._terms) if _divides(p, lam))
+    return tuple(lam for lam in _anchor_candidates(p._terms) if _divisor_keys(p, lam) is not None)
 
 
 def binomial_factors(p: MultiPoly) -> BinomialFactorization:

@@ -18,7 +18,7 @@ from weq.poly import (
     pure_difference_divisors,
     _anchor_candidates,
     _divide_out,
-    _divides,
+    _divisor_keys,
     _line_keys,
     _packed,
 )
@@ -428,7 +428,7 @@ class TestLineKey:
     def test_matches_repeated_reference(self, case):
         lam, p = case
         m, q = reference_multiplicity(p, lam)
-        assert _divides(p, lam) == (m > 0)
+        assert (_divisor_keys(p, lam) is not None) == (m > 0)
         assert _divide_out(p, lam, once=False) == (m, q)
         assert divide_by_binomial(p, lam) == reference_divide(p, lam)
 
@@ -440,7 +440,7 @@ class TestLineKey:
         no two support monomials on one line, so nothing divides."""
         lam, p = case
         assert reference_divide(p, lam) is None
-        assert not _divides(p, lam)
+        assert _divisor_keys(p, lam) is None
         assert _divide_out(p, lam, once=False) == (0, p)
         assert divide_by_binomial(p, lam) is None
 
@@ -453,7 +453,7 @@ class TestLineKey:
         for vec in ((1,) + (0,) * (n - 1), (1,) + (-1,) * (n - 1), (0,) * (n - 1) + (1,)):
             lam = LambdaVector(vec)
             assert reference_divide(p, lam) is None
-            assert not _divides(p, lam)
+            assert _divisor_keys(p, lam) is None
             assert _divide_out(p, lam, once=False) == (0, p)
             assert divide_by_binomial(p, lam) is None
         assert pure_difference_divisors(p) == ()
@@ -476,7 +476,7 @@ class TestLineKey:
         li = next(filter(None, lam))
         i = lam.index(li)
         cross = [tuple(li * a - e[i] * b for a, b in zip(e, lam)) for e in p.terms]
-        keys = list(_line_keys(p, lam))
+        keys = _line_keys(p, lam)[2]
         assert [[x == y for y in keys] for x in keys] == [[x == y for y in cross] for x in cross]
 
     def test_variable_count_mismatch(self):
@@ -485,7 +485,7 @@ class TestLineKey:
             with pytest.raises(ValueError, match="variable count mismatch"):
                 divide_by_binomial(p, lam)
             with pytest.raises(ValueError, match="variable count mismatch"):
-                _divides(p, lam)
+                _divisor_keys(p, lam)
 
 
 # (X - Y)^2 * (X^2 - Y) * (X + Y + 1): three anchor candidates, of which the
@@ -542,6 +542,30 @@ class TestPacking:
         assert p._packing is not None
         assert q._packing is None
         assert divide_by_binomial(p, LambdaVector((2, -1)))._packing is None
+
+
+class TestKeyedOnce:
+    """The line-sum test hands its keys to the division, so each candidate
+    direction of each polynomial is keyed once, whether it divides or not."""
+
+    def test_no_candidate_is_keyed_twice(self, monkeypatch):
+        keyed = []
+        real = weq.poly._line_keys
+
+        def counting(q, lam):
+            keyed.append((q, lam))
+            return real(q, lam)
+
+        monkeypatch.setattr(weq.poly, "_line_keys", counting)
+        candidates = _anchor_candidates(SEVERAL_CANDIDATES._terms)
+        assert candidates == [LambdaVector((1, -1)), LambdaVector((2, -1)), LambdaVector((5, -3))]
+        runs = [binomial_factors, pure_difference_divisors]
+        runs += [lambda p, lam=lam: divide_by_binomial(p, lam) for lam in candidates]
+        for run in runs:
+            keyed.clear()
+            run(MultiPoly(2, SEVERAL_CANDIDATES.terms))
+            pairs = [(id(q), lam) for q, lam in keyed]
+            assert pairs and len(pairs) == len(set(pairs))
 
 
 class TestEvaluationIdentities:
