@@ -52,7 +52,6 @@ def _erasing_note(lam: LambdaVector, names: Sequence[str]) -> str:
     return f"factor {format_poly(pure_difference(lam))}: only erasing solutions with {emptied}"
 
 
-@dataclass(frozen=True)
 class PairAnalysis:
     """Everything read off one equation pair, each computed on first read.
 
@@ -70,23 +69,16 @@ class PairAnalysis:
     unknown, else ValueError, and defaults to ``x, y, z, ...``.
     """
 
-    E: Equation
-    Ep: Equation
-    names: Sequence[str] = ()
-
-    def __post_init__(self):
-        if self.E.n != self.Ep.n:
+    def __init__(self, E: Equation, Ep: Equation, names: Sequence[str] = ()):
+        if E.n != Ep.n:
             raise ValueError("equations must share the unknown count")
-        object.__setattr__(self, "names", tuple(unknown_names(self.E.n, self.names or None)))
+        self.E, self.Ep = E, Ep
+        self.names = tuple(unknown_names(E.n, names or None))
+        self._minors: dict[tuple[int, int], MultiPoly] = {}  # built so far, each once
 
     @cached_property
     def s_vectors(self) -> tuple[SVector, SVector]:
         return s_vector(self.E), s_vector(self.Ep)
-
-    @cached_property
-    def _minors(self) -> dict[tuple[int, int], MultiPoly]:
-        """The determinants built so far, each once, by index pair."""
-        return {}
 
     def _minor(self, pair: tuple[int, int]) -> MultiPoly:
         det = self._minors.get(pair)

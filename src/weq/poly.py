@@ -183,9 +183,6 @@ class MultiPoly:
             other = MultiPoly.constant(self.n, other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):
             terms = {e: c * other for e, c in self._terms.items()} if other else {}

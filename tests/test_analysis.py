@@ -199,7 +199,7 @@ REPORT_KEYS = {
 }
 
 
-def refuse_call(p):
+def refuse_call(*args):
     raise AssertionError("computed after the call returned, or factored where no factor is read")
 
 
@@ -278,6 +278,15 @@ class TestPairAnalysis:
         same = PairAnalysis(E1, E1)
         assert same.primary is None and built == [(0, 1), (0, 2), (1, 2)]
         assert not any(same.grid.values()) and len(built) == 3
+
+    def test_construction_computes_nothing(self, monkeypatch):
+        for name in ("s_vector", "minor", "binomial_factors"):
+            monkeypatch.setattr(f"weq.analysis.{name}", refuse_call)
+        assert PairAnalysis(E1, E2).names == ("x", "y", "z")
+
+    def test_unknown_counts_must_match(self):
+        with pytest.raises(ValueError, match="^equations must share the unknown count$"):
+            PairAnalysis(E1, eq("xy", "yx"))
 
     def test_names_default_to_unknown_names(self):
         assert PairAnalysis(E1, E2).names == ("x", "y", "z")

@@ -20,11 +20,12 @@ Each name has one import path: the module that defines it. The package
 root ``weq/__init__`` imports nothing and binds nothing but
 ``__version__``, so it re-exports nothing.
 
-Every field of a library dataclass is read: its name is read as an
-attribute in a library module or a file of the benchmark, or the class
-goes whole through ``dataclasses.asdict``, called on the class or on a
-function whose return annotation names it. The tests do not count here
-either.
+Every field of a library class is read: each field of a dataclass, and
+each attribute that a class's ``__init__`` assigns on ``self``. Its name
+is read as an attribute in a library module or a file of the benchmark,
+or the class goes whole through ``dataclasses.asdict``, called on the
+class or on a function whose return annotation names it. The tests do
+not count here either.
 
 The layout table of the README names only what exists: each backticked
 identifier in the row of a ``weq`` module is an attribute of that module,
@@ -280,11 +281,12 @@ def test_root_binding_is_detected(source, flagged):
     assert root_bindings(ast.parse(source)) == flagged
 
 
-def dataclass_fields(tree: ast.Module):
-    """``(class name, field name)`` of the dataclasses of a module: the
-    annotated names of the class body, ``ClassVar``s aside."""
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+def class_fields(tree: ast.Module):
+    """``(class name, field name)`` of the classes of a module: the
+    annotated names of a dataclass body, ``ClassVar``s aside, and the
+    attributes that a class's ``__init__`` assigns on its first argument."""
+    for node in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
             for stmt in node.body:
                 if (
                     isinstance(stmt, ast.AnnAssign)
@@ -292,6 +294,16 @@ def dataclass_fields(tree: ast.Module):
                     and "ClassVar" not in ast.unparse(stmt.annotation)
                 ):
                     yield node.name, stmt.target.id
+        for init in node.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                for target in ast.walk(init):
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and isinstance(target.ctx, ast.Store)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == init.args.args[0].arg
+                    ):
+                        yield node.name, target.attr
 
 
 def _callee(call: ast.Call) -> str:
@@ -300,7 +312,7 @@ def _callee(call: ast.Call) -> str:
 
 
 def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """The dataclass fields of ``modules`` (module name -> source) that no
+    """The class fields of ``modules`` (module name -> source) that no
     module and no reader source reads as an attribute, and whose class no
     ``asdict`` call takes whole."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
@@ -322,14 +334,16 @@ def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
     return [
         f"{module}.{cls}.{field}"
         for module, tree in trees.items()
-        for cls, field in dataclass_fields(tree)
+        for cls, field in class_fields(tree)
         if field not in read and cls not in whole
     ]
 
 
 def test_every_dataclass_field_is_read():
     modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
-    assert any(dict(dataclass_fields(ast.parse(source))) for source in modules.values())
+    assert any(dict(class_fields(ast.parse(source))) for source in modules.values())
+    fields = set(class_fields(ast.parse(modules["analysis"])))
+    assert {("PairAnalysis", name) for name in ("E", "Ep", "names", "_minors")} <= fields
     assert unread_fields(modules, [path.read_text(encoding="utf-8") for path in BENCH]) == []
 
 
@@ -346,6 +360,13 @@ _DATACLASS = "from dataclasses import dataclass\n\n@dataclass\nclass R:\n    a: 
         (_DATACLASS + "asdict(R(1))", [], []),
         (_DATACLASS + "def f() -> int:\n    return 1\n\nasdict(f())", [], ["m.R.a", "m.R.b"]),
         ("from typing import ClassVar\n\n@dataclass\nclass S:\n    c: ClassVar[int] = 0", [], []),
+        ("class C:\n    def __init__(self, a):\n        self.a, self.b = a, 0\n\nC(1).a", [], ["m.C.b"]),
+        (
+            "class C:\n    def __init__(me, a, other):\n        me._a: int = a\n        other.b = 0\n\n"
+            "    def f(self):\n        return self._a",
+            [],
+            [],
+        ),
     ],
     ids=[
         "unread field",
@@ -355,6 +376,8 @@ _DATACLASS = "from dataclasses import dataclass\n\n@dataclass\nclass R:\n    a: 
         "asdict of the class",
         "asdict of another class",
         "class variable",
+        "unread attribute set in __init__",
+        "read attribute set in __init__",
     ],
 )
 def test_unread_field_is_detected(source, readers, flagged):
