@@ -5,8 +5,14 @@ budget, one length type at a time. For a fixed length type the equations
 identify positions of the images; the solutions of that type are exactly
 the letter assignments to the resulting position classes, so the search
 costs the size of its output rather than one word comparison per
-candidate. A catalog is its counts (solutions, rank counts, and the sizes
-of the linear-equivalence classes of rank-(n-1) solutions, keyed by their
+candidate. A length type's images come as columns, one per unknown, read
+off the assignments by ``itemgetter``, and the solutions and their keys
+are built from the columns by ``map`` and ``zip``, with no Python loop
+per solution and with the cyclic collector paused: the listing makes
+only words, tuples and morphisms of ints, which form no cycle.
+
+A catalog is its counts (solutions, rank counts, and the sizes of the
+linear-equivalence classes of rank-(n-1) solutions, keyed by their
 hyperplane normals), its solutions, and each solution's kind: its rank
 and its class index. Its solutions grouped by rank and by class are
 views of the kinds.
@@ -26,13 +32,14 @@ encoding against the word-level definitions.
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice, product, repeat
+from itertools import combinations, islice, product, repeat
 from math import comb
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import STATUS_OK, PairAnalysis
@@ -299,13 +306,19 @@ def _position_templates(
 
 def _solutions_for_length_type(
     sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], k: int, lt: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Images of every solution of one length type, one per letter
-    assignment to its position classes, in lexicographic order."""
+) -> list[list[tuple[int, ...]]]:
+    """Images of every solution of one length type, one column per image:
+    entry i of column j is image j under the i-th letter assignment to the
+    position classes, the assignments in lexicographic order. A one-cell
+    image is still a tuple, and an empty one is ``()``."""
     classes, templates = _position_templates(sides, lt)
+    assignments = list(product(range(k), repeat=classes))
+    # an itemgetter of one index gives the letter, not a 1-tuple, and one of none cannot be built
     return [
-        tuple([tuple([letters[c] for c in t]) for t in templates])
-        for letters in product(range(k), repeat=classes)
+        list(map(itemgetter(*t), assignments)) if len(t) > 1
+        else list(zip(map(itemgetter(*t), assignments))) if t
+        else [()] * len(assignments)
+        for t in templates
     ]
 
 
@@ -324,27 +337,36 @@ def enumerate_solutions(
     position classes (``_position_templates``), taken in lexicographic
     order: two assignments first differ on some class, and the first cell
     of that class is the first cell where their images differ, so the
-    images come out in lexicographic order too. Each distinct image has
-    one record per call: its ``Word``, built once and shared by every
-    solution that uses it, and the number of its multiset of letters. The
-    letters were made here in range, so each solution is built by
-    ``Morphism._trusted`` without checking them.
+    images come out in lexicographic order too. ``_solutions_for_length_type``
+    gives them as one column per unknown, and the columns are read across
+    by ``zip``. Through ``words``, each distinct image becomes one ``Word``,
+    built once and shared by every solution that uses it, and each row of
+    words one ``Morphism``, built by ``_trusted`` without checks, since the
+    letters were made here in range. Through ``multiset``, each image
+    becomes its multiset of letters (its sorted letters), and each row of
+    multisets the solution's key, numbered by ``ids``. These three are
+    ``_Memo`` dicts, so a solution costs its ``_trusted`` call and C-level
+    lookups, and no Python loop of its own. The listing and its tally run
+    with the cyclic collector paused, and turn it back on only if it was
+    on: the words, image tuples, morphisms and kinds hold only ints, words
+    and normals, so they form no cycle, and the collector would only walk
+    them again and again as they pile up.
 
     Rank and hyperplane normal depend only on the occurrence-count matrix
-    up to the order of its rows and its zero rows, so a solution's key is
-    its sorted nonzero rows, one per letter that occurs, and ``_kind``, the
-    cache the count shares, classifies it. The matrix is fixed by the
-    multisets of letters of the images, so a key is counted and classified
-    only for the first solution whose images have its tuple of multiset
-    numbers, and that tuple's kind is looked up for every later one; two
-    tuples with the same key are one cache entry. A listed solution's cost
-    depends on n, L and the letters it uses, not on the alphabet size, and
-    ``x = x`` at length budget 2 needs 4 eliminations at any k. The counts
-    are tallied from those kinds, and each solution's kind is read off its
-    tuple's number, so rendering the catalog hashes no morphism.
+    up to the order of its rows and its zero rows, and that matrix is fixed
+    by the multisets of letters of the images. So a key is classified only
+    for the first solution that has it: its sorted nonzero count rows, one
+    per letter that occurs, go to ``_kind``, the cache the count shares,
+    and two keys with the same rows are one cache entry. A listed
+    solution's cost depends on n, L and the letters it uses, not on the
+    alphabet size, and ``x = x`` at length budget 2 needs 4 eliminations at
+    any k. The counts are tallied from the kinds of the keys, and each
+    solution's kind is read off its key's number, so rendering the catalog
+    hashes no morphism.
 
-    With ``workers > 1`` length types are enumerated in parallel processes
-    and merged back in the serial order, so the catalog is identical.
+    With ``workers > 1`` the columns of the length types are built in
+    parallel processes and merged back in the serial order, so the catalog
+    is identical.
     """
     n, k = system.n, cfg.alphabet_size
     _refuse_oversized_space(n, cfg)
@@ -354,43 +376,39 @@ def enumerate_solutions(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(chain.from_iterable(pool.map(_solutions_for_length_type, repeat(sides), repeat(k), lts)))
+            found = list(pool.map(_solutions_for_length_type, repeat(sides), repeat(k), lts))
     else:
-        found = chain.from_iterable(map(_solutions_for_length_type, repeat(sides), repeat(k), lts))
+        found = map(_solutions_for_length_type, repeat(sides), repeat(k), lts)
 
-    # one record per distinct image: its Word and the number of its
-    # multiset of letters (its sorted letters, numbered in order of first
-    # appearance); the letters of the images are ints in range(k), made here
-    records: dict[tuple[int, ...], tuple[Word, int]] = {}
-    multisets: dict[tuple[int, ...], int] = {}
-    solutions: list[Morphism] = []
-    # keys are numbered per distinct tuple of multiset numbers, in order of
-    # first appearance, and ``kinds`` holds each key's rank and normal: a
-    # tuple kept per solution would make the collector run more often
-    ids: dict[tuple[int, ...], int] = {}
+    # a key is a solution's tuple of image multisets, each its sorted letters;
+    # keys are numbered by first appearance, and ``kinds`` holds each one's
+    # rank and normal
     kinds: list[tuple[int, LambdaVector | None]] = []
+
+    def classify(multisets: tuple[tuple[int, ...], ...]) -> int:
+        rows = tuple(sorted([tuple([m.count(a) for m in multisets]) for a in set().union(*multisets)]))
+        kinds.append(_kind(rows, n))
+        return len(kinds) - 1
+
+    words, multiset, ids = _Memo(Word._trusted), _Memo(lambda im: tuple(sorted(im))), _Memo(classify)
+    solutions: list[Morphism] = []
     keys: list[int] = []
-    for images in found:
-        image_words, numbers = [], []
-        for im in images:
-            record = records.get(im)
-            if record is None:
-                number = multisets.setdefault(tuple(sorted(im)), len(multisets))
-                record = records[im] = (Word._trusted(im), number)
-            image_words.append(record[0])
-            numbers.append(record[1])
-        solutions.append(Morphism._trusted(tuple(image_words), k))
-        numbers = tuple(numbers)
-        key = ids.get(numbers)
-        if key is None:
-            key = ids[numbers] = len(kinds)
-            rows = tuple(sorted([tuple([im.count(a) for im in images]) for a in set().union(*images)]))
-            kinds.append(_kind(rows, n))
-        keys.append(key)
-    counts = _tally(n, cfg, ((kinds[i], ways) for i, ways in Counter(keys).items()))
-    index = {normal: i for i, normal in enumerate(counts.class_sizes)}
-    kind = [(r, -1 if normal is None else index[normal]) for r, normal in kinds]
-    return SolutionCatalog(counts, tuple(solutions), tuple(map(kind.__getitem__, keys)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for columns in found:
+            word_columns = [map(words.__getitem__, c) for c in columns]
+            multiset_columns = [map(multiset.__getitem__, c) for c in columns]
+            # with no unknowns the one length type has one solution, and no column
+            solutions += map(Morphism._trusted, zip(*word_columns) if n else [()], repeat(k))
+            keys += map(ids.__getitem__, zip(*multiset_columns) if n else [()])
+        counts = _tally(n, cfg, ((kinds[i], ways) for i, ways in Counter(keys).items()))
+        index = {normal: i for i, normal in enumerate(counts.class_sizes)}
+        kind = [(r, -1 if normal is None else index[normal]) for r, normal in kinds]
+        return SolutionCatalog(counts, tuple(solutions), tuple(map(kind.__getitem__, keys)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _tally(n: int, cfg: SearchConfig, kinds: Iterable[tuple[tuple, int]]) -> SolutionCounts:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 from collections import Counter
 from itertools import product
@@ -240,6 +241,42 @@ class TestEnumeration:
         assert len(catalog.solutions) == 1 + 3000
         assert peak < 1024 * len(catalog.solutions)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_kept(self, enabled):
+        # the listing pauses the cyclic collector, and turns it back on only
+        # if it was on when the listing began
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert enumerate_solutions(PAIR, SearchConfig(8, 2)).counts.solution_count == 1923
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_kept_when_the_listing_raises(self, monkeypatch, enabled):
+        from weq import search
+
+        real, seen = search._position_templates, []
+
+        def fail_second(sides, lt):
+            # the length types are listed with the collector paused
+            seen.append(gc.isenabled())
+            if len(seen) == 2:
+                raise RuntimeError("the second length type")
+            return real(sides, lt)
+
+        monkeypatch.setattr(search, "_position_templates", fail_second)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(RuntimeError, match="the second length type"):
+                enumerate_solutions(PAIR, SearchConfig(8, 2))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert seen == [False, False]
+
     @given(small_searches())
     @example((PAIR, SearchConfig(8, 2)))
     def test_each_distinct_image_is_one_word(self, search):
@@ -323,8 +360,30 @@ class TestAgainstProductScan:
         lts = _feasible_length_types(PAIR, cfg)
         assert len(lts) == 286
         for lt in lts:
-            assert _solutions_for_length_type(sides, 2, lt) == reference_length_type(sides, 2, lt), lt
+            assert list(zip(*_solutions_for_length_type(sides, 2, lt))) == reference_length_type(sides, 2, lt), lt
         assert_matches_reference(PAIR, cfg)
+
+    @given(small_searches())
+    # xy = yx at length 2: (0, 2) has an empty image and (1, 1) two one-cell images
+    @example((EqSystem((eq("xy", "yx"),)), SearchConfig(2, 3)))
+    # x = yy without erasing: (2, 1) has a one-cell image beside a two-cell one
+    @example((EqSystem((eq("x", "yy"),)), SearchConfig(5, 2, allow_erasing=False)))
+    # one letter: each length type has one assignment, over no class if it is all empty
+    @example((EqSystem((eq("xyz", "zyx"),)), SearchConfig(4, 1)))
+    def test_columns_match_reference(self, search):
+        # one column per image, each entry a tuple of that image's length,
+        # even of one cell or none; read across, the columns are the images
+        # of the product scan, in its order
+        system, cfg = search
+        sides = tuple((e.left.symbols, e.right.symbols) for e in system)
+        for lt in _feasible_length_types(system, cfg):
+            columns = _solutions_for_length_type(sides, cfg.alphabet_size, lt)
+            reference = reference_length_type(sides, cfg.alphabet_size, lt)
+            assert len(columns) == system.n
+            for length, column in zip(lt, columns):
+                assert len(column) == len(reference)
+                assert all(type(im) is tuple and len(im) == length for im in column)
+            assert list(zip(*columns)) == reference, lt
 
     @given(small_searches())
     @example((PAIR, SearchConfig(10, 2)))
