@@ -389,7 +389,6 @@ class BinomialFactorization:
     coefficient in graded lexicographic order.
     """
 
-    n: int
     sign: int
     content: tuple[int, ...]
     factors: tuple[tuple[LambdaVector, int], ...]
@@ -413,7 +412,7 @@ class BinomialFactorization:
                         del out[e]
                 terms = out
         mu, sign = self.content, self.sign
-        return MultiPoly._from_terms(self.n, {tuple(map(add, e, mu)): sign * c for e, c in terms.items()})
+        return MultiPoly._from_terms(self.residual.n, {tuple(map(add, e, mu)): sign * c for e, c in terms.items()})
 
     def to_json(self) -> dict:
         return {
@@ -488,7 +487,6 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     """
     if not p:
         raise ValueError("the zero polynomial has no factorization")
-    n = p.n
     content = _content(p._terms)
     cur = _shift_down(p, content) if any(content) else p
     factors: list[tuple[LambdaVector, int]] = []
@@ -501,7 +499,7 @@ def binomial_factors(p: MultiPoly) -> BinomialFactorization:
     if cur._terms[lead] < 0:
         sign = -1
         cur = -cur
-    result = BinomialFactorization(n, sign, content, tuple(factors), cur)
+    result = BinomialFactorization(sign, content, tuple(factors), cur)
     if result.expand() != p:
         raise InternalError("factorization failed to multiply back")
     return result

@@ -17,14 +17,18 @@ by elementary transformations driven purely by image lengths:
 
 Throughout, ``g`` maps each unknown to a word over the unknowns still
 alive, whose remaining images compose with ``g`` to ``h``; it starts as
-the identity on the non-erased unknowns. The letters of ``g`` are then
-renamed to 0, 1, 2, ... by first occurrence in ``g(x_0) g(x_1) ...``, so
-equal-length-type inputs produce literally identical results.
+the identity on the non-erased unknowns. Inside the reduction unknown
+``i`` is the character ``chr(i)`` and g's images are ``str``, so each
+substitution is one ``str.replace``; the trace holds unknown indices.
+The letters of ``g`` are then renamed to 0, 1, 2, ... by first
+occurrence in ``g(x_0) g(x_1) ...``, so equal-length-type inputs produce
+literally identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from os.path import commonprefix
 
 from .words import EqSystem, InternalError, Morphism, Word, is_solution
 
@@ -59,19 +63,17 @@ def principal_decompose(h: Morphism, system: EqSystem) -> PrincipalDecomposition
         raise ValueError("the morphism is not a solution of the system")
 
     trace: list[tuple] = [("erase", i) for i, im in enumerate(h.images) if not im]
-    # The letters of g are the unknowns still keyed in h_img; g_imgs holds
-    # the images of the original unknowns over those letters.
-    g_imgs = [[i] if im else [] for i, im in enumerate(h.images)]
-    h_img = {i: im for i, im in enumerate(h.images) if im}
+    # The letters of g are the unknowns still keyed in h_img, unknown i
+    # spelled chr(i); g_imgs holds the original unknowns' images over them.
+    g_imgs = [chr(i) if im else "" for i, im in enumerate(h.images)]
+    h_img = {chr(i): im for i, im in enumerate(h.images) if im}
 
     # An equation that g solves stays solved under every substitution, so
     # the equations are solved in order, each until g solves it.
     for e in system:
-        while (u := [c for x in e.left for c in g_imgs[x]]) != (
-            v := [c for x in e.right for c in g_imgs[x]]
-        ):
+        while (u := "".join([g_imgs[x] for x in e.left])) != (v := "".join([g_imgs[x] for x in e.right])):
             before = len(h_img) + sum(map(len, h_img.values()))
-            j = next((i for i, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
+            j = len(commonprefix((u, v)))
             # A non-erasing solution cannot make one side a proper prefix of
             # the other.
             _require(j < len(u) and j < len(v), "side exhausted under a non-erasing solution")
@@ -81,21 +83,17 @@ def principal_decompose(h: Morphism, system: EqSystem) -> PrincipalDecomposition
             if len(hs) < len(ht):
                 _require(ht[: len(hs)] == hs, "shorter image is not a prefix")
                 h_img[t] = ht[len(hs):]
-                replacement = (s, t)
-                trace.append(("expand", s, t))
+                g_imgs = [gi.replace(t, s + t) for gi in g_imgs]
+                trace.append(("expand", ord(s), ord(t)))
             else:
                 _require(hs == ht, "equal-length images differ")
                 del h_img[t]
-                replacement = (s,)
-                trace.append(("merge", t, s))
-            g_imgs = [
-                [c for a in gi for c in (replacement if a == t else (a,))] if t in gi else gi
-                for gi in g_imgs
-            ]
+                g_imgs = [gi.replace(t, s) for gi in g_imgs]
+                trace.append(("merge", ord(t), ord(s)))
             after = len(h_img) + sum(map(len, h_img.values()))
             _require(after < before, "termination measure failed to decrease")
 
-    order = list(dict.fromkeys(c for gi in g_imgs for c in gi))
+    order = list(dict.fromkeys("".join(g_imgs)))
     _require(set(order) == h_img.keys(), "letters of g differ from the surviving unknowns")
     # the remapped letters are 0..len(order)-1 and the images of theta are
     # slices of h's checked images, so neither needs checking again

@@ -75,7 +75,6 @@ def reference_shift_down(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
 
 
 def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
-    n = p.n
     content, cur = reference_shift_down(p)
     factors: dict[LambdaVector, int] = {}
     progressed = True
@@ -99,7 +98,6 @@ def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
     lead = max(cur.terms, key=lambda e: (sum(e), e))
     sign = -1 if cur.terms[lead] < 0 else 1
     return BinomialFactorization(
-        n,
         sign,
         content,
         tuple(sorted(factors.items(), key=lambda kv: kv[0].entries)),
@@ -464,7 +462,7 @@ class TestLineKey:
         assert _packed(p) == (0, [], [0])
         assert pure_difference_divisors(p) == ()
         fac = binomial_factors(p)
-        assert fac == reference_binomial_factors(p) == BinomialFactorization(0, -1, (), (), MultiPoly.constant(0, 5))
+        assert fac == reference_binomial_factors(p) == BinomialFactorization(-1, (), (), MultiPoly.constant(0, 5))
 
     @given(extreme_key_cases())
     # a base of 2D + 1 in place of 4D^2 + 1 would give these two lines one key
@@ -741,7 +739,7 @@ class TestBinomialFactors:
         vecs = data.draw(st.lists(directions(n), max_size=3))
         factors = tuple({direction(v): data.draw(st.integers(1, 3)) for v in vecs}.items())
         fac = BinomialFactorization(
-            n, data.draw(st.sampled_from((1, -1))), content, factors, data.draw(sparse_polys(n, max_terms=4))
+            data.draw(st.sampled_from((1, -1))), content, factors, data.draw(sparse_polys(n, max_terms=4))
         )
         want = MultiPoly.monomial(n, content, fac.sign)
         for lam, m in factors:

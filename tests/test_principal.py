@@ -408,6 +408,29 @@ class TestAgainstReference:
         assert kinds == {"erase", "expand", "merge"}
         assert erasing > 100 and multi > 100
 
+    def test_seeded_systems_beyond_26_unknowns(self):
+        """Unknown i is the character chr(i) inside the reduction, so 27 to
+        40 unknowns take it past the 26 letters a-z and through the control
+        characters below space up to space and punctuation."""
+        rng = random.Random(39)
+        steps = 0
+        letters = set()
+        for _ in range(300):
+            while True:
+                h = random_morphism(rng, rng.randint(27, 40), rng.randint(1, 3), 4)
+                drawn = (random_equation_solved_by(rng, h, 6) for _ in range(rng.randint(1, 3)))
+                if eqs := [E for E in drawn if E is not None]:
+                    break
+            T = EqSystem(tuple(eqs))
+            dec = principal_decompose(h, T)
+            assert dec == reference_principal(h, T), (T, h)
+            moves = [step for step in dec.trace if step[0] != "erase"]
+            steps += len(moves)
+            letters |= {c for step in moves for c in step[1:]}
+        assert steps > 2000
+        # letters 26 to 31 lie past a-z and below space
+        assert any(26 <= c < 32 for c in letters) and max(letters) >= 32
+
     @pytest.mark.parametrize("left_longer", [True, False])
     def test_commutation_powers_up_to_200(self, left_longer):
         T = EqSystem((eq("xy", "yx"),))
