@@ -42,8 +42,6 @@ from math import comb
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .analysis import STATUS_OK, PairAnalysis
-from .encode import check_solution_poly
 from .words import (
     EqSystem,
     Equation,
@@ -509,6 +507,8 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
     independent are skipped with a status: identical equations and pairs
     with no nonzero determinant.
     """
+    from .analysis import STATUS_OK, PairAnalysis
+
     if E == Ep:
         return BoundCheckReport("identical-equations", True)
     pa = PairAnalysis(E, Ep)
@@ -552,12 +552,14 @@ def _preimages(h: Morphism, target: Word, max_len: int, cap: int) -> list[Word]:
     """The first ``cap`` words, at most ``max_len`` long and over the
     unknowns with nonempty images, that ``h`` maps onto ``target``, in
     lexicographic order: depth first is that order, since no spelling of
-    ``target`` is a prefix of another."""
+    ``target`` is a prefix of another. A prefix grows only while the unknowns
+    left, at the longest image each, can still cover the rest of ``target``."""
+    longest = max(map(len, h.images), default=0)
 
     def spell(pos: int, acc: list[int]) -> Iterator[Word]:
         if pos == len(target):
             yield Word(acc)
-        elif len(acc) < max_len:
+        elif len(target) - pos <= (max_len - len(acc)) * longest:
             for j, im in enumerate(h.images):
                 if im and target[pos : pos + len(im)] == im:
                     yield from spell(pos + len(im), [*acc, j])
@@ -565,18 +567,17 @@ def _preimages(h: Morphism, target: Word, max_len: int, cap: int) -> list[Word]:
     return list(islice(spell(0, []), cap))
 
 
-def random_equation_solved_by(
-    rng: random.Random, h: Morphism, max_side: int
-) -> Equation | None:
-    """A random equation that ``h`` solves, or None when the drawn left
-    side admits no alternative spelling within the length budget."""
+def random_equation_solved_by(rng: random.Random, h: Morphism, max_side: int) -> Equation:
+    """A random equation that ``h`` solves: a drawn left side u, and a right
+    side among the spellings of h(u) within the side budget. That list is
+    never empty, since it holds u less its unknowns with empty images."""
     n = h.domain_size
     u = random_word(rng, n, max_side, 1)
     target = h.apply(u)
     vs = _preimages(h, target, max_side, cap=64)
     # unknowns with empty images may be sprinkled anywhere
     empties = [j for j in range(n) if not h.images[j]]
-    if empties and vs:
+    if empties:
         padded = []
         for v in vs[:8]:
             syms = list(v)
@@ -584,24 +585,7 @@ def random_equation_solved_by(
                 syms.insert(rng.randint(0, len(syms)), rng.choice(empties))
             padded.append(Word(syms))
         vs = vs + padded
-    if not vs:
-        return None
     return Equation(u, rng.choice(vs), n)
-
-
-def random_solution_instance(
-    rng: random.Random,
-    n: int,
-    k: int,
-    max_image_len: int,
-    max_side: int,
-) -> tuple[Equation, Morphism]:
-    """An (equation, morphism) pair where the morphism is a solution."""
-    while True:
-        h = random_morphism(rng, n, k, max_image_len)
-        E = random_equation_solved_by(rng, h, max_side)
-        if E is not None:
-            return E, h
 
 
 # the space each fuzz case draws from: unknowns, equation size, letters, image length
@@ -620,6 +604,8 @@ def verify_encoding(cases: int, seed: int = 0) -> dict:
     cases are solutions, and the list of cases on which the two tests
     disagree. A negative ``cases`` raises ``ValueError``.
     """
+    from .encode import check_solution_poly
+
     if cases < 0:
         raise ValueError(f"the case count must be non-negative, got {cases}")
     rng = random.Random(seed)
@@ -632,7 +618,8 @@ def verify_encoding(cases: int, seed: int = 0) -> dict:
             E = random_equation(rng, n, _FUZZ_MAX_EQ_SIZE)
             h = random_morphism(rng, n, k, _FUZZ_MAX_IMAGE_LEN)
         else:
-            E, h = random_solution_instance(rng, n, k, _FUZZ_MAX_IMAGE_LEN, _FUZZ_MAX_EQ_SIZE // 2)
+            h = random_morphism(rng, n, k, _FUZZ_MAX_IMAGE_LEN)
+            E = random_equation_solved_by(rng, h, _FUZZ_MAX_EQ_SIZE // 2)
         word_level = is_solution(h, EqSystem((E,)))
         poly_level = check_solution_poly(E, h)
         if word_level:

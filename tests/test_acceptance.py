@@ -212,7 +212,7 @@ def bound_check_pairs(rng: random.Random, cfg: SearchConfig):
         h = nonerasing_morphism(rng, 3, 2, 3)
         if rank(h) == 2 and sum(h.length_type()) <= cfg.max_total_image_length:
             A, B = random_equation_solved_by(rng, h, 5), random_equation_solved_by(rng, h, 5)
-            if A is not None and B is not None and A.size <= 10 and B.size <= 10:
+            if A.size <= 10 and B.size <= 10:
                 yield A, B
                 yield random_equation(rng, 3, 10), random_equation(rng, 3, 10)
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import weq.encode
 import weq.search
 from weq.analysis import PairAnalysis
 from weq.cli import build_parser, main
@@ -385,6 +386,24 @@ class TestCommands:
         assert main(["search", "--verify-encoding", "0"]) == 0
         assert capsys.readouterr().out == "checked 0 cases (0 solutions), 0 discrepancies\n"
 
+    def test_search_verify_encoding_reports_each_discrepancy(self, capsys, monkeypatch):
+        # a poly check that answers each case wrongly makes every case a discrepancy
+        check = weq.encode.check_solution_poly
+        monkeypatch.setattr(weq.encode, "check_solution_poly", lambda E, h: not check(E, h))
+        report = weq.search.verify_encoding(4)
+        entries = report["discrepancies"]
+        assert len(entries) == 4
+        for d in entries:
+            assert set(d) == {"equation", "morphism", "word_level", "poly_level"}
+            assert d["word_level"] != d["poly_level"]
+        assert main(["search", "--verify-encoding", "4"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"checked 4 cases ({report['positives']} solutions), 4 discrepancies",
+            *(f"  counterexample: {d}" for d in entries),
+        ]
+        assert main(["search", "--verify-encoding", "4", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["discrepancies"] == entries
+
     def test_parse_error_exit_code(self, capsys):
         assert main(["encode", "xy yx"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -744,6 +763,22 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == "error: determinants need two unknowns\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["encode", "# nothing here"], "no equations found"),
+            (["check", "x = x", "y = a"], "unexpected unknown 'y'; known: x"),
+            (["check", "x = x", "x = a\nx = b"], "duplicate binding for 'x'"),
+            (["check", "x = x", "x = A"], "expected a lowercase letter, got 'A'"),
+        ],
+        ids=["no equations", "unknown binding", "duplicate binding", "image letter"],
+    )
+    def test_unreadable_text_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unreadable_input_exits_2(self, capsys, tmp_path):
         assert main(["encode", str(tmp_path)]) == 2
         captured = capsys.readouterr()
@@ -833,8 +868,9 @@ class TestRejectedInput:
             (["xy = yx", "--seed", "0"], "--seed is not used by a catalog search"),
             ([PAIR_TEXT, "--verify-bounds", "--seed", "5"], "--seed is not used by --verify-bounds"),
             (["xy = yx", "--verify-encoding", "0", "--max-len", "2"], "--verify-encoding takes no equations"),
+            ([], "search needs equations (or --verify-encoding N)"),
         ],
-        ids=[f"argv{i}" for i in range(11)],
+        ids=[f"argv{i}" for i in range(12)],
     )
     def test_search_modes_that_ignore_an_input_exit_2(self, capsys, tmp_path, argv, message):
         csv = tmp_path / "out.csv"
@@ -878,7 +914,9 @@ IMPORTED_BY = {
     ("hyperplanes", PAIR_TEXT): {"weq.analysis", "weq.encode"},
     ("bounds", PAIR_TEXT): {"weq.analysis", "weq.encode"},
     ("paper-example",): {"weq.analysis", "weq.encode"},
-    ("search", "xy = yx", "--max-len", "4"): {"weq.search", "weq.analysis", "weq.encode"},
+    ("search", "xy = yx", "--max-len", "4"): {"weq.search"},
+    ("search", PAIR_TEXT, "--verify-bounds", "--max-len", "4"): {"weq.search", "weq.analysis", "weq.encode"},
+    ("search", "--verify-encoding", "4"): {"weq.search", "weq.encode"},
 }
 
 
@@ -893,7 +931,9 @@ class TestImportCost:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            pytest.param(argv, flag, id=f"{argv[0]} {flag}".strip())
+            pytest.param(
+                argv, flag, id=" ".join([argv[0], *(a for a in argv if a.startswith("--verify")), flag]).strip()
+            )
             for argv in IMPORTED_BY
             for flag in ("", "--json")
             if argv[0] != "--help" or not flag

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weq import search
+from weq import encode
 from weq.encode import balanced_residual, check_solution_poly, is_balanced, minor, s_vector, t_det
 from weq.poly import MultiPoly, divide_by_binomial
 from weq.search import (
     random_equation,
     random_equation_solved_by,
     random_morphism,
-    random_solution_instance,
     verify_encoding,
 )
 from weq.words import EqSystem, Equation, Morphism, Word, gamma_normal, is_solution
@@ -177,9 +176,6 @@ def check_cases(draw):
         u = draw(side)
         return (Equation(u, Word(()), n) if draw(st.booleans()) else Equation(Word(()), u, n)), h
     E = random_equation_solved_by(draw(st.randoms(use_true_random=False)), h, 12)
-    if E is None:
-        u = draw(side)
-        E = Equation(u, u, n)
     if kind == "mutated":
         j = draw(st.integers(0, n - 1))
         im = list(h.images[j])
@@ -214,7 +210,8 @@ class TestCheckSolutionPoly:
                 E = random_equation(rng, n, 10)
                 h = random_morphism(rng, n, k, 6)
             else:
-                E, h = random_solution_instance(rng, n, k, 6, 5)
+                h = random_morphism(rng, n, k, 6)
+                E = random_equation_solved_by(rng, h, 5)
             assert check_solution_poly(E, h) == is_solution(h, EqSystem((E,)))
 
     @settings(max_examples=400)
@@ -238,7 +235,7 @@ class TestCheckSolutionPoly:
             compared.append(got == reference_check_solution_poly(E, h))
             return got
 
-        monkeypatch.setattr(search, "check_solution_poly", both)
+        monkeypatch.setattr(encode, "check_solution_poly", both)
         report = verify_encoding(10_000, seed=2024)
         assert len(compared) == 10_000 and all(compared)
         assert report["discrepancies"] == [] and 0 < report["positives"] < report["cases"]

@@ -217,6 +217,12 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             MultiPoly.variable(2, 0) * MultiPoly.variable(3, 0)
 
+    def test_negative_variable_count_and_index_out_of_range(self):
+        with pytest.raises(ValueError, match="^negative variable count$"):
+            MultiPoly(-1)
+        with pytest.raises(ValueError, match="^variable index 2 out of range$"):
+            MultiPoly.variable(2, 2)
+
     @pytest.mark.parametrize(
         "terms",
         [{(0,): 0.5}, {(0,): Fraction(1, 2)}, {(1.0,): 2}, {(1,): 2, (Fraction(2),): 1}],
@@ -789,8 +795,6 @@ class TestBinomialFactors:
         while pairs < 300:
             h = nonerasing_morphism(rng, 3 + pairs % 2, 2, 3)
             A, B = random_equation_solved_by(rng, h, 6), random_equation_solved_by(rng, h, 6)
-            if A is None or B is None:
-                continue
             nonzero = [d for d in PairAnalysis(A, B).grid.values() if d]
             pairs += bool(nonzero)
             dets += nonzero

@@ -274,13 +274,7 @@ def solved_system_instances(rng: random.Random, count: int):
         n = rng.randint(1, 4)
         k = rng.randint(1, 3)
         h = random_morphism(rng, n, k, 4)
-        eqs = []
-        for _ in range(rng.randint(1, 3)):
-            E = random_equation_solved_by(rng, h, 5)
-            if E is not None:
-                eqs.append(E)
-        if not eqs:
-            continue
+        eqs = [random_equation_solved_by(rng, h, 5) for _ in range(rng.randint(1, 3))]
         covered = set()
         for E in eqs:
             covered |= {*E.left, *E.right}
@@ -361,7 +355,7 @@ def staged_systems(rng: random.Random, count: int):
         n = rng.randint(2, 4)
         h = nonerasing_morphism(rng, n, rng.randint(1, 3), 5)
         drawn = (random_equation_solved_by(rng, h, rng.randint(2, 6)) for _ in range(6))
-        eqs = [E for E in drawn if E is not None and E.left != E.right]
+        eqs = [E for E in drawn if E.left != E.right]
         if len(eqs) < 3:
             continue
         made += 1
@@ -408,7 +402,8 @@ class TestAgainstReference:
         assert kinds == {"erase", "expand", "merge"}
         assert erasing > 100 and multi > 100
 
-    def test_seeded_systems_beyond_26_unknowns(self):
+    @pytest.mark.parametrize("sides", [6, 12])
+    def test_seeded_systems_beyond_26_unknowns(self, sides):
         """Unknown i is the character chr(i) inside the reduction, so 27 to
         40 unknowns take it past the 26 letters a-z and through the control
         characters below space up to space and punctuation."""
@@ -416,12 +411,8 @@ class TestAgainstReference:
         steps = 0
         letters = set()
         for _ in range(300):
-            while True:
-                h = random_morphism(rng, rng.randint(27, 40), rng.randint(1, 3), 4)
-                drawn = (random_equation_solved_by(rng, h, 6) for _ in range(rng.randint(1, 3)))
-                if eqs := [E for E in drawn if E is not None]:
-                    break
-            T = EqSystem(tuple(eqs))
+            h = random_morphism(rng, rng.randint(27, 40), rng.randint(1, 3), 4)
+            T = EqSystem(tuple(random_equation_solved_by(rng, h, sides) for _ in range(rng.randint(1, 3))))
             dec = principal_decompose(h, T)
             assert dec == reference_principal(h, T), (T, h)
             moves = [step for step in dec.trace if step[0] != "erase"]

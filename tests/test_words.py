@@ -20,7 +20,6 @@ from weq.search import (
     random_equation,
     random_equation_solved_by,
     random_morphism,
-    random_solution_instance,
 )
 from weq.words import (
     EqSystem,
@@ -126,8 +125,10 @@ def systems_with_morphisms(draw):
     rng = draw(st.randoms(use_true_random=False))
     equations = []
     for _ in range(draw(st.integers(1, 3))):
-        solved = random_equation_solved_by(rng, h, 5) if draw(st.booleans()) else None
-        equations.append(solved or Equation(draw(word(n, 5)), draw(word(n, 5)), n))
+        if draw(st.booleans()):
+            equations.append(random_equation_solved_by(rng, h, 5))
+        else:
+            equations.append(Equation(draw(word(n, 5)), draw(word(n, 5)), n))
     return EqSystem(tuple(equations)), h
 
 
@@ -239,6 +240,12 @@ class TestLettersCheckedAtConstruction:
         with pytest.raises(ValueError, match=match):
             Morphism(form(((0, 1), bad, (1, 1, 0))), 2)
 
+    def test_equation_rejects_a_negative_count_and_an_unknown_out_of_range(self):
+        with pytest.raises(ValueError, match="^number of unknowns must be non-negative$"):
+            Equation(Word(()), Word(()), -1)
+        with pytest.raises(ValueError, match=r"^unknown index out of range in \(2,\) \(n=2\)$"):
+            Equation(Word((2,)), Word(()), 2)
+
     def test_morphism_rejects_a_negative_alphabet_size(self):
         with pytest.raises(ValueError, match="non-negative"):
             Morphism((Word(()),), -3)
@@ -349,7 +356,8 @@ class TestIsSolutionAgainstReference:
         for i in range(2000):
             n, k = rng.randint(1, 4), rng.randint(1, 3)
             if i % 2:
-                E, h = random_solution_instance(rng, n, k, 4, 4)
+                h = random_morphism(rng, n, k, 4)
+                E = random_equation_solved_by(rng, h, 4)
             else:
                 E, h = random_equation(rng, n, 8), random_morphism(rng, n, k, 4)
             T = EqSystem((E,))
