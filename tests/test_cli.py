@@ -1127,14 +1127,25 @@ class TestInternalError:
             ("xy = yx", "x = a\ny = b", "equal-length images differ"),
             ("xy = yx", "x = ab\ny = b", "shorter image is not a prefix"),
             ("xy = x", "x = a\ny = b", "side exhausted under a non-erasing solution"),
+            ("x = xy", "x = a\ny = b", "side exhausted under a non-erasing solution"),
+            ("xy = yx", "x = a\ny = bb", "shorter image is not a prefix"),
+            # two expand steps cut aa off x's image in one pending run; the
+            # third finds b where y's image a should be
+            ("xy = yx", "x = aaba\ny = a", "shorter image is not a prefix"),
+            ("x = y", "x = a\ny = b", "equal-length images differ"),
         ],
     )
     def test_principal_invariants(self, monkeypatch, capsys, system, h, invariant):
         """With the up-front solution check passed by force, each step
-        invariant of the reduction still stops it with exit code 3."""
+        invariant of the reduction still stops it, in process with an
+        ``InternalError`` and through the CLI with exit code 3."""
         import weq.principal
 
         monkeypatch.setattr(weq.principal, "is_solution", lambda h, system: True)
+        T, names = parse_system(system)
+        with pytest.raises(InternalError) as raised:
+            weq.principal.principal_decompose(parse_morphism(h, names), T)
+        assert str(raised.value) == f"principal decomposition: {invariant}"
         assert main(["principal", system, h]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

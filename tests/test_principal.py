@@ -5,6 +5,7 @@ import pytest
 
 from weq.principal import PrincipalDecomposition, _require, principal_decompose
 from weq.search import random_equation_solved_by, random_morphism
+from weq.textio import parse_morphism, parse_system
 from weq.words import EqSystem, Equation, Morphism, Word, compose, is_solution, rank
 
 from conftest import eq, eq_n, is_letter_renaming, is_trivial, morph, nonerasing_morphism, reference_is_solution
@@ -430,3 +431,109 @@ class TestAgainstReference:
             dec = principal_decompose(h, T)
             assert dec == reference_principal(h, T), N
             assert len(dec.trace) == N
+
+
+def runs(trace) -> list[int]:
+    """Lengths of the maximal blocks of equal consecutive expand steps."""
+    out: list[int] = []
+    for k, step in enumerate(trace):
+        if step[0] == "expand":
+            if k and trace[k - 1] == step:
+                out[-1] += 1
+            else:
+                out.append(1)
+    return out
+
+
+def euclid_runs(p: int, q: int) -> list[int]:
+    """The runs of the reduction of xy = yx under (a^p, a^q): the quotients
+    of Euclid's algorithm on (p, q), the last one less the merge that ends
+    it, without the empty ones."""
+    quotients = []
+    while q:
+        quotients.append(p // q)
+        p, q = q, p % q
+    quotients[-1] -= 1
+    return [r for r in quotients if r]
+
+
+class TestRuns:
+    """Consecutive expand steps of one pair are held as one pending run and
+    applied to g and h at once; whichever way a run ends, the result is
+    exactly the reference's."""
+
+    COMMUTATION = EqSystem((eq("xy", "yx"),))
+
+    @pytest.mark.parametrize("left_longer", [True, False])
+    def test_consecutive_fibonacci_lengths_make_runs_of_one(self, left_longer):
+        """Each expand step is followed by one of another pair, so every run
+        ends after one step, applied before the next."""
+        p, q, checked = 2, 1, 0
+        while p <= 610:
+            h = morph("a" * p, "a" * q) if left_longer else morph("a" * q, "a" * p)
+            dec = principal_decompose(h, self.COMMUTATION)
+            assert dec == reference_principal(h, self.COMMUTATION), (p, q)
+            assert runs(dec.trace) == [1] * (len(dec.trace) - 1) == euclid_runs(p, q), (p, q)
+            p, q, checked = p + q, p, checked + 1
+        assert checked == 13
+
+    @pytest.mark.parametrize("p, q", [(1000, 7), (7, 1000), (999, 10), (500, 3), (301, 300), (97, 13), (360, 96)])
+    def test_long_runs_end_in_a_remainder(self, p, q):
+        """A run of p // q steps ends where the remainder is shorter than
+        the cut image: the next step is of the other pair, or a merge."""
+        h = morph("a" * p, "a" * q)
+        dec = principal_decompose(h, self.COMMUTATION)
+        assert dec == reference_principal(h, self.COMMUTATION)
+        assert runs(dec.trace) == euclid_runs(max(p, q), min(p, q))
+
+    @pytest.mark.parametrize(
+        "system, h, run",
+        [
+            ("xz = zx\nyz = zy", "x = a\ny = a\nz = aaaaa", 4),
+            ("xy = yx\nxz = zx", "x = a\ny = aaa\nz = aaaa", 2),
+            ("xy = yx\nyz = zy", "x = ab\ny = abababab\nz = ababab", 3),
+            ("xy = yx\nxyz = zyx", "x = ba\ny = bababa\nz = babababa", 2),
+        ],
+        ids=["xz-zx-then-yz-zy", "xy-yx-then-xz-zx", "xy-yx-then-yz-zy", "xy-yx-then-xyz-zyx"],
+    )
+    def test_run_pending_until_the_merge_that_solves_an_equation(self, system, h, run):
+        """The first equation's last run is pending until the merge that
+        solves it, and the second equation still needs steps."""
+        T, names = parse_system(system)
+        hm = parse_morphism(h, names)
+        dec = principal_decompose(hm, T)
+        assert dec == reference_principal(hm, T)
+        moves = [step for step in dec.trace if step[0] != "erase"]
+        failing = failing_equations(T, dec.trace)
+        solving = failing.index(1) - 1
+        assert moves[solving][0] == "merge"
+        assert moves[solving - run : solving] == [moves[solving - 1]] * run and moves[solving - 1][0] == "expand"
+        assert solving - run == 0 or moves[solving - run - 1] != moves[solving - 1]
+
+    def test_each_equation_is_solved_by_a_merge(self):
+        """An expand step is an injective substitution, so only a merge can
+        solve an equation; the merge applies the pending run first, so no
+        run is pending from one equation to the next."""
+        solved = 0
+        for T, h in staged_systems(random.Random(41), 300):
+            dec = principal_decompose(h, T)
+            moves = [step for step in dec.trace if step[0] != "erase"]
+            failing = failing_equations(T, dec.trace)
+            for k, i in enumerate(failing):
+                if k + 1 == len(failing) or failing[k + 1] != i:
+                    assert moves[k][0] == "merge", (T, h)
+                    solved += 1
+        assert solved > 500
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 10**5])
+    def test_commutation_closed_form(self, N):
+        """xy = yx under (a^N, a): N - 1 expand steps of one run, then the
+        merge; no timing is asserted, but the quadratic reduction took
+        minutes at N = 10^5."""
+        h = morph("a" * N, "a")
+        dec = principal_decompose(h, self.COMMUTATION)
+        assert dec.g == h
+        assert dec.theta == morph("a")
+        assert dec.trace == (("expand", 1, 0),) * (N - 1) + (("merge", 1, 0),)
+        if N < 10:
+            assert dec == reference_principal(h, self.COMMUTATION)
