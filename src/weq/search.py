@@ -20,10 +20,12 @@ views of the kinds.
 The counts alone come without listing from a dynamic program over
 count-row multisets: the letters are assigned to the position classes
 one class at a time, and the state is the multiset of nonzero rows of
-the partial occurrence-count matrix. Both paths reduce their solutions
-to these sorted nonzero count rows, classify each through one cache for
-the whole process, ``_kind``, and count ranks and classes in one
-function, ``_tally``. The cache is bounded, so that a process that
+the partial occurrence-count matrix. Both paths read one pass over the
+length types, ``_position_classes``, whose source ``_feasible_length_types``
+alone checks the candidate budget, and reduce their solutions to these
+sorted nonzero count rows, classify each through one cache for the whole
+process, ``_kind``, and count ranks and classes in one function,
+``_tally``. The cache is bounded, so that a process that
 searches many systems does not keep every matrix it met.
 
 Also hosts the seeded fuzz generators used to cross-check the polynomial
@@ -53,7 +55,7 @@ from .words import (
 )
 
 
-# The largest search space, in candidate morphisms, that enumerate_solutions accepts.
+# The largest search space, in candidate morphisms, that a search accepts.
 MAX_CANDIDATES = 100_000_000
 
 
@@ -224,12 +226,6 @@ def search_space_size(n: int, cfg: SearchConfig) -> int:
     return max(_running_space_sizes(n, cfg), default=0)
 
 
-def _refuse_oversized_space(n: int, cfg: SearchConfig) -> None:
-    # stop summing as soon as the budget is passed
-    if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
-        raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
-
-
 def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[int, ...]]:
     """Length types within budget whose images could balance every
     equation's side lengths, by total length and then lexicographically.
@@ -240,6 +236,9 @@ def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[in
     the last one free or fixes it to at most one value.
     """
     n, L = system.n, cfg.max_total_image_length
+    # stop summing as soon as the budget is passed
+    if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
+        raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
     if n == 0:
         return [()]
     diffs = {tuple(e.left.count(j) - e.right.count(j) for j in range(n)) for e in system}
@@ -302,14 +301,19 @@ def _position_templates(
     return classes, [of_cell[span.start : span.stop] for span in spans]
 
 
-def _solutions_for_length_type(
-    sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], k: int, lt: tuple[int, ...]
-) -> list[list[tuple[int, ...]]]:
+def _position_classes(system: EqSystem, cfg: SearchConfig) -> Iterator[tuple[int, list[list[int]]]]:
+    """Each feasible length type's position classes, in catalog order. A map,
+    so the length types, and the refusal, come at the call, not at the first read."""
+    sides = tuple((e.left, e.right) for e in system)
+    return map(_position_templates, repeat(sides), _feasible_length_types(system, cfg))
+
+
+def _columns(k: int, position_classes: tuple[int, list[list[int]]]) -> list[list[tuple[int, ...]]]:
     """Images of every solution of one length type, one column per image:
     entry i of column j is image j under the i-th letter assignment to the
     position classes, the assignments in lexicographic order. A one-cell
     image is still a tuple, and an empty one is ``()``."""
-    classes, templates = _position_templates(sides, lt)
+    classes, templates = position_classes
     assignments = list(product(range(k), repeat=classes))
     # an itemgetter of one index gives the letter, not a 1-tuple, and one of none cannot be built
     return [
@@ -335,8 +339,9 @@ def enumerate_solutions(
     position classes (``_position_templates``), taken in lexicographic
     order: two assignments first differ on some class, and the first cell
     of that class is the first cell where their images differ, so the
-    images come out in lexicographic order too. ``_solutions_for_length_type``
-    gives them as one column per unknown, and the columns are read across
+    images come out in lexicographic order too. ``_columns`` gives each type
+    of the pass ``_position_classes``, whose source ``_feasible_length_types``
+    checks the candidate budget, as one column per unknown, read across
     by ``zip``. Through ``words``, each distinct image becomes one ``Word``,
     built once and shared by every solution that uses it, and each row of
     words one ``Morphism``, built by ``_trusted`` without checks, since the
@@ -362,21 +367,18 @@ def enumerate_solutions(
     solution's kind is read off its key's number, so rendering the catalog
     hashes no morphism.
 
-    With ``workers > 1`` the columns of the length types are built in
-    parallel processes and merged back in the serial order, so the catalog
-    is identical.
+    With ``workers > 1`` the columns are built in parallel processes and
+    merged back in the serial order, so the catalog is identical.
     """
     n, k = system.n, cfg.alphabet_size
-    _refuse_oversized_space(n, cfg)
-    sides = tuple((e.left, e.right) for e in system)
-    lts = _feasible_length_types(system, cfg)
-    if workers > 1 and len(lts) > 1:
+    position_classes = _position_classes(system, cfg)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(_solutions_for_length_type, repeat(sides), repeat(k), lts))
+            found = list(pool.map(_columns, repeat(k), position_classes))
     else:
-        found = map(_solutions_for_length_type, repeat(sides), repeat(k), lts)
+        found = (_columns(k, pc) for pc in position_classes)
 
     # a key is a solution's tuple of image multisets, each its sorted letters;
     # keys are numbered by first appearance, and ``kinds`` holds each one's
@@ -454,7 +456,7 @@ def count_solutions(system: EqSystem, cfg: SearchConfig) -> SolutionCounts:
     ``system`` within the configured space, as ``enumerate_solutions`` would
     catalog them, built without a ``Morphism``, ``Word`` or image.
 
-    Each length type's position classes (``_position_templates``) are
+    The position classes of each type of the pass ``_position_classes`` are
     assigned letters one class at a time by ``_assign_class``, so a final
     state is the sorted nonzero count rows of a solution: the key that
     ``enumerate_solutions`` classifies by. Permuting the letters permutes
@@ -462,26 +464,23 @@ def count_solutions(system: EqSystem, cfg: SearchConfig) -> SolutionCounts:
     the assignments up to that permutation is exact. Each distinct final
     state is classified by the same cache as the listing's keys, once per
     process while the cache holds it. The candidate budget of
-    ``enumerate_solutions`` applies, with the same ``SearchSpaceError``.
+    ``_feasible_length_types`` applies, with the listing's ``SearchSpaceError``.
     """
     n, k = system.n, cfg.alphabet_size
-    _refuse_oversized_space(n, cfg)
-    sides = tuple((e.left, e.right) for e in system)
-    finals: Counter = Counter()
-    for lt in _feasible_length_types(system, cfg):
-        if k == 1:
-            # the one assignment gives every cell the one letter, whose count row is the length type
-            finals[(lt,) if any(lt) else ()] += 1
-            continue
-        classes, templates = _position_templates(sides, lt)
-        occurrences = [[0] * n for _ in range(classes)]
-        for j, template in enumerate(templates):
-            for c in template:
-                occurrences[c][j] += 1
-        states = {(): 1}
-        for row in occurrences:
-            states = _assign_class(states, tuple(row), k)
-        finals.update(states)
+    if k == 1:
+        # the one assignment gives every cell the one letter, whose count row is the length type
+        finals = Counter((lt,) if any(lt) else () for lt in _feasible_length_types(system, cfg))
+    else:
+        finals = Counter()
+        for classes, templates in _position_classes(system, cfg):
+            occurrences = [[0] * n for _ in range(classes)]
+            for j, template in enumerate(templates):
+                for c in template:
+                    occurrences[c][j] += 1
+            states = {(): 1}
+            for row in occurrences:
+                states = _assign_class(states, tuple(row), k)
+            finals.update(states)
     return _tally(n, cfg, ((_kind(state, n), ways) for state, ways in finals.items()))
 
 

@@ -5,15 +5,23 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import random
 import time
-from itertools import combinations
+from collections import defaultdict
+from itertools import combinations, product
 
-from weq.analysis import cofactor_3vars
+from weq.analysis import STATUS_OK, PairAnalysis, cofactor_3vars
 from weq.encode import balanced_residual, is_balanced, s_vector, t_det
-from weq.poly import MultiPoly, binomial_factors, minimal_monomials, pure_difference
+from weq.poly import MultiPoly, binomial_factors, minimal_monomials, pure_difference, pure_difference_divisors
 from weq.principal import principal_decompose
-from weq.search import SearchConfig, random_equation, random_equation_solved_by, verify_bounds, verify_encoding
+from weq.search import (
+    SearchConfig,
+    count_solutions,
+    random_equation,
+    random_equation_solved_by,
+    verify_bounds,
+    verify_encoding,
+)
 from weq.textio import parse_system
-from weq.words import LambdaVector, Morphism, Word, compose, gamma_normal, is_solution, rank
+from weq.words import EqSystem, Equation, LambdaVector, Morphism, Word, compose, gamma_normal, is_solution, rank
 from test_principal import solved_system_instances
 from test_poly import random_mixed_lambda
 
@@ -301,3 +309,67 @@ def test_criterion_10_evaluation_identities():
             )
         assert lhs == full_diff * series
     report(10, "evaluation identities (1)-(4) hold on 10^3 random instances")
+
+
+def reduced_equations(max_side: int):
+    """Every reduced equation over x, y, z in which each unknown occurs, with
+    sides of 1 to ``max_side`` unknowns, each equation once: its sides differ
+    in their first and in their last unknown, so no unknown cancels off
+    either end."""
+    sides = [w for length in range(1, max_side + 1) for w in product(range(3), repeat=length)]
+    for u, v in combinations(sides, 2):
+        if u[0] != v[0] and u[-1] != v[-1] and len(set(u + v)) == 3:
+            yield Equation(Word(u), Word(v), 3)
+
+
+def pair_claims_in_scope(max_side: int, cfg: SearchConfig) -> tuple[dict, list[str]]:
+    """The paper's two pair claims on every pair of ``reduced_equations``
+    within ``cfg``: a pair has at most ``best`` classes of rank-2 common
+    solutions, and each class normal divides every nonzero determinant of
+    the pair. Returns the sizes of the scope and the claims that failed.
+
+    A common solution solves each equation with the same count matrix, so a
+    pair has a class of normal v only if each of its equations alone has
+    one. So each equation is counted alone, and only the pairs that share a
+    class normal are counted; every other pair has no class and meets both
+    claims. As in ``verify_bounds``, a pair whose determinants are all zero
+    has no bound and is skipped."""
+    equations = list(reduced_equations(max_side))
+    holders = defaultdict(list)
+    for i, E in enumerate(equations):
+        for normal in count_solutions(EqSystem((E,)), cfg).class_sizes:
+            holders[normal].append(i)
+    sharing = sorted({pair for held in holders.values() for pair in combinations(held, 2)})
+    sizes = {"equations": len(equations), "sharing": len(sharing), "pairs": 0, "with_class": 0, "checks": 0}
+    failed = []
+    for i, j in sharing:
+        E, Ep = equations[i], equations[j]
+        pa = PairAnalysis(E, Ep)
+        if pa.status != STATUS_OK:
+            continue
+        normals = count_solutions(EqSystem((E, Ep)), cfg).class_sizes
+        sizes["pairs"] += 1
+        sizes["with_class"] += bool(normals)
+        if len(normals) > pa.best:
+            failed.append(f"{E}, {Ep}: {len(normals)} classes, more than {pa.best}")
+        for det in filter(None, pa.grid.values()):
+            divisors = pure_difference_divisors(det)
+            for normal in normals:
+                sizes["checks"] += 1
+                if normal not in divisors:
+                    failed.append(f"{E}, {Ep}: class normal {normal} does not divide {det}")
+    return sizes, failed
+
+
+def test_criterion_11_pair_claims_in_a_small_scope():
+    t0 = time.perf_counter()
+    sizes, failed = pair_claims_in_scope(3, SearchConfig(10, 2))
+    elapsed = time.perf_counter() - t0
+    assert failed == []
+    assert sizes == {"equations": 264, "sharing": 543, "pairs": 543, "with_class": 36, "checks": 84}
+    report(
+        11,
+        f"bound and divisor claims on every pair of {sizes['equations']} reduced equations with sides "
+        f"of at most 3 unknowns ({sizes['pairs']} pairs counted, {sizes['with_class']} with a class, "
+        f"{sizes['checks']} divisor checks, {elapsed:.1f} s)",
+    )

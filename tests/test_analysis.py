@@ -16,7 +16,7 @@ from weq.analysis import (
 from weq.encode import is_balanced, minor, s_vector, t_det
 from weq.poly import MultiPoly, binomial_factors, divide_by_binomial, pure_difference_divisors
 from weq.search import SearchConfig, count_solutions, enumerate_solutions, random_equation
-from weq.words import EqSystem, Equation, Word, is_solution, unknown_names
+from weq.words import EqSystem, Equation, InternalError, Word, is_solution, unknown_names
 
 from conftest import classes_of, eq, eq_n, linear_equivalent
 from test_acceptance import bound_check_pairs
@@ -132,6 +132,15 @@ class TestMinimalCountBounds:
     def test_zero_determinant_rejected(self):
         with pytest.raises(ValueError):
             minimal_count_bounds(E1, E1, 1, 2)
+
+    def test_count_outside_the_bounds_is_an_internal_error(self, monkeypatch):
+        # no determinant found so far breaks the bounds, so the count is forced to 0
+        import weq.analysis
+
+        monkeypatch.setattr(weq.analysis, "minimal_monomials", lambda p: set())
+        with pytest.raises(InternalError) as raised:
+            minimal_count_bounds(E1, E2, 1, 2)
+        assert str(raised.value) == "minimal-monomial count 0 outside [2, 8] for pair (1, 2)"
 
     def test_fuzz_pairs(self, rng):
         checked = 0

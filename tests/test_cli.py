@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -1083,6 +1084,14 @@ class TestBoundViolation:
         assert counterexample["equations"] == ["uvuw = wuvu", "uvuuw = wuuvu"]
 
 
+class _ForgetfulDict(dict):
+    """A ``dict`` whose ``fromkeys`` forgets every key."""
+
+    @classmethod
+    def fromkeys(cls, iterable, value=None):
+        return {}
+
+
 class TestInternalError:
     @pytest.mark.parametrize(
         "fake",
@@ -1147,6 +1156,31 @@ class TestInternalError:
             weq.principal.principal_decompose(parse_morphism(h, names), T)
         assert str(raised.value) == f"principal decomposition: {invariant}"
         assert main(["principal", system, h]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: principal decomposition: {invariant}\n"
+
+    @pytest.mark.parametrize(
+        "name, fake, invariant",
+        [
+            # every measure read is larger than the one before
+            ("sum", lambda: lambda values, reads=itertools.count(): 10 * next(reads), "termination measure failed to decrease"),
+            ("dict", lambda: _ForgetfulDict, "letters of g differ from the surviving unknowns"),
+        ],
+        ids=["measure-grows", "letters-of-g-forgotten"],
+    )
+    def test_principal_checks_no_solution_breaks(self, monkeypatch, capsys, name, fake, invariant):
+        """Two checks of the reduction hold on every solution, so a builtin
+        that each reads is shadowed in ``weq.principal``; each then stops
+        the reduction with its own message, in process and through the CLI."""
+        import weq.principal
+
+        monkeypatch.setattr(weq.principal, name, fake(), raising=False)
+        T, names = parse_system("xy = yx")
+        with pytest.raises(InternalError) as raised:
+            weq.principal.principal_decompose(parse_morphism("x = aaa\ny = a", names), T)
+        assert str(raised.value) == f"principal decomposition: {invariant}"
+        assert main(["principal", "xy = yx", "x = aaa\ny = a"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"internal error: principal decomposition: {invariant}\n"

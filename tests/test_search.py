@@ -19,11 +19,11 @@ from weq.search import (
     SearchSpaceError,
     SolutionCounts,
     _KIND_CACHE_SIZE,
+    _columns,
     _feasible_length_types,
     _kind,
     _position_templates,
     _preimages,
-    _solutions_for_length_type,
     count_solutions,
     enumerate_solutions,
     random_equation,
@@ -290,7 +290,12 @@ class TestEnumeration:
 
     def test_refusal_agrees_with_the_size(self, monkeypatch):
         # x1 x1 x2 x2 ... = x1 x2 ... erases every unknown, so listing is cheap
-        # and each budget tests the refusal alone, on both sides of the size
+        # and each budget tests the refusal alone, on both sides of the size;
+        # a refused search builds no position class first
+        from weq import search
+
+        real, built = search._position_templates, []
+        monkeypatch.setattr(search, "_position_templates", lambda sides, lt: built.append(lt) or real(sides, lt))
         for n, k, allow_erasing, L in product(range(4), (1, 2, 3), (True, False), range(7)):
             system = EqSystem((Equation(Word(j for j in range(n) for _ in "xx"), Word(range(n)), n),))
             cfg = SearchConfig(L, k, allow_erasing)
@@ -298,9 +303,11 @@ class TestEnumeration:
             for budget in {0, 50, size - 1, size} - {-1}:
                 monkeypatch.setattr("weq.search.MAX_CANDIDATES", budget)
                 for run in (enumerate_solutions, count_solutions):
+                    built.clear()
                     if size > budget:
                         with pytest.raises(SearchSpaceError):
                             run(system, cfg)
+                        assert built == [], run
                     else:
                         run(system, cfg)
 
@@ -360,7 +367,7 @@ class TestAgainstProductScan:
         lts = _feasible_length_types(PAIR, cfg)
         assert len(lts) == 286
         for lt in lts:
-            assert list(zip(*_solutions_for_length_type(sides, 2, lt))) == reference_length_type(sides, 2, lt), lt
+            assert list(zip(*_columns(2, _position_templates(sides, lt)))) == reference_length_type(sides, 2, lt), lt
         assert_matches_reference(PAIR, cfg)
 
     @given(small_searches())
@@ -377,7 +384,7 @@ class TestAgainstProductScan:
         system, cfg = search
         sides = tuple((e.left.symbols, e.right.symbols) for e in system)
         for lt in _feasible_length_types(system, cfg):
-            columns = _solutions_for_length_type(sides, cfg.alphabet_size, lt)
+            columns = _columns(cfg.alphabet_size, _position_templates(sides, lt))
             reference = reference_length_type(sides, cfg.alphabet_size, lt)
             assert len(columns) == system.n
             for length, column in zip(lt, columns):
@@ -506,10 +513,24 @@ class TestCounting:
     @example((EqSystem((eq("xy", "yx"),)), SearchConfig(5, 1, allow_erasing=False)))
     @example((EqSystem((eq("xy", "yx"),)), SearchConfig(12, 2)))
     def test_counts_match_the_catalog(self, search):
-        listed, counted = enumerate_solutions(*search).counts, count_solutions(*search)
+        import weq.search
+
+        # both read one pass: each feasible length type's classes are built
+        # once, in catalog order, by the listing and, over two or more
+        # letters, by the count
+        real, built = weq.search._position_templates, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weq.search, "_position_templates", lambda sides, lt: built.append(lt) or real(sides, lt))
+            listed = enumerate_solutions(*search).counts
+            listing_built = built[:]
+            built.clear()
+            counted = count_solutions(*search)
         assert listed == counted
         # dict equality ignores order, and the order numbers the classes
         assert list(listed.class_sizes) == list(counted.class_sizes)
+        system, cfg = search
+        assert listing_built == _feasible_length_types(system, cfg)
+        assert built == (listing_built if cfg.alphabet_size > 1 else [])
 
     @pytest.mark.parametrize("k, L", [(2, 20), (3, 12), (1, 40), (4, 9)])
     def test_commuting_pair_closed_form(self, k, L):
