@@ -21,12 +21,12 @@ The counts alone come without listing from a dynamic program over
 count-row multisets: the letters are assigned to the position classes
 one class at a time, and the state is the multiset of nonzero rows of
 the partial occurrence-count matrix. Both paths read one pass over the
-length types, ``_position_classes``, whose source ``_feasible_length_types``
-alone checks the candidate budget, and reduce their solutions to these
+length types, ``_position_classes``, reduce their solutions to these
 sorted nonzero count rows, classify each through one cache for the whole
 process, ``_kind``, and count ranks and classes in one function,
-``_tally``. The cache is bounded, so that a process that
-searches many systems does not keep every matrix it met.
+``_tally``. The cache is bounded, so that a process that searches many
+systems does not keep every matrix it met. Only ``_feasible_length_types``,
+the source of the pass, checks the candidate budget.
 
 Also hosts the seeded fuzz generators used to cross-check the polynomial
 encoding against the word-level definitions.
@@ -236,7 +236,7 @@ def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[in
     the last one free or fixes it to at most one value.
     """
     n, L = system.n, cfg.max_total_image_length
-    # stop summing as soon as the budget is passed
+    # refuse before any length type is built, and stop summing once the budget is passed
     if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
         raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
     if n == 0:
@@ -302,8 +302,7 @@ def _position_templates(
 
 
 def _position_classes(system: EqSystem, cfg: SearchConfig) -> Iterator[tuple[int, list[list[int]]]]:
-    """Each feasible length type's position classes, in catalog order. A map,
-    so the length types, and the refusal, come at the call, not at the first read."""
+    """Each feasible length type's position classes, in catalog order: a map, so the refusal comes at the call."""
     sides = tuple((e.left, e.right) for e in system)
     return map(_position_templates, repeat(sides), _feasible_length_types(system, cfg))
 
@@ -378,7 +377,7 @@ def enumerate_solutions(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             found = list(pool.map(_columns, repeat(k), position_classes))
     else:
-        found = (_columns(k, pc) for pc in position_classes)
+        found = map(_columns, repeat(k), position_classes)
 
     # a key is a solution's tuple of image multisets, each its sorted letters;
     # keys are numbered by first appearance, and ``kinds`` holds each one's
@@ -456,7 +455,7 @@ def count_solutions(system: EqSystem, cfg: SearchConfig) -> SolutionCounts:
     ``system`` within the configured space, as ``enumerate_solutions`` would
     catalog them, built without a ``Morphism``, ``Word`` or image.
 
-    The position classes of each type of the pass ``_position_classes`` are
+    The position classes of each length type of the pass ``_position_classes`` are
     assigned letters one class at a time by ``_assign_class``, so a final
     state is the sorted nonzero count rows of a solution: the key that
     ``enumerate_solutions`` classifies by. Permuting the letters permutes
