@@ -60,7 +60,8 @@ MAX_CANDIDATES = 100_000_000
 
 
 class SearchSpaceError(ValueError):
-    """The configured enumeration would exceed the candidate budget."""
+    """The configured search, a listing (``enumerate_solutions``) or a count
+    (``count_solutions``), would exceed the candidate budget."""
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,12 @@ def enumerate_solutions(
     hashes no morphism.
 
     With ``workers > 1`` the columns are built in parallel processes and
-    merged back in the serial order, so the catalog is identical.
+    merged back in the serial order, so the catalog is identical. The pool
+    costs more than it saves: each column is pickled back to the parent.
+    On the paper pair at L = 8, 12 and 14 (1,923, 26,155 and 100,947
+    solutions), the serial listing took 0.010, 0.071 and 0.250 s and
+    ``workers=2`` took 0.044, 0.204 and 0.699 s, 4.5, 2.9 and 2.8 times as
+    long (medians of 5 interleaved runs, 2 vCPUs, CPython 3.11.7).
     """
     n, k = system.n, cfg.alphabet_size
     position_classes = _position_classes(system, cfg)

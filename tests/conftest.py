@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from weq.poly import MultiPoly
-from weq.search import SolutionCounts, random_word
+from weq.search import SearchConfig, SolutionCounts, count_solutions, enumerate_solutions, random_word
 from weq.textio import parse_system
 from weq.words import EqSystem, Equation, LambdaVector, Morphism, Word, rank
 
@@ -177,6 +177,23 @@ def against_defect_theorem(counts: SolutionCounts, system: EqSystem) -> tuple[tu
             else:
                 ranks[0] += ways
     return got, (sum(ranks.values()), dict(sorted(ranks.items())), sorted(classes.items()))
+
+
+def defect_theorem_sweep(rng: random.Random, cfg: SearchConfig, systems: int, listing: bool = False) -> list[str]:
+    """``systems`` systems of ``two_unknown_system(rng)``, each counted
+    within ``cfg`` by ``count_solutions``, and listed by
+    ``enumerate_solutions`` too when ``listing`` is set, against the closed
+    form of ``against_defect_theorem``. Returns a line for each search
+    whose counts differ from the closed form."""
+    failed = []
+    for _ in range(systems):
+        system = two_unknown_system(rng)
+        searches = [count_solutions(system, cfg)] + ([enumerate_solutions(system, cfg).counts] if listing else [])
+        for counts in searches:
+            got, want = against_defect_theorem(counts, system)
+            if got != want:
+                failed.append(f"{list(map(str, system))}: counted {got}, closed form {want}")
+    return failed
 
 
 def is_letter_renaming(h: Morphism) -> bool:

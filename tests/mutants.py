@@ -88,6 +88,27 @@ MUTANTS = (
         "tests/test_search.py",
     ),
     Mutant(
+        "pool-merge-reversed",
+        "search.py",
+        "found = list(pool.map(_columns, repeat(k), position_classes))",
+        "found = list(pool.map(_columns, repeat(k), position_classes))[::-1]",
+        "tests/test_search.py",
+    ),
+    Mutant(
+        "classify-rows-unsorted",
+        "search.py",
+        "rows = tuple(sorted([tuple([m.count(a) for m in multisets]) for a in set().union(*multisets)]))",
+        "rows = tuple([tuple([m.count(a) for m in multisets]) for a in set().union(*multisets)])",
+        "tests/test_search.py",
+    ),
+    Mutant(
+        "no-unknowns-no-length-type",
+        "search.py",
+        "    if n == 0:\n        return [()]\n",
+        "    if n == 0:\n        return []\n",
+        "tests/test_search.py",
+    ),
+    Mutant(
         "minor-sign-flipped",
         "encode.py",
         "_add_product(_add_product({}, S[j], Sp[k]), Sp[j], S[k], -1)",

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given
@@ -103,6 +105,68 @@ def reference_binomial_factors(p: MultiPoly) -> BinomialFactorization:
         tuple(sorted(factors.items(), key=lambda kv: kv[0].entries)),
         cur * sign,
     )
+
+
+def solved_pair_determinants(rng: random.Random, unknowns: int, max_side: int, count: int) -> list[MultiPoly]:
+    """The first ``count`` nonzero determinants of random pairs of equations
+    that share a non-erasing solution, over ``unknowns`` and ``unknowns + 1``
+    unknowns in turn, with sides of at most ``max_side`` letters."""
+    dets, draws = [], 0
+    while len(dets) < count:
+        h = nonerasing_morphism(rng, unknowns + draws % 2, 2, 3)
+        draws += 1
+        A, B = random_equation_solved_by(rng, h, max_side), random_equation_solved_by(rng, h, max_side)
+        dets += filter(None, PairAnalysis(A, B).grid.values())
+    return dets[:count]
+
+
+def factorization_claims(dets: list[MultiPoly]) -> tuple[dict, list[str]]:
+    """Each nonzero polynomial of ``dets`` against the references: it must
+    factor as ``reference_binomial_factors`` says, its divisor directions
+    must be its factor directions, and each single division by one of its
+    anchor candidates must be ``reference_divide``'s quotient, or None for
+    both when the candidate does not divide. Returns the sizes of the check
+    and the claims that failed."""
+    sizes = {"determinants": len(dets), "with_factor": 0, "divisions": 0, "exact": 0}
+    failed = []
+    for det in dets:
+        fac = binomial_factors(det)
+        if fac != reference_binomial_factors(det):
+            failed.append(f"binomial_factors disagrees with the reference on {det}")
+        if pure_difference_divisors(det) != tuple(lam for lam, _ in fac.factors):
+            failed.append(f"the divisor directions of {det} are not its factor directions")
+        sizes["with_factor"] += bool(fac.factors)
+        for lam in _anchor_candidates(det._terms):
+            q = divide_by_binomial(det, lam)
+            sizes["divisions"] += 1
+            sizes["exact"] += q is not None
+            if q != reference_divide(det, lam):
+                failed.append(f"divide_by_binomial disagrees with the reference on {det} by {lam}")
+    return sizes, failed
+
+
+def shift_claims(dets: list[MultiPoly], rng: random.Random) -> tuple[dict, list[str]]:
+    """Each nonzero polynomial of ``dets`` times a monomial X^mu whose
+    entries ``rng`` draws up to 10^6, so that the packed line keys of
+    ``weq.poly`` run to about 200 bits: the divisor directions, factors and
+    residual must not change, the content must grow by mu, and each
+    quotient by a factor direction must be the unshifted one times X^mu.
+    Returns the sizes of the check and the claims that failed."""
+    sizes = {"determinants": len(dets), "quotients": 0}
+    failed = []
+    for det in dets:
+        mu = tuple(rng.randint(0, 10**6) for _ in range(det.n))
+        x_mu = MultiPoly.monomial(det.n, mu)
+        big = det * x_mu
+        fac, big_fac = binomial_factors(det), binomial_factors(big)
+        shifted = BinomialFactorization(fac.sign, tuple(map(add, fac.content, mu)), fac.factors, fac.residual)
+        if pure_difference_divisors(big) != pure_difference_divisors(det) or big_fac != shifted:
+            failed.append(f"the factorization of {det} changes under the shift by X^{mu}")
+        for lam, _ in fac.factors:
+            sizes["quotients"] += 1
+            if divide_by_binomial(big, lam) != divide_by_binomial(det, lam) * x_mu:
+                failed.append(f"the quotient of {det} by the direction {lam} changes under the shift by X^{mu}")
+    return sizes, failed
 
 
 def reference_minimal_monomials(p: MultiPoly) -> set[tuple[int, ...]]:
@@ -788,23 +852,17 @@ class TestBinomialFactors:
         assert set(calls) <= anchored
 
     def test_matches_reference_on_solved_pair_determinants(self, rng):
-        # 300 independent pairs (some nonzero determinant), alternating 3
-        # and 4 unknowns, that share a non-erasing solution
-        dets = []
-        pairs = 0
-        while pairs < 300:
-            h = nonerasing_morphism(rng, 3 + pairs % 2, 2, 3)
-            A, B = random_equation_solved_by(rng, h, 6), random_equation_solved_by(rng, h, 6)
-            nonzero = [d for d in PairAnalysis(A, B).grid.values() if d]
-            pairs += bool(nonzero)
-            dets += nonzero
-        with_factors = 0
-        for det in dets:
-            fac = binomial_factors(det)
-            assert fac == reference_binomial_factors(det), det
-            assert pure_difference_divisors(det) == tuple(lam for lam, _ in fac.factors), det
-            with_factors += bool(fac.factors)
-        assert with_factors >= 300
+        # CI runs the same check on 2,000 determinants over 4 and 5 unknowns
+        # with sides of at most 8 letters
+        sizes, failed = factorization_claims(solved_pair_determinants(rng, 3, 6, 1000))
+        assert failed == []
+        assert sizes == {"determinants": 1000, "with_factor": 579, "divisions": 1444, "exact": 657}
+
+    def test_factorization_is_shift_invariant(self, rng):
+        # CI runs the same check on the first 500 determinants of its draw
+        sizes, failed = shift_claims(solved_pair_determinants(rng, 3, 6, 100), random.Random(34))
+        assert failed == []
+        assert sizes == {"determinants": 100, "quotients": 79}
 
     def test_roundtrip_fuzz(self, rng):
         for _ in range(200):
