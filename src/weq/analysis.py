@@ -4,7 +4,7 @@ Given two equations, the 2x2 determinants of their coefficient vectors
 classify the common solutions whose occurrence-count space is a
 hyperplane: every such solution class contributes an irreducible
 pure-difference divisor of every nonzero determinant, that of its normal
-(the divisor test of ``tests/test_analysis.py``). Factoring a determinant
+(which ``search.verify_bounds`` checks). Factoring a determinant
 therefore yields the candidate hyperplanes (as length constraints), and
 the degrees and minimal-monomial counts of the determinant yield size
 bounds on the number of classes.

@@ -96,7 +96,7 @@ class _Memo(dict):
 class SolutionCounts:
     """How many solutions a search space holds, in all, by rank and by
     class (keyed by the class normal, in catalog order; the divisor test
-    of ``tests/test_analysis.py`` reads these keys as they are), without
+    of ``verify_bounds`` reads these keys as they are), without
     the solutions themselves."""
 
     n: int
@@ -491,8 +491,9 @@ def count_solutions(system: EqSystem, cfg: SearchConfig) -> SolutionCounts:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    """Outcome of checking the class-count bounds on one equation pair.
-    A counterexample holds the limit and each class's normal and example."""
+    """Outcome of checking the paper's two pair claims on one equation pair.
+    A counterexample holds the limit, each class's normal and example, and
+    each (normal, index pair) whose determinant the normal does not divide."""
 
     status: str  # ok | identical-equations | no-nonzero-determinant
     ok: bool
@@ -503,15 +504,19 @@ class BoundCheckReport:
 
 def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckReport:
     """Count the linear-equivalence classes of rank-(n-1) common solutions
-    within the configured space and compare against the proved bounds.
+    within the configured space and check the paper's two claims on them:
+    there are at most ``best`` classes, and each class normal is the
+    direction of a pure-difference divisor of every nonzero determinant.
 
-    The classes are counted by ``count_solutions``; the solutions are
-    listed only when the count passes the bound, to build the
-    counterexample from each class's first member. Pairs that cannot be
-    independent are skipped with a status: identical equations and pairs
-    with no nonzero determinant.
+    The classes are counted by ``count_solutions``, and each normal is
+    tested against each determinant by the line-sum test, which builds no
+    quotient. The solutions are listed only when a claim fails, to build
+    the counterexample from each class's first member. Pairs that cannot
+    be independent are skipped with a status: identical equations and
+    pairs with no nonzero determinant.
     """
     from .analysis import STATUS_OK, PairAnalysis
+    from .poly import _divisor_keys
 
     if E == Ep:
         return BoundCheckReport("identical-equations", True)
@@ -522,7 +527,13 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
     normals = count_solutions(system, cfg).class_sizes
     m = len(normals)
     erasing = sum(1 for normal in normals if normal.is_erasing_constraint())
-    if m <= pa.best:
+    undivided = [
+        {"normal": list(normal), "pair": [j + 1, k + 1]}
+        for normal in normals
+        for (j, k), det in pa.grid.items()
+        if det and _divisor_keys(det, normal) is None
+    ]
+    if m <= pa.best and not undivided:
         return BoundCheckReport(STATUS_OK, True, m, erasing)
     counterexample = {
         "limit": pa.best,
@@ -530,6 +541,7 @@ def verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckRep
             {"normal": c["normal"], "example": c["example"]}
             for c in enumerate_solutions(system, cfg).summary()["classes"]
         ],
+        "undivided": undivided,
     }
     return BoundCheckReport(STATUS_OK, False, m, erasing, counterexample)
 

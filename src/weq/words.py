@@ -8,8 +8,8 @@ letters a, b, c.
 A ``Word`` is the tuple of its letters: it equals and hashes as the
 plain tuple, and a slice of it is a plain tuple. A ``LambdaVector``, the
 one type of a hyperplane normal, is likewise the tuple of its entries: the
-divisor test of ``tests/test_analysis.py`` finds the search's class normals
-among the factor directions as they are. An ``EqSystem`` is the tuple of
+divisor test of ``search.verify_bounds`` hands the search's class normals to
+the line-sum test as they are. An ``EqSystem`` is the tuple of
 its equations, checked to be nonempty and to share one unknown count. Every
 solver takes one, so one equation E goes in as ``EqSystem((E,))``; a solver
 given a bare ``Equation`` raises rather than answer, ``TypeError`` once it

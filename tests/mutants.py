@@ -122,6 +122,36 @@ MUTANTS = (
         "_divide_out(cur, lam, once=True)",
         "tests/test_poly.py",
     ),
+    Mutant(
+        "divisor-check-off",
+        "search.py",
+        "if det and _divisor_keys(det, normal) is None",
+        "if det and False",
+        "tests/test_search.py",
+    ),
+    # without each refusal below, a later step on the empty support raises a
+    # ValueError of its own, so only the pinned message tells them apart
+    Mutant(
+        "zero-factorization-refusal-off",
+        "poly.py",
+        '    if not p:\n        raise ValueError("the zero polynomial has no factorization")',
+        '    if False:\n        raise ValueError("the zero polynomial has no factorization")',
+        "tests/test_poly.py",
+    ),
+    Mutant(
+        "zero-divisors-refusal-off",
+        "poly.py",
+        '    if not p:\n        raise ValueError("every pure difference divides the zero polynomial")',
+        '    if False:\n        raise ValueError("every pure difference divides the zero polynomial")',
+        "tests/test_poly.py",
+    ),
+    Mutant(
+        "zero-determinant-refusal-off",
+        "analysis.py",
+        "    if not det:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+        "tests/test_analysis.py",
+    ),
 )
 
 

@@ -10,9 +10,10 @@ from itertools import combinations, product
 
 from weq.analysis import STATUS_OK, PairAnalysis, cofactor_3vars
 from weq.encode import balanced_residual, is_balanced, s_vector, t_det
-from weq.poly import MultiPoly, binomial_factors, minimal_monomials, pure_difference, pure_difference_divisors
+from weq.poly import MultiPoly, binomial_factors, minimal_monomials, pure_difference
 from weq.principal import principal_decompose
 from weq.search import (
+    BoundCheckReport,
     SearchConfig,
     count_solutions,
     random_equation,
@@ -225,44 +226,39 @@ def bound_check_pairs(rng: random.Random, cfg: SearchConfig):
                 yield random_equation(rng, 3, 10), random_equation(rng, 3, 10)
 
 
-def divisor_claims(pa: PairAnalysis, normals: dict[LambdaVector, int]) -> tuple[int, list[str]]:
-    """The paper's divisor claim on a pair: each class normal of ``normals``
-    divides every nonzero determinant of ``pa``. Returns the number of
-    (normal, determinant) checks and a line for each that failed."""
-    checks, failed = 0, []
-    for det in filter(None, pa.grid.values()):
-        divisors = pure_difference_divisors(det)
-        for normal in normals:
-            checks += 1
-            if normal not in divisors:
-                failed.append(f"{pa.E}, {pa.Ep}: class normal {normal} does not divide {det}")
-    return checks, failed
+def pair_claims(A: Equation, B: Equation, cfg: SearchConfig, sizes: dict, failed: list[str]) -> BoundCheckReport:
+    """The paper's two pair claims on one pair within ``cfg``, as
+    ``verify_bounds`` checks them: the pair has at most ``best`` classes,
+    and each class normal divides every nonzero determinant of the pair. A
+    failed claim is a line of ``failed``. A pair that ``verify_bounds``
+    does not skip counts in ``sizes``: in ``pairs``, in ``with_class`` if
+    it has a class, and in ``checks`` once for each (class normal, nonzero
+    determinant) pair. Returns the report."""
+    result = verify_bounds(A, B, cfg)
+    if not result.ok:
+        failed.append(f"{A}, {B}: {result}")
+    if result.status == STATUS_OK:
+        sizes["pairs"] += 1
+        sizes["with_class"] += bool(result.classes)
+        if result.classes:
+            sizes["checks"] += result.classes * len(PairAnalysis(A, B).pair_bounds)
+    return result
 
 
 def bound_claims(cfg: SearchConfig, pairs: int) -> tuple[dict, list[str]]:
-    """The paper's two pair claims on the pairs of ``bound_check_pairs``
-    (seed 31337) within ``cfg``, until ``verify_bounds`` has verified
-    ``pairs`` of them: no pair has more classes than its bound, and each
-    class normal of a verified pair divides every nonzero determinant of
-    the pair. Returns the sizes of the check and the claims that failed."""
+    """The paper's two pair claims (see ``pair_claims``) on the pairs of
+    ``bound_check_pairs`` (seed 31337) within ``cfg``, until ``pairs`` of
+    them are not skipped. Returns the sizes of the check and the claims
+    that failed."""
     sizes = {"draws": 0, "pairs": 0, "with_class": 0, "most_classes": 0, "checks": 0}
     failed = []
     for A, B in bound_check_pairs(random.Random(31337), cfg):
         sizes["draws"] += 1
-        result = verify_bounds(A, B, cfg)
-        if not result.ok:
-            failed.append(f"{A}, {B}: {result}")
-        if result.status != STATUS_OK:
-            continue
-        sizes["pairs"] += 1
-        sizes["with_class"] += bool(result.classes)
-        sizes["most_classes"] = max(sizes["most_classes"], result.classes)
-        if result.classes:
-            checks, undivided = divisor_claims(PairAnalysis(A, B), count_solutions(EqSystem((A, B)), cfg).class_sizes)
-            sizes["checks"] += checks
-            failed += undivided
-        if sizes["pairs"] == pairs:
-            return sizes, failed
+        result = pair_claims(A, B, cfg, sizes, failed)
+        if result.status == STATUS_OK:
+            sizes["most_classes"] = max(sizes["most_classes"], result.classes)
+            if sizes["pairs"] == pairs:
+                return sizes, failed
 
 
 def test_criterion_08_bound_verification_at_desk_scale():
@@ -352,15 +348,14 @@ def reduced_equations(max_side: int):
 
 
 def pair_claims_in_scope(max_side: int, cfg: SearchConfig) -> tuple[dict, list[str]]:
-    """The paper's two pair claims on every pair of ``reduced_equations``
-    within ``cfg``: a pair has at most ``best`` classes of rank-2 common
-    solutions, and each class normal divides every nonzero determinant of
-    the pair. Returns the sizes of the scope and the claims that failed.
+    """The paper's two pair claims (see ``pair_claims``) on every pair of
+    ``reduced_equations`` within ``cfg``. Returns the sizes of the scope
+    and the claims that failed.
 
     A common solution solves each equation with the same count matrix, so a
     pair has a class of normal v only if each of its equations alone has
     one. So each equation is counted alone, and only the pairs that share a
-    class normal are counted; every other pair has no class and meets both
+    class normal are checked; every other pair has no class and meets both
     claims. As in ``verify_bounds``, a pair whose determinants are all zero
     has no bound and is skipped."""
     equations = list(reduced_equations(max_side))
@@ -372,18 +367,7 @@ def pair_claims_in_scope(max_side: int, cfg: SearchConfig) -> tuple[dict, list[s
     sizes = {"equations": len(equations), "sharing": len(sharing), "pairs": 0, "with_class": 0, "checks": 0}
     failed = []
     for i, j in sharing:
-        E, Ep = equations[i], equations[j]
-        pa = PairAnalysis(E, Ep)
-        if pa.status != STATUS_OK:
-            continue
-        normals = count_solutions(EqSystem((E, Ep)), cfg).class_sizes
-        sizes["pairs"] += 1
-        sizes["with_class"] += bool(normals)
-        if len(normals) > pa.best:
-            failed.append(f"{E}, {Ep}: {len(normals)} classes, more than {pa.best}")
-        checks, undivided = divisor_claims(pa, normals)
-        sizes["checks"] += checks
-        failed += undivided
+        pair_claims(equations[i], equations[j], cfg, sizes, failed)
     return sizes, failed
 
 

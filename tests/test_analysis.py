@@ -105,7 +105,7 @@ class TestMinimalCountBounds:
         assert (count, upper, lower) == (2, 8, 2)
 
     def test_zero_determinant_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^determinant for pair \(1, 2\) is zero$"):
             minimal_count_bounds(E1, E1, 1, 2)
 
     def test_count_outside_the_bounds_is_an_internal_error(self, monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import weq.encode
+import weq.poly
 import weq.search
 from weq.analysis import PairAnalysis
 from weq.cli import build_parser, main
@@ -1050,7 +1051,7 @@ class TestBoundViolation:
         assert capsys.readouterr().out.splitlines() == [
             "status: ok ok: False classes: 1",
             "counterexample: {'equations': ['xyxz = zxyx', 'xyxxz = zxxyx'], 'limit': 0, "
-            "'classes': [{'normal': [2, 1, -1], 'example': ['a', 'b', 'aba']}]}",
+            "'classes': [{'normal': [2, 1, -1], 'example': ['a', 'b', 'aba']}], 'undivided': []}",
         ]
 
     def test_exit_1_with_counterexample_json(self, monkeypatch, capsys):
@@ -1068,7 +1069,50 @@ class TestBoundViolation:
             "      }\n"
             "    ],\n"
             '    "equations": [\n      "xyxz = zxyx",\n      "xyxxz = zxxyx"\n    ],\n'
-            '    "limit": 0\n'
+            '    "limit": 0,\n'
+            '    "undivided": []\n'
+            "  },\n"
+            '  "erasing_classes": 0,\n'
+            '  "ok": false,\n'
+            '  "status": "ok"\n'
+            "}\n"
+        )
+
+    # no class normal found so far misses a determinant, so these force one
+    def test_exit_1_with_undivided_normal(self, monkeypatch, capsys):
+        monkeypatch.setattr(weq.poly, "_divisor_keys", lambda p, lam: None)
+        assert main(["search", PAIR_TEXT, "--verify-bounds", "--max-len", "8"]) == 1
+        undivided = ", ".join(f"{{'normal': [2, 1, -1], 'pair': {pair}}}" for pair in ("[1, 2]", "[1, 3]", "[2, 3]"))
+        assert capsys.readouterr().out.splitlines() == [
+            "status: ok ok: False classes: 1",
+            "counterexample: {'equations': ['xyxz = zxyx', 'xyxxz = zxxyx'], 'limit': 8, "
+            f"'classes': [{{'normal': [2, 1, -1], 'example': ['a', 'b', 'aba']}}], 'undivided': [{undivided}]}}",
+        ]
+
+    def test_exit_1_with_undivided_normal_json(self, monkeypatch, capsys):
+        monkeypatch.setattr(weq.poly, "_divisor_keys", lambda p, lam: None)
+        assert main(["search", PAIR_TEXT, "--verify-bounds", "--max-len", "8", "--json"]) == 1
+        example = '[\n          "a",\n          "b",\n          "aba"\n        ]'
+        normal = '"normal": [\n          2,\n          1,\n          -1\n        ]'
+        undivided = ",\n".join(
+            f'      {{\n        {normal},\n        "pair": [\n          {j},\n          {k}\n        ]\n      }}'
+            for j, k in ((1, 2), (1, 3), (2, 3))
+        )
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "classes": 1,\n'
+            '  "counterexample": {\n'
+            '    "classes": [\n'
+            "      {\n"
+            f'        "example": {example},\n'
+            f"        {normal}\n"
+            "      }\n"
+            "    ],\n"
+            '    "equations": [\n      "xyxz = zxyx",\n      "xyxxz = zxxyx"\n    ],\n'
+            '    "limit": 8,\n'
+            '    "undivided": [\n'
+            f"{undivided}\n"
+            "    ]\n"
             "  },\n"
             '  "erasing_classes": 0,\n'
             '  "ok": false,\n'

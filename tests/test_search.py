@@ -2,7 +2,7 @@ import dataclasses
 import gc
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weq.analysis import PairAnalysis
-from weq.encode import check_solution_poly
+from weq.encode import check_solution_poly, t_det
 from weq.principal import principal_decompose
 from weq.search import (
     BoundCheckReport,
@@ -58,6 +58,7 @@ from conftest import (
     theta_alpha,
     two_unknown_system,
 )
+from test_poly import reference_divide
 from test_words import reference_normal, reference_rank
 
 CONJ = EqSystem((eq("xz", "zy"),))
@@ -771,8 +772,10 @@ class TestSearchConfig:
 
 
 def reference_verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> BoundCheckReport:
-    """The bound check read off the full catalog: its classes are counted,
-    and past the bound each class's first member is the example."""
+    """The pair claims read off the full catalog: its classes are counted,
+    each class normal divides each nonzero determinant by the rewriting
+    division, and when a claim fails each class's first member is the
+    example."""
     if E == Ep:
         return BoundCheckReport("identical-equations", True)
     pa = PairAnalysis(E, Ep)
@@ -786,7 +789,14 @@ def reference_verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> Bou
         # deleting either erased unknown, so the pair has no nonzero
         # determinant (defect theorem) and was skipped above
         raise AssertionError(f"{E} and {Ep} have {erasing} erasing classes and a nonzero determinant")
-    if m <= pa.best:
+    dets = {(j, k): det for j, k in combinations(range(E.n), 2) if (det := t_det(E, Ep, j, k))}
+    undivided = [
+        {"normal": list(normal.entries), "pair": [j + 1, k + 1]}
+        for normal in classes
+        for (j, k), det in dets.items()
+        if reference_divide(det, normal) is None
+    ]
+    if m <= pa.best and not undivided:
         return BoundCheckReport("ok", True, m, erasing)
     counterexample = {
         "limit": pa.best,
@@ -794,6 +804,7 @@ def reference_verify_bounds(E: Equation, Ep: Equation, cfg: SearchConfig) -> Bou
             {"normal": list(normal.entries), "example": [str(im) for im in members[0].images]}
             for normal, members in classes.items()
         ],
+        "undivided": undivided,
     }
     return BoundCheckReport("ok", False, m, erasing, counterexample)
 
@@ -815,6 +826,22 @@ class TestVerifyBounds:
         assert report.counterexample == {
             "limit": 0,
             "classes": [{"normal": [2, 1, -1], "example": ["a", "b", "aba"]}],
+            "undivided": [],
+        }
+
+    def test_undivided_normal_reports_counterexample(self, monkeypatch):
+        # no class normal found so far misses a determinant, so force one:
+        # the line-sum test finds no divisor
+        import weq.poly
+
+        monkeypatch.setattr(weq.poly, "_divisor_keys", lambda p, lam: None)
+        report = verify_bounds(*PAIR, SearchConfig(8, 2))
+        assert report.status == "ok" and not report.ok
+        assert report.classes == 1
+        assert report.counterexample == {
+            "limit": 8,
+            "classes": [{"normal": [2, 1, -1], "example": ["a", "b", "aba"]}],
+            "undivided": [{"normal": [2, 1, -1], "pair": pair} for pair in ([1, 2], [1, 3], [2, 3])],
         }
 
     def test_identical_pair_skipped(self):
