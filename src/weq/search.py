@@ -9,7 +9,11 @@ candidate. A length type's images come as columns, one per unknown, read
 off the assignments by ``itemgetter``, and the solutions and their keys
 are built from the columns by ``map`` and ``zip``, with no Python loop
 per solution and with the cyclic collector paused: the listing makes
-only words, tuples and morphisms of ints, which form no cycle.
+only words, tuples and morphisms of ints, which form no cycle. In
+``product`` order the second half of a length type's assignments is the
+first half in reverse with each letter l renamed k-1-l, and a renaming of
+letters keeps the rank and the normal, so only the first half's keys are
+looked up.
 
 A catalog is its counts (solutions, rank counts, and the sizes of the
 linear-equivalence classes of rank-(n-1) solutions, keyed by their
@@ -21,12 +25,16 @@ The counts alone come without listing from a dynamic program over
 count-row multisets: the letters are assigned to the position classes
 one class at a time, and the state is the multiset of nonzero rows of
 the partial occurrence-count matrix. Both paths read one pass over the
-length types, ``_position_classes``, reduce their solutions to these
-sorted nonzero count rows, classify each through one cache for the whole
-process, ``_kind``, and count ranks and classes in one function,
-``_tally``. The cache is bounded, so that a process that searches many
-systems does not keep every matrix it met. Only ``_feasible_length_types``,
-the source of the pass, checks the candidate budget.
+length types, ``_position_classes``, whose source ``_feasible_length_types``
+row-reduces the equations' length balance conditions, draws only the
+free lengths and solves each pivot length by an exact division: the
+reduction keeps the rational solutions, so no length type is lost or
+gained. Both reduce their solutions to these sorted nonzero count rows,
+classify each through one cache for the whole process, ``_kind``, and
+count ranks and classes in one function, ``_tally``. The cache is
+bounded, so that a process that searches many systems does not keep
+every matrix it met. Only ``_feasible_length_types``, the source of the
+pass, checks the candidate budget.
 
 Also hosts the seeded fuzz generators used to cross-check the polynomial
 encoding against the word-level definitions.
@@ -50,6 +58,7 @@ from .words import (
     LambdaVector,
     Morphism,
     Word,
+    _eliminate,
     _rank_and_normal,
     is_solution,
 )
@@ -231,10 +240,25 @@ def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[in
     """Length types within budget whose images could balance every
     equation's side lengths, by total length and then lexicographically.
 
-    The first n-1 lengths are drawn by stars and bars: n-1 bars among the
-    length left over the minimum lengths. Each balance condition is linear
-    in the length type, so once the first n-1 lengths are fixed it leaves
-    the last one free or fixes it to at most one value.
+    The balance condition of an equation u = v is linear in the length
+    type l: d·l = 0, with d_j = |u|_j - |v|_j. The distinct balance
+    vectors are row-reduced by ``_eliminate``, fraction-free over the
+    integers, each combined row divided by the gcd of its entries, with the
+    columns reversed so that the pivots are picked from the last length
+    down. The echelon rows have the same rational solutions as the
+    conditions, so a length type balances exactly when it solves them.
+
+    With rank r, the n - r free lengths are drawn by stars and bars: n - r
+    bars among the length left over the n minimum lengths. An echelon row
+    is zero on every length after its pivot, so back-substitution from the
+    lowest pivot up meets each row with only its pivot length unknown and
+    solves it by one exact division. A type is kept only if every pivot
+    length is an integer, at least the minimum length, and the total is
+    within budget. So there are C(L - m*n + n - r, n - r) draws, m the
+    minimum length, rather than the C(L - m*n + n - 1, n - 1) heads of the
+    first n - 1 lengths: one power of L fewer at r = 2, the same at r = 1.
+    With no condition, the first n - 1 lengths are drawn and the last takes
+    every value the budget leaves.
     """
     n, L = system.n, cfg.max_total_image_length
     # refuse before any length type is built, and stop summing once the budget is passed
@@ -242,20 +266,35 @@ def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[in
         raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
     if n == 0:
         return [()]
-    diffs = {tuple(e.left.count(j) - e.right.count(j) for j in range(n)) for e in system}
+    rows = {tuple(e.left.count(j) - e.right.count(j) for j in reversed(range(n))) for e in system}
+    pivots, reduced = _eliminate(sorted(rows), n)
+    # each pivot length with its row, in the order of the lengths, lowest pivot first
+    solved = [(n - 1 - p, row[::-1]) for p, row in zip(reversed(pivots), reversed(reduced))]
+    free = [j for j in range(n) if n - 1 - j not in pivots]
     minimum = 0 if cfg.allow_erasing else 1
+
+    # stars and bars: ``count`` lengths of at least the minimum, leaving the others their minimum within budget
+    def heads(count: int) -> Iterator[list[int]]:
+        for bars in combinations(range(L - minimum * n + count), count):
+            yield [b - a - 1 + minimum for a, b in zip((-1,) + bars, bars)]
+
     out = []
-    for bars in combinations(range(L - minimum * n + n - 1), n - 1):
-        head = tuple(b - a - 1 + minimum for a, b in zip((-1,) + bars, bars))
-        lasts = range(minimum, L - sum(head) + 1)
-        for *d, d_last in diffs:
-            dot = sum(map(mul, d, head))
-            if d_last:
-                last, rest = divmod(-dot, d_last)
-                lasts = range(last, last + 1) if not rest and last in lasts else range(0)
-            elif dot:
-                lasts = range(0)
-        out.extend(head + (last,) for last in lasts)
+    if not solved:
+        for head in heads(n - 1):
+            out.extend((*head, last) for last in range(minimum, L - sum(head) + 1))
+    else:
+        for head in heads(len(free)):
+            lt = [0] * n
+            for j, l in zip(free, head):
+                lt[j] = l
+            for c, row in solved:
+                q, rem = divmod(-sum(map(mul, row, lt)), row[c])
+                if rem or q < minimum:
+                    break
+                lt[c] = q
+            else:
+                if sum(lt) <= L:
+                    out.append(tuple(lt))
     out.sort(key=lambda lt: (sum(lt), lt))
     return out
 
@@ -360,7 +399,15 @@ def enumerate_solutions(
     by the multisets of letters of the images. So a key is classified only
     for the first solution that has it: its sorted nonzero count rows, one
     per letter that occurs, go to ``_kind``, the cache the count shares,
-    and two keys with the same rows are one cache entry. A listed
+    and two keys with the same rows are one cache entry. Within a length
+    type, the N = k^c assignments to its c position classes come in
+    ``product`` order, so assignment N-1-i, whose digits in base k are
+    those of i each taken from k-1, is assignment i with each letter l
+    renamed k-1-l. A renaming of letters only reorders the count rows, so
+    it keeps the rank and the normal: only the first ceil(N/2) solutions of
+    each type are looked up through ``multiset`` and ``ids``, and the rest
+    take their keys in reverse, the middle one of an odd N being its own
+    complement. Every solution is still built, with its exact kind. A listed
     solution's cost depends on n, L and the letters it uses, not on the
     alphabet size, and ``x = x`` at length budget 2 needs 4 eliminations at
     any k. The counts are tallied from the kinds of the keys, and each
@@ -403,10 +450,15 @@ def enumerate_solutions(
     try:
         for columns in found:
             word_columns = [map(words.__getitem__, c) for c in columns]
-            multiset_columns = [map(multiset.__getitem__, c) for c in columns]
             # with no unknowns the one length type has one solution, and no column
             solutions += map(Morphism._trusted, zip(*word_columns) if n else [()], repeat(k))
-            keys += map(ids.__getitem__, zip(*multiset_columns) if n else [()])
+            # only the first half is looked up: assignment size - 1 - i is
+            # assignment i with each letter l renamed k - 1 - l, of the same kind
+            size = len(columns[0]) if n else 1
+            multiset_columns = [map(multiset.__getitem__, islice(c, (size + 1) // 2)) for c in columns]
+            first = list(map(ids.__getitem__, zip(*multiset_columns) if n else [()]))
+            keys += first
+            keys += reversed(first[: size // 2])
         counts = _tally(n, cfg, ((kinds[i], ways) for i, ways in Counter(keys).items()))
         index = {normal: i for i, normal in enumerate(counts.class_sizes)}
         kind = [(r, -1 if normal is None else index[normal]) for r, normal in kinds]

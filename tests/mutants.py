@@ -109,6 +109,20 @@ MUTANTS = (
         "tests/test_search.py",
     ),
     Mutant(
+        "pivot-integrality-off",
+        "search.py",
+        "if rem or q < minimum:",
+        "if q < minimum:",
+        "tests/test_search.py",
+    ),
+    Mutant(
+        "complement-order-off",
+        "search.py",
+        "keys += reversed(first[: size // 2])",
+        "keys += first[: size // 2]",
+        "tests/test_search.py",
+    ),
+    Mutant(
         "minor-sign-flipped",
         "encode.py",
         "_add_product(_add_product({}, S[j], Sp[k]), Sp[j], S[k], -1)",

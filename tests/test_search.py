@@ -177,6 +177,48 @@ def small_searches(draw):
     return EqSystem(tuple(equations)), cfg
 
 
+@st.composite
+def five_unknown_searches(draw):
+    """Systems of 1-4 equations over 5 unknowns, sides of at most 6
+    unknowns, up to total image length 10 with or without erasing: more
+    balance conditions than ``small_searches`` draws, over more lengths."""
+    word = st.lists(st.integers(0, 4), max_size=6).map(lambda s: Word(tuple(s)))
+    equations = draw(st.lists(st.builds(Equation, word, word, st.just(5)), min_size=1, max_size=4))
+    cfg = SearchConfig(draw(st.integers(0, 10)), 2, allow_erasing=draw(st.booleans()))
+    return EqSystem(tuple(equations)), cfg
+
+
+def assert_complement_order(system: EqSystem, cfg: SearchConfig) -> None:
+    """Within each length type of the catalog, whose N = k^c solutions are
+    the assignments to its c position classes, solution N-1-i is solution i
+    with each letter l renamed k-1-l, and has the same kind; and listing
+    each type classifies at most ceil(N/2) keys."""
+    from weq import search
+
+    k = cfg.alphabet_size
+    sides = tuple((e.left, e.right) for e in system)
+    real_templates, real_kind, calls = search._position_templates, search._kind, []
+    with pytest.MonkeyPatch.context() as mp:
+        # a type's keys are classified after its templates are built and before the next type's
+        mp.setattr(search, "_position_templates", lambda sides, lt: calls.append([]) or real_templates(sides, lt))
+        mp.setattr(search, "_kind", lambda rows, n: calls[-1].append(rows) or real_kind(rows, n))
+        catalog = enumerate_solutions(system, cfg)
+    lts = _feasible_length_types(system, cfg)
+    assert len(calls) == len(lts)
+    start = 0
+    for lt, classified in zip(lts, calls):
+        size = k ** _position_templates(sides, lt)[0]
+        group, kinds = catalog.solutions[start : start + size], catalog.kinds[start : start + size]
+        assert [h.length_type() for h in group] == [lt] * size
+        for i in range(size):
+            complement = tuple(tuple(k - 1 - a for a in im) for im in group[i].images)
+            assert group[size - 1 - i].images == complement, (lt, i)
+            assert kinds[size - 1 - i] == kinds[i], (lt, i)
+        assert len(classified) <= (size + 1) // 2, lt
+        start += size
+    assert start == len(catalog.solutions)
+
+
 class TestEnumeration:
     def test_conjugacy_catalog(self):
         catalog = enumerate_solutions(CONJ, SearchConfig(7, 2))
@@ -211,6 +253,18 @@ class TestEnumeration:
         assert a.solutions == b.solutions
         lens = [sum(h.length_type()) for h in a.solutions]
         assert lens == sorted(lens)
+
+    @given(small_searches())
+    # x = x over 3 letters: an odd number of assignments, the middle one its own complement
+    @example((EqSystem((eq("x", "x"),)), SearchConfig(3, 3)))
+    # no unknowns: the one length type has one assignment, over no class
+    @example((EqSystem((Equation(Word(), Word(), 0),)), SearchConfig(2, 3)))
+    def test_solutions_come_in_complements(self, search):
+        assert_complement_order(*search)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_paper_pair_solutions_come_in_complements(self, k):
+        assert_complement_order(PAIR, SearchConfig(10, k))
 
     def test_parallel_matches_serial(self):
         # eps = eps (no unknowns) and x = x at length 0 are passes of one
@@ -365,6 +419,32 @@ class TestAgainstProductScan:
         assert lts == reference_length_types(system, cfg)
         if not cfg.allow_erasing and cfg.max_total_image_length < system.n:
             assert lts == []
+
+    @given(five_unknown_searches())
+    # repeated and parallel balance vectors: xy = z, yx = z and xxyy = zz are rank 1
+    @example((EqSystem((eq_n("xy", "z", 3), eq_n("yx", "z", 3), eq_n("xxyy", "zz", 3))), SearchConfig(10, 2)))
+    # the reversed balance vectors (-1, 0, 2) and (1, -2, 2) combine to (0, 2, -4),
+    # divided by 2: |h(z)| = 2|h(x)| and |h(y)| = 2|h(x)|
+    @example((EqSystem((eq_n("xxy", "yz", 3), eq_n("xxz", "yy", 3))), SearchConfig(10, 2)))
+    # rank 3 over 3 unknowns: only the empty length type balances, and none without erasing
+    @example((EqSystem((eq_n("xxy", "yz", 3), eq_n("xxz", "yy", 3), eq_n("x", "zz", 3))), SearchConfig(10, 2)))
+    @example(
+        (EqSystem((eq_n("xxy", "yz", 3), eq_n("xxz", "yy", 3), eq_n("x", "zz", 3))), SearchConfig(10, 2, False))
+    )
+    # no condition at all: both equations of the paper pair are balanced
+    @example((PAIR, SearchConfig(10, 2, allow_erasing=False)))
+    def test_length_types_over_five_unknowns_match_reference(self, search):
+        assert _feasible_length_types(*search) == reference_length_types(*search)
+
+    def test_length_types_of_seeded_systems_match_reference(self, rng):
+        ranks = Counter()
+        for i in range(60):
+            system = EqSystem(tuple(random_equation(rng, 5, 8) for _ in range(rng.randint(1, 4))))
+            cfg = SearchConfig(rng.randint(0, 10), 2, allow_erasing=bool(i % 2))
+            assert _feasible_length_types(system, cfg) == reference_length_types(system, cfg)
+            ranks[reference_rank([[e.left.count(j) - e.right.count(j) for j in range(5)] for e in system])] += 1
+        # every rank of one to four balance conditions is met
+        assert set(ranks) >= {1, 2, 3, 4}, ranks
 
     def test_paper_pair_every_length_type(self):
         cfg = SearchConfig(10, 2)
