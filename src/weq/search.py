@@ -9,11 +9,9 @@ candidate. A length type's images come as columns, one per unknown, read
 off the assignments by ``itemgetter``, and the solutions and their keys
 are built from the columns by ``map`` and ``zip``, with no Python loop
 per solution and with the cyclic collector paused: the listing makes
-only words, tuples and morphisms of ints, which form no cycle. In
-``product`` order the second half of a length type's assignments is the
-first half in reverse with each letter l renamed k-1-l, and a renaming of
-letters keeps the rank and the normal, so only the first half's keys are
-looked up.
+only words, tuples and morphisms of ints, which form no cycle. Only the
+first half of a length type's keys is looked up; ``enumerate_solutions``
+says why the second half is the first's letter complement.
 
 A catalog is its counts (solutions, rank counts, and the sizes of the
 linear-equivalence classes of rank-(n-1) solutions, keyed by their
@@ -257,8 +255,8 @@ def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[in
     within budget. So there are C(L - m*n + n - r, n - r) draws, m the
     minimum length, rather than the C(L - m*n + n - 1, n - 1) heads of the
     first n - 1 lengths: one power of L fewer at r = 2, the same at r = 1.
-    With no condition, the first n - 1 lengths are drawn and the last takes
-    every value the budget leaves.
+    With no condition every length is free, and the draws are the length
+    types within budget.
     """
     n, L = system.n, cfg.max_total_image_length
     # refuse before any length type is built, and stop summing once the budget is passed
@@ -272,29 +270,20 @@ def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[in
     solved = [(n - 1 - p, row[::-1]) for p, row in zip(reversed(pivots), reversed(reduced))]
     free = [j for j in range(n) if n - 1 - j not in pivots]
     minimum = 0 if cfg.allow_erasing else 1
-
-    # stars and bars: ``count`` lengths of at least the minimum, leaving the others their minimum within budget
-    def heads(count: int) -> Iterator[list[int]]:
-        for bars in combinations(range(L - minimum * n + count), count):
-            yield [b - a - 1 + minimum for a, b in zip((-1,) + bars, bars)]
-
     out = []
-    if not solved:
-        for head in heads(n - 1):
-            out.extend((*head, last) for last in range(minimum, L - sum(head) + 1))
-    else:
-        for head in heads(len(free)):
-            lt = [0] * n
-            for j, l in zip(free, head):
-                lt[j] = l
-            for c, row in solved:
-                q, rem = divmod(-sum(map(mul, row, lt)), row[c])
-                if rem or q < minimum:
-                    break
-                lt[c] = q
-            else:
-                if sum(lt) <= L:
-                    out.append(tuple(lt))
+    # stars and bars: the free lengths of at least the minimum, leaving the others their minimum within budget
+    for bars in combinations(range(L - minimum * n + len(free)), len(free)):
+        lt = [0] * n
+        for j, a, b in zip(free, (-1,) + bars, bars):
+            lt[j] = b - a - 1 + minimum
+        for c, row in solved:
+            q, rem = divmod(-sum(map(mul, row, lt)), row[c])
+            if rem or q < minimum:
+                break
+            lt[c] = q
+        else:
+            if sum(lt) <= L:
+                out.append(tuple(lt))
     out.sort(key=lambda lt: (sum(lt), lt))
     return out
 
@@ -452,8 +441,6 @@ def enumerate_solutions(
             word_columns = [map(words.__getitem__, c) for c in columns]
             # with no unknowns the one length type has one solution, and no column
             solutions += map(Morphism._trusted, zip(*word_columns) if n else [()], repeat(k))
-            # only the first half is looked up: assignment size - 1 - i is
-            # assignment i with each letter l renamed k - 1 - l, of the same kind
             size = len(columns[0]) if n else 1
             multiset_columns = [map(multiset.__getitem__, islice(c, (size + 1) // 2)) for c in columns]
             first = list(map(ids.__getitem__, zip(*multiset_columns) if n else [()]))
