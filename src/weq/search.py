@@ -256,14 +256,13 @@ def _feasible_length_types(system: EqSystem, cfg: SearchConfig) -> list[tuple[in
     minimum length, rather than the C(L - m*n + n - 1, n - 1) heads of the
     first n - 1 lengths: one power of L fewer at r = 2, the same at r = 1.
     With no condition every length is free, and the draws are the length
-    types within budget.
+    types within budget; with no unknowns there is no row, and the one
+    empty draw is the one length type, ().
     """
     n, L = system.n, cfg.max_total_image_length
     # refuse before any length type is built, and stop summing once the budget is passed
     if any(size > MAX_CANDIDATES for size in _running_space_sizes(n, cfg)):
         raise SearchSpaceError(f"the search space exceeds the budget of {MAX_CANDIDATES} candidate morphisms")
-    if n == 0:
-        return [()]
     rows = {tuple(e.left.count(j) - e.right.count(j) for j in reversed(range(n))) for e in system}
     pivots, reduced = _eliminate(sorted(rows), n)
     # each pivot length with its row, in the order of the lengths, lowest pivot first

@@ -104,8 +104,8 @@ MUTANTS = (
     Mutant(
         "no-unknowns-no-length-type",
         "search.py",
-        "    if n == 0:\n        return [()]\n",
-        "    if n == 0:\n        return []\n",
+        "if sum(lt) <= L:",
+        "if sum(lt) <= L and lt:",
         "tests/test_search.py",
     ),
     Mutant(

@@ -31,13 +31,6 @@ The layout table of the README names only what exists: each backticked
 identifier in the row of a ``weq`` module is an attribute of that module,
 or an attribute or dataclass field of one of its classes. The output its
 example shows is what that command prints.
-
-The ``python -c`` scripts of the CI workflow stay one call into the suite
-or the library: each parses, each ``from M import names`` finds its names
-at the top level of a module of ``src/`` or ``tests/``, and none holds a
-``for`` or ``while`` statement, since a check that loops belongs in the
-suite, where tier-1 runs it. The workflow is read as text, without a YAML
-parser: a script runs from ``python -c "`` to the next double quote.
 """
 
 import ast
@@ -45,13 +38,14 @@ import dataclasses
 import importlib
 import re
 import sys
-import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from weq.cli import main
+
+import at_scale
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "weq").glob("*.py"))
@@ -418,76 +412,31 @@ def test_readme_example_is_the_cli_output(capsys):
     assert capsys.readouterr().out == shown
 
 
-def workflow_scripts(text: str) -> list[str]:
-    """The ``python -c "..."`` scripts of a workflow's text, dedented."""
-    return [textwrap.dedent(script) for script in re.findall(r'python -c "([^"]*)"', text)]
 
 
-def top_level_names(module: str) -> set[str] | None:
-    """The names that the module ``module`` of ``src/`` or ``tests/`` binds
-    at its top level, or None when neither directory has it."""
-    for base in (ROOT / "src", ROOT / "tests"):
-        path = base.joinpath(*module.split(".")).with_suffix(".py")
-        if path.is_file():
-            names = set()
-            for node in ast.parse(path.read_text(encoding="utf-8")).body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    names.add(node.name)
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
-                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
-            return names
-    return None
+def unmatched_checks(workflow: str, checks) -> list[str]:
+    """Each of ``checks`` that the workflow's text does not run exactly once
+    by ``python tests/at_scale.py NAME``, and each name it runs that is not
+    one of them."""
+    run = Counter(name for names in re.findall(r"python tests/at_scale\.py(.*)", workflow) for name in names.split())
+    faults = [f"{name} runs {run[name]} times" for name in checks if run[name] != 1]
+    return faults + [f"no check {name}" for name in run if name not in checks]
 
 
-def script_faults(script: str) -> list[str]:
-    try:
-        tree = ast.parse(script)
-    except SyntaxError as error:
-        return [f"line {error.lineno}: {error.msg}"]
-    faults = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.While)):
-            faults.append(f"line {node.lineno}: a {type(node).__name__} statement")
-        elif isinstance(node, ast.ImportFrom):
-            names = top_level_names(node.module) if node.level == 0 else None
-            if names is None:
-                faults.append(f"line {node.lineno}: no module {node.module} in src/ or tests/")
-            else:
-                faults += [
-                    f"line {node.lineno}: {node.module} has no {alias.name}"
-                    for alias in node.names
-                    if alias.name not in names
-                ]
-    return faults
-
-
-def test_workflow_scripts_keep_the_rules():
-    scripts = workflow_scripts(WORKFLOW.read_text(encoding="utf-8"))
-    assert len(scripts) >= 6
-    assert {i: script_faults(s) for i, s in enumerate(scripts) if script_faults(s)} == {}
+def test_workflow_runs_each_check_once():
+    # importing the runner imports the suite's claim functions, so a stale name fails here
+    assert len(at_scale.CHECKS) == 11
+    assert unmatched_checks(WORKFLOW.read_text(encoding="utf-8"), at_scale.CHECKS) == []
 
 
 @pytest.mark.parametrize(
-    "run, fault",
+    "workflow, found",
     [
-        ('python -c "\n  import sys\n  sys.exit(1 +)\n  "', "line 3: "),
-        ('python -c "from weq.search import SearchConfig, no_such_check"', "line 1: weq.search has no no_such_check"),
-        ('python -c "from test_nowhere import check"', "line 1: no module test_nowhere in src/ or tests/"),
-        ('python -c "\n  for L in (12, 14):\n      print(L)\n  " 12', "line 2: a For statement"),
-        ('python -c "while True:\n    break"', "line 1: a While statement"),
+        ("run: python tests/at_scale.py a\n", ["b runs 0 times"]),
+        ("run: python tests/at_scale.py a\nrun: timeout 9 python tests/at_scale.py b c\n", ["no check c"]),
+        ("run: python tests/at_scale.py a b\nrun: python tests/at_scale.py b\n", ["b runs 2 times"]),
     ],
-    ids=["syntax error", "missing name", "missing module", "for loop", "while loop"],
+    ids=["missing", "unknown", "repeated"],
 )
-def test_workflow_script_fault_is_detected(run, fault):
-    # a syntax error's message is the interpreter's, so only its line is given
-    (script,) = workflow_scripts(f"        run: |\n          {run}\n")
-    (found,) = script_faults(script)
-    assert found.startswith(fault)
-
-
-def test_workflow_script_without_loops_passes():
-    run = 'python -c "import sys\nfrom conftest import defect_theorem_sweep\nsys.exit(not [L for L in (12, 14)])" "$h"'
-    assert [script_faults(s) for s in workflow_scripts(run)] == [[]]
+def test_unmatched_check_is_detected(workflow, found):
+    assert unmatched_checks(workflow, {"a": None, "b": None}) == found
